@@ -30,12 +30,12 @@
 //! * [`features`] — entropy-vector extraction and the `H_F`/`H_b`/`H_b′`
 //!   training regimes.
 //! * [`model`] — trained CART / SVM flow-nature models.
-//! * [`cdb`] — the Classification Database with FIN/RST, `n·λ′`, and
-//!   TTL purging.
+//! * [`cdb`] — the flow table: pending flows and the Classification
+//!   Database with FIN/RST, `n·λ′`, and TTL purging; flow-to-shard
+//!   placement.
 //! * [`persist`] — save/load trained models as JSON.
 //! * [`pipeline`] — the online engine of Figure 1.
 //! * [`analysis`] — trace-driven delay/CDB time series (Figures 8, 10).
-//! * [`concurrent`] — flow-sharded multi-core deployment.
 //! * [`defense`] — §4.6 padding attacks and mitigations.
 //! * [`tunnel`] — §4.6 tunnel policy (encrypted tunnel vs inner flows).
 //!
@@ -69,7 +69,6 @@
 
 pub mod analysis;
 pub mod cdb;
-pub mod concurrent;
 pub mod defense;
 pub mod features;
 pub mod model;
@@ -84,7 +83,6 @@ pub use iustitia_corpus::FileClass;
 pub mod prelude {
     pub use crate::analysis::{run_over_trace, DelayComponents, TraceRunReport};
     pub use crate::cdb::{CdbConfig, ClassificationDatabase, FlowId};
-    pub use crate::concurrent::{ShardedIustitia, ShardedReport};
     pub use crate::defense::{pad_flow, PaddingAttacker};
     pub use crate::features::{dataset_from_corpus, FeatureExtractor, FeatureMode, TrainingMethod};
     pub use crate::model::{ModelKind, NatureModel};

@@ -1,12 +1,17 @@
 //! The online classification pipeline of Figure 1.
 //!
-//! Per packet: hash the header into a flow ID, look the flow up in the
-//! [CDB](crate::cdb); on a hit, forward to the flow's output queue.
-//! Otherwise fold the payload into the flow's *incremental feature
-//! state*; once `b` classification-window bytes have streamed through —
-//! or the flow goes idle — finish the entropy vector, classify, store
-//! the label in the CDB, and drain the flow to the right queue. FIN/RST
-//! packets remove CDB records.
+//! Per packet: hash the header into a flow ID and look the flow up in
+//! the [flow table](crate::cdb) — the one per-flow map the pipeline
+//! has. A classified slot is a CDB hit: forward to the flow's output
+//! queue. A pending (or new) slot folds the payload into the flow's
+//! *incremental feature state*; once `b` classification-window bytes
+//! have streamed through — or the flow goes idle — finish the entropy
+//! vector, classify, turn the slot into a CDB record, and drain the
+//! flow to the right queue. FIN/RST packets remove CDB records.
+//!
+//! There is one packet state machine, [`Iustitia::process_batch`]:
+//! consecutive packets of one flow share the slot lookup, and
+//! [`Iustitia::process_packet`] is a batch of one.
 //!
 //! Pending flows do **not** hold their payload: a flow buffers raw
 //! bytes only while the [`HeaderPolicy`] skip/strip decision is still
@@ -16,7 +21,6 @@
 //! `g·z` sketch in estimated mode — independent of `b`.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -24,8 +28,8 @@ use rand::{Rng, SeedableRng};
 use iustitia_corpus::{scan_application_header, strip_application_header, FileClass, HeaderScan};
 use iustitia_netsim::Packet;
 
-use crate::cdb::{CdbConfig, ClassificationDatabase, FlowId};
-use crate::features::{FeatureExtractor, FeatureMode, FlowFeatureState};
+use crate::cdb::{CdbConfig, ClassificationDatabase, FlowId, PendingFlow, Slot};
+use crate::features::{FeatureExtractor, FeatureMode};
 use crate::model::{AnytimeModel, CompiledNatureModel, NatureModel};
 use iustitia_entropy::FeatureWidths;
 use iustitia_ml::ConfidenceModel;
@@ -158,8 +162,8 @@ impl PipelineConfig {
 
 /// One packet of a batch, paired with its precomputed flow ID.
 ///
-/// The serve layer hashes the 5-tuple on its reader threads, so the
-/// shard-side batch path should not redo the SHA-1 per packet;
+/// The serve layer hashes the 5-tuple on its reactor thread, so the
+/// shard workers do not redo the SHA-1 per packet;
 /// [`FlowId::of_tuple`] is deterministic, so precomputing the ID
 /// changes no verdict.
 #[derive(Debug, Clone, Copy)]
@@ -210,60 +214,6 @@ pub struct ClassifiedFlow {
     pub early_exit: bool,
 }
 
-/// Where a pending flow is in its lifecycle.
-// The Streaming variant inlines the whole feature state (histograms +
-// battery accumulators) on purpose: states cycle through the flow pool
-// by value, and an indirection here would put an allocation back on
-// the recycled-flow path the pool exists to keep allocation-free.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum FlowStage {
-    /// Raw prefix retained verbatim until the header skip/strip
-    /// decision resolves (only [`HeaderPolicy::StripKnown`] flows pass
-    /// through this stage; it is bounded by the buffer capacity).
-    Staging(Vec<u8>),
-    /// Header decision resolved: payload streams straight into the
-    /// incremental feature state, nothing is retained.
-    Streaming {
-        /// Per-flow incremental feature session.
-        features: FlowFeatureState,
-        /// Classification-window bytes fed so far (`≤ b`).
-        fed: usize,
-        /// Header/skip bytes still to discard before feeding.
-        skip_remaining: usize,
-        /// `fed` as of the last anytime probe (0 before any probe);
-        /// gates the probe stride. Stays 0 when anytime is off.
-        probed: usize,
-        /// Label the previous anytime probe predicted, if any: the
-        /// patience rule only emits a verdict when two consecutive
-        /// probes agree. Stays `None` when anytime is off.
-        last_probe: Option<FileClass>,
-    },
-}
-
-#[derive(Debug)]
-struct FlowBuffer {
-    stage: FlowStage,
-    first_ts: f64,
-    last_ts: f64,
-    packets: u32,
-    /// Payload bytes observed for this flow, saturating at the buffer
-    /// capacity (the old `data.len()`; still reported as
-    /// `buffered_bytes` for the §4.5 delay analysis).
-    seen: usize,
-}
-
-impl FlowBuffer {
-    /// Estimated heap resident for this flow: staged raw bytes, or the
-    /// feature state's counter footprint once streaming.
-    fn resident_bytes(&self) -> usize {
-        match &self.stage {
-            FlowStage::Staging(staged) => staged.len(),
-            FlowStage::Streaming { features, .. } => features.resident_bytes(),
-        }
-    }
-}
-
 /// Throughput counters for the per-class output queues plus
 /// pass-through.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -275,6 +225,15 @@ pub struct QueueCounters {
     pub buffered: u64,
     /// Control/close packets passed through unclassified.
     pub passed_through: u64,
+}
+
+impl QueueCounters {
+    /// Counts `packets` data packets into `label`'s queue.
+    fn forward(&mut self, label: FileClass, packets: u64) {
+        if let Some(queue) = self.forwarded.get_mut(label.index()) {
+            *queue += packets;
+        }
+    }
 }
 
 /// The Iustitia online classifier (Figure 1's left half).
@@ -320,20 +279,22 @@ pub struct Iustitia {
     /// The model's compiled inference form (flattened tree / packed
     /// shared support vectors); every verdict comes from this path.
     compiled: CompiledNatureModel,
+    /// The flow table: pending flows and CDB records, one slot each.
     cdb: ClassificationDatabase,
-    buffers: HashMap<FlowId, FlowBuffer>,
     extractor: FeatureExtractor,
     rng: StdRng,
     queues: QueueCounters,
     log: Vec<ClassifiedFlow>,
-    /// Running sum of every pending flow's [`FlowBuffer::resident_bytes`].
+    /// Running sum of every pending flow's resident bytes.
     resident: usize,
     /// Timestamp of the last opportunistic idle sweep.
     last_sweep: f64,
-    /// Free list of feature states from closed flows: new flows reset
+    /// Free list of flow states from concluded flows: new flows reset
     /// and reuse these instead of allocating, so steady-state packet
     /// processing touches the allocator only while the pool is warming.
-    pool: Vec<FlowFeatureState>,
+    /// Boxed because the table's slots take and return them as boxes.
+    #[allow(clippy::vec_box)]
+    pool: Vec<Box<PendingFlow>>,
     /// Number of flows whose feature state came from the pool.
     pool_hits: u64,
     /// Scratch for the finished feature vector of the flow being
@@ -363,9 +324,8 @@ pub struct Iustitia {
     means_scratch: Vec<f64>,
 }
 
-/// Upper bound on pooled [`FlowFeatureState`]s, so a burst of
-/// concurrent flows cannot pin its high-water mark of histogram tables
-/// forever. 256 comfortably covers the steady-state pending-flow count
+/// Upper bound on pooled flow states, so a burst of concurrent flows
+/// cannot pin its high-water mark of histogram tables forever. 256 comfortably covers the steady-state pending-flow count
 /// of every bench/serve configuration while capping worst-case retained
 /// memory.
 const MAX_POOLED_STATES: usize = 256;
@@ -384,7 +344,6 @@ impl Iustitia {
             model,
             compiled,
             cdb,
-            buffers: HashMap::new(),
             extractor,
             rng,
             queues: QueueCounters::default(),
@@ -414,32 +373,6 @@ impl Iustitia {
         self
     }
 
-    /// Takes a feature state from the free list (resetting it) or
-    /// builds a fresh one. A free function over disjoint fields so the
-    /// flow-table entry borrow can stay live at the call sites.
-    fn acquire_state(
-        pool: &mut Vec<FlowFeatureState>,
-        pool_hits: &mut u64,
-        extractor: &FeatureExtractor,
-        b: usize,
-    ) -> FlowFeatureState {
-        match pool.pop() {
-            Some(mut state) => {
-                extractor.reset_flow(&mut state, b);
-                *pool_hits += 1;
-                state
-            }
-            None => extractor.begin_flow(b),
-        }
-    }
-
-    /// Returns a closed flow's feature state to the free list.
-    fn recycle_state(&mut self, state: FlowFeatureState) {
-        if self.pool.len() < MAX_POOLED_STATES {
-            self.pool.push(state);
-        }
-    }
-
     /// Probes one buffering flow's partial feature vector: finish it
     /// into scratch, predict with margin using the stage model fitted
     /// nearest below `fed`, score against the centroid stages, and
@@ -447,18 +380,14 @@ impl Iustitia {
     /// previous probe of this flow predicted the same label (the
     /// patience rule: two consecutive agreeing probes, so a single
     /// unstable early prediction can never classify the flow). A free
-    /// function over disjoint fields so the flow-table entry borrow can
-    /// stay live at the call sites (like
-    /// [`acquire_state`](Self::acquire_state)); allocation-free once
-    /// the scratch buffers are warm.
-    #[allow(clippy::too_many_arguments)]
+    /// function over disjoint fields so the borrow of the flow's table
+    /// slot can stay live at the call site; allocation-free once the
+    /// scratch buffers are warm.
     fn probe_anytime(
         confidence: &ConfidenceModel,
         threshold: f64,
         stages: &mut [(u64, CompiledNatureModel)],
-        features: &FlowFeatureState,
-        fed: usize,
-        last_probe: &mut Option<FileClass>,
+        flow: &mut PendingFlow,
         feature_scratch: &mut Vec<f64>,
         counts_scratch: &mut Vec<u64>,
         means_scratch: &mut Vec<f64>,
@@ -468,21 +397,21 @@ impl Iustitia {
         // selection inside `ConfidenceModel::score`.
         let mut idx = 0;
         for (i, (bytes, _)) in stages.iter().enumerate() {
-            if *bytes <= fed as u64 {
+            if *bytes <= flow.fed as u64 {
                 idx = i;
             } else {
                 break;
             }
         }
         let (_, stage) = stages.get_mut(idx)?;
-        features.finish_into_with(feature_scratch, counts_scratch, means_scratch);
+        flow.features.finish_into_with(feature_scratch, counts_scratch, means_scratch);
         let (label, margin) = stage.try_predict_with_margin(feature_scratch).ok()?;
-        let agreed = *last_probe == Some(label);
-        *last_probe = Some(label);
+        let agreed = flow.last_probe == Some(label);
+        flow.last_probe = Some(label);
         if !agreed {
             return None;
         }
-        let score = confidence.score(feature_scratch, fed as u64, label.index(), margin);
+        let score = confidence.score(feature_scratch, flow.fed as u64, label.index(), margin);
         (score >= threshold).then_some(label)
     }
 
@@ -498,7 +427,9 @@ impl Iustitia {
         &self.model
     }
 
-    /// The classification database (read access for monitoring).
+    /// The classification database (read access for monitoring). It
+    /// counts classified records only; see
+    /// [`pending_flows`](Self::pending_flows) for the rest of the table.
     pub fn cdb(&self) -> &ClassificationDatabase {
         &self.cdb
     }
@@ -510,7 +441,7 @@ impl Iustitia {
 
     /// Number of flows currently buffering (pre-classification).
     pub fn pending_flows(&self) -> usize {
-        self.buffers.len()
+        self.cdb.pending_len()
     }
 
     /// Estimated heap bytes resident across all pending flows' feature
@@ -520,14 +451,14 @@ impl Iustitia {
         self.resident
     }
 
-    /// Number of flows whose feature state was recycled from the pool
+    /// Number of flows whose state was recycled from the pool
     /// instead of freshly allocated (a steady-state pipeline trends
     /// toward `pool_hits ≈ flows classified`).
     pub fn state_pool_hits(&self) -> u64 {
         self.pool_hits
     }
 
-    /// Feature states currently parked on the free list.
+    /// Flow states currently parked on the free list.
     pub fn state_pool_size(&self) -> usize {
         self.pool.len()
     }
@@ -550,19 +481,14 @@ impl Iustitia {
         self.config.buffer_size + self.config.header_policy.allowance()
     }
 
-    /// Processes one packet, returning what happened to it.
-    ///
-    /// This is the batch-of-one wrapper around
-    /// [`process_batch`](Self::process_batch): a single-element batch
-    /// walks exactly the same code as a large one, so every per-packet
-    /// test exercises the batch path and the zero-alloc steady-state
-    /// guarantee extends to it.
+    /// Processes one packet, returning what happened to it: a batch of
+    /// one through [`process_batch`](Self::process_batch), so there is
+    /// one packet state machine and single packets exercise it.
     pub fn process_packet(&mut self, packet: &Packet) -> Verdict {
         let mut verdicts = std::mem::take(&mut self.verdict_scratch);
         self.process_batch(&[BatchPacket::new(packet)], &mut verdicts);
-        // `process_batch` pushes exactly one verdict per input packet,
-        // so a batch of one always yields exactly one; the
-        // `unwrap_or` fallback below is unreachable and exists only to
+        // `process_batch` pushes exactly one verdict per input packet;
+        // the `unwrap_or` fallback is unreachable and exists only to
         // keep this hot path free of a panicking branch.
         debug_assert_eq!(verdicts.len(), 1, "batch-of-one must yield exactly one verdict");
         let verdict = verdicts.pop().unwrap_or(Verdict::Ignored);
@@ -573,519 +499,286 @@ impl Iustitia {
     /// Processes a batch of packets in order, pushing exactly one
     /// verdict per packet into `verdicts` (cleared first).
     ///
-    /// Maximal runs of consecutive same-flow data packets are processed
-    /// as a group ([`Self::process_run`]): the CDB lookup and the
-    /// flow-table entry are resolved once per phase of the run instead
-    /// of once per packet, and payload slices stream back-to-back into
-    /// the same feature state. Control and close packets are never
-    /// grouped — they take the canonical per-packet path in place, so
-    /// ordering semantics (CDB close removal, leftovers classification)
-    /// are untouched.
+    /// Consecutive packets of one flow form a *run*, which resolves the
+    /// flow's table slot once per phase instead of once per packet and
+    /// streams payload slices back-to-back into the same feature state.
     ///
-    /// **Bit-identity invariant:** for any batch, the verdict sequence,
-    /// every gauge and counter, the CDB contents, and the classification
-    /// log are bit-for-bit what sequential
-    /// [`process_packet`](Self::process_packet) calls over the same
-    /// packets would produce. Group amortization only elides hash-map
-    /// re-resolutions whose outcomes are provably unchanged within a
-    /// phase: repeated CDB misses while a flow is buffering have no side
-    /// effects, and repeated hits mutate only the record the phase
-    /// already holds. Any packet that needs a slow-path event (idle
-    /// sweep due, header still staging, TTL expiry, buffer full) ends
-    /// its phase and re-resolves through the canonical path.
+    /// **Batching invariance:** the verdict sequence, every gauge and
+    /// counter, the table contents and the classification log depend
+    /// only on the packet sequence, never on where it is cut into
+    /// batches. Every event that looks beyond the run's own slot (an
+    /// idle sweep falling due, a close, a classification with its purge,
+    /// a TTL expiry) ends the phase at exactly the packet that causes it.
     pub fn process_batch(&mut self, batch: &[BatchPacket<'_>], verdicts: &mut Vec<Verdict>) {
         verdicts.clear();
-        // lint: allow(L009) — caller-owned scratch: grows once to the largest batch seen, then reused
+        // Caller-owned scratch: grows once to the largest batch seen,
+        // then every push below stays within it.
         verdicts.reserve(batch.len());
         let mut rest = batch;
-        while let Some((first, tail)) = rest.split_first() {
-            let groupable = first.packet.is_data() && !first.packet.flags.closes_flow();
-            if !groupable {
-                let verdict = self.process_one(first.flow, first.packet);
-                // lint: allow(L009) — within the capacity reserved above
-                verdicts.push(verdict);
-                rest = tail;
-                continue;
-            }
-            let mut run_len = 1;
-            for p in tail {
-                if p.flow != first.flow || !p.packet.is_data() || p.packet.flags.closes_flow() {
-                    break;
-                }
-                run_len += 1;
-            }
-            // lint: allow(L008) — the scan above stops within tail, so run_len <= rest.len()
-            let (run, remainder) = rest.split_at(run_len);
-            self.process_run(first.flow, run, verdicts);
-            rest = remainder;
+        while let Some(first) = rest.first() {
+            rest = self.process_run(first.flow, rest, verdicts);
         }
     }
 
-    /// Processes one maximal run of same-flow data packets, pushing one
-    /// verdict per packet. Each iteration of the outer loop consumes at
-    /// least one packet: the sweep-due and header-staging fallbacks hand
-    /// exactly one packet to [`Self::process_one`], and both amortized
-    /// phases consume one before any early exit can fire.
-    fn process_run(&mut self, flow: FlowId, run: &[BatchPacket<'_>], verdicts: &mut Vec<Verdict>) {
+    /// Processes the packets of `flow` that lead `rest` — at least the
+    /// first — pushing one verdict each, and returns what follows them.
+    ///
+    /// Each turn of the outer loop runs the idle sweep if the packet at
+    /// hand makes it due, then consumes that packet: alone if it is a
+    /// control or close packet, otherwise together with every data
+    /// packet after it that the same table slot can serve (see
+    /// [`next_in_phase`]).
+    fn process_run<'a, 'p>(
+        &mut self,
+        flow: FlowId,
+        mut rest: &'a [BatchPacket<'p>],
+        verdicts: &mut Vec<Verdict>,
+    ) -> &'a [BatchPacket<'p>] {
         let idle_timeout = self.config.idle_timeout;
-        let ttl = self.config.cdb.reclassify_after;
         let b = self.config.buffer_size;
         let capacity = self.buffer_capacity();
         let policy = self.config.header_policy;
         let anytime = self.config.anytime;
-        let mut rest = run;
         while let Some((first, tail)) = rest.split_first() {
+            if first.flow != flow {
+                break;
+            }
             let now = first.packet.timestamp;
-            // The idle sweep fires at most once per idle_timeout; when
-            // one is due, that packet takes the canonical path (which
-            // performs it), keeping sweep timing identical to
-            // per-packet processing.
-            if now - self.last_sweep >= idle_timeout {
-                let verdict = self.process_one(flow, first.packet);
-                // lint: allow(L009) — within the capacity reserved by process_batch
-                verdicts.push(verdict);
+            // Opportunistic idle sweep, at most once per idle_timeout:
+            // the configured timeout is enforced even when nobody calls
+            // `sweep_idle` explicitly, so stalled flows cannot pin their
+            // state forever.
+            if sweep_due(now, self.last_sweep, idle_timeout) {
+                if self.last_sweep.is_finite() {
+                    self.sweep_idle(now);
+                }
+                self.last_sweep = now;
+            }
+            let last_sweep = self.last_sweep;
+            if !first.packet.is_data() || first.packet.flags.closes_flow() {
+                self.process_control(flow, first.packet);
+                verdicts.push(Verdict::Ignored);
                 rest = tail;
                 continue;
             }
 
-            // --- Hit phase: the flow is already classified. ---
-            if let Some(label) = self.cdb.lookup(&flow, now) {
-                // lint: allow(L008) — forwarded has FileClass::ALL.len() slots; label.index() is always in range
-                self.queues.forwarded[label.index()] += 1;
-                // lint: allow(L009) — within the capacity reserved by process_batch
-                verdicts.push(Verdict::Hit(label));
-                rest = tail;
-                // Subsequent packets refresh the same record in place —
-                // the per-packet `lookup` body minus the re-hash. The
-                // label cannot change while the record lives.
-                if let Some(rec) = self.cdb.record_mut(&flow) {
-                    while let Some((p, after)) = rest.split_first() {
+            let mut created = false;
+            let slot = match self.cdb.slot(flow) {
+                Entry::Occupied(entry) => entry.into_mut(),
+                Entry::Vacant(entry) => {
+                    created = true;
+                    let mut state = match self.pool.pop() {
+                        Some(mut state) => {
+                            self.extractor.reset_flow(&mut state.features, b);
+                            self.pool_hits += 1;
+                            state
+                        }
+                        None => PendingFlow::boxed(self.extractor.begin_flow(b)),
+                    };
+                    // Every policy except StripKnown knows its skip up
+                    // front, so those flows stream from the first byte
+                    // and never stage payload.
+                    let skip = match policy {
+                        HeaderPolicy::None | HeaderPolicy::StripKnown { .. } => 0,
+                        HeaderPolicy::SkipThreshold { t } => t,
+                        // lint: allow(L008) — 0..=t_max is an inclusive range, never empty
+                        HeaderPolicy::RandomSkip { t_max } => self.rng.gen_range(0..=t_max),
+                    };
+                    state.restart(!matches!(policy, HeaderPolicy::StripKnown { .. }), skip, now);
+                    entry.insert(Slot::Pending(state))
+                }
+            };
+            let mut next = Some((first, tail));
+            let mut expired = false;
+            let ending = match slot {
+                // The flow is classified: forward, refreshing its record.
+                Slot::Classified(rec) => {
+                    let label = rec.label;
+                    let ttl = self.config.cdb.reclassify_after;
+                    while let Some((p, after)) = next {
                         let t = p.packet.timestamp;
-                        if t - self.last_sweep >= idle_timeout {
+                        if rec.expired(ttl, t) {
+                            // Drop the record once the slot borrow is
+                            // over; this packet then starts the flow
+                            // anew.
+                            expired = true;
                             break;
                         }
-                        if let Some(ttl) = ttl {
-                            if t - rec.classified_at > ttl {
-                                // Expired: the next outer iteration's
-                                // `lookup` removes the record and counts
-                                // the eviction, exactly as the
-                                // per-packet path would.
-                                break;
-                            }
-                        }
-                        rec.last_iat = Some((t - rec.last_seen).max(0.0));
-                        rec.last_seen = t;
-                        // lint: allow(L008) — forwarded has FileClass::ALL.len() slots; label.index() is always in range
-                        self.queues.forwarded[label.index()] += 1;
-                        // lint: allow(L009) — within the capacity reserved by process_batch
+                        rec.refresh(t);
+                        self.queues.forward(label, 1);
                         verdicts.push(Verdict::Hit(label));
                         rest = after;
+                        next = next_in_phase(rest, &flow, last_sweep, idle_timeout);
                     }
+                    None
                 }
-                continue;
-            }
-
-            // --- Buffering phase: resolve the flow-table entry once and
-            // stream consecutive packets into the same feature state.
-            // While a flow is buffering it has no CDB record (inserts
-            // only happen at classification, which evicts the buffer),
-            // so the per-packet lookups elided here would all miss with
-            // zero side effects.
-            let mut classify_at: Option<f64> = None;
-            let mut early_at: Option<(f64, FileClass)> = None;
-            let mut staging = false;
-            {
-                let (buf, mut created) = match self.buffers.entry(flow) {
-                    Entry::Occupied(e) => (e.into_mut(), false),
-                    Entry::Vacant(v) => {
-                        let stage = match policy {
-                            HeaderPolicy::StripKnown { .. } => FlowStage::Staging(Vec::new()),
-                            _ => {
-                                let skip_remaining = match policy {
-                                    HeaderPolicy::None | HeaderPolicy::StripKnown { .. } => 0,
-                                    HeaderPolicy::SkipThreshold { t } => t,
-                                    HeaderPolicy::RandomSkip { t_max } => {
-                                        // lint: allow(L008) — 0..=t_max is an inclusive range, never empty
-                                        self.rng.gen_range(0..=t_max)
-                                    }
-                                };
-                                FlowStage::Streaming {
-                                    features: Self::acquire_state(
-                                        &mut self.pool,
-                                        &mut self.pool_hits,
-                                        &self.extractor,
-                                        b,
-                                    ),
-                                    fed: 0,
-                                    skip_remaining,
-                                    probed: 0,
-                                    last_probe: None,
-                                }
-                            }
+                // The flow is pending: stream payload into its state
+                // until the window fills or a probe is confident.
+                Slot::Pending(state) => {
+                    let mut ending = None;
+                    while let Some((p, after)) = next {
+                        let t = p.packet.timestamp;
+                        state.packets += 1;
+                        state.last_ts = t;
+                        self.queues.buffered += 1;
+                        // A fresh estimated-mode flow allocates its
+                        // sketch trackers up front, so a new flow
+                        // contributes its entire resident footprint, not
+                        // a delta from a prior value.
+                        let before = if created { 0 } else { state.resident_bytes() };
+                        created = false;
+                        let room = capacity.saturating_sub(state.seen);
+                        let intake = p.packet.payload.get(..room).unwrap_or(&p.packet.payload);
+                        state.seen += intake.len();
+                        if state.streaming {
+                            Self::feed(state, intake, b);
+                        } else {
+                            Self::stage(state, intake, policy, b);
+                        }
+                        self.resident = self.resident - before + state.resident_bytes();
+                        rest = after;
+                        // A resolved header longer than the allowance
+                        // can leave fewer than `b` window bytes in the
+                        // first `capacity` payload bytes; `seen >=
+                        // capacity` classifies those flows from what
+                        // fits.
+                        let full = if state.streaming {
+                            state.fed >= b || state.seen >= capacity
+                        } else {
+                            state.staging.len() >= capacity
                         };
-                        (
-                            v.insert(FlowBuffer {
-                                stage,
-                                first_ts: now,
-                                last_ts: now,
-                                packets: 0,
-                                seen: 0,
-                            }),
-                            true,
-                        )
-                    }
-                };
-                while let Some((p, after)) = rest.split_first() {
-                    let t = p.packet.timestamp;
-                    // Both early exits can only fire with `created`
-                    // already consumed or a zero-resident Staging
-                    // buffer: the first iteration's sweep check repeats
-                    // the outer loop's (false) one, and a created
-                    // Staging stage holds no bytes yet.
-                    if t - self.last_sweep >= idle_timeout {
-                        break;
-                    }
-                    if matches!(buf.stage, FlowStage::Staging(_)) {
-                        // Header skip/strip still unresolved: the
-                        // scan-and-transition logic lives in the
-                        // canonical path; hand it this packet.
-                        staging = true;
-                        break;
-                    }
-                    buf.packets += 1;
-                    buf.last_ts = t;
-                    self.queues.buffered += 1;
-                    let before = if created { 0 } else { buf.resident_bytes() };
-                    created = false;
-                    let room = capacity.saturating_sub(buf.seen);
-                    // lint: allow(L008) — slice end is min'd with payload.len()
-                    let intake = &p.packet.payload[..room.min(p.packet.payload.len())];
-                    buf.seen += intake.len();
-                    if let FlowStage::Streaming { features, fed, skip_remaining, .. } =
-                        &mut buf.stage
-                    {
-                        Self::feed_streaming(features, fed, skip_remaining, intake, b);
-                    }
-                    self.resident = self.resident - before + buf.resident_bytes();
-                    rest = after;
-                    let full = match &buf.stage {
-                        FlowStage::Staging(staged) => staged.len() >= capacity,
-                        FlowStage::Streaming { fed, .. } => *fed >= b || buf.seen >= capacity,
-                    };
-                    if full {
-                        classify_at = Some(t);
-                        break;
-                    }
-                    // Anytime probe: same per-packet cadence as the
-                    // canonical path, so batch verdicts stay bit-identical
-                    // to per-packet processing.
-                    if let Some(any) = anytime {
-                        if let (
-                            Some(am),
-                            FlowStage::Streaming { features, fed, probed, last_probe, .. },
-                        ) = (&self.anytime_model, &mut buf.stage)
+                        if full {
+                            ending = Some((t, None));
+                            break;
+                        }
+                        // Anytime probe: a confident partial vector
+                        // classifies the flow now instead of waiting
+                        // for the `fed >= b` cap above.
+                        if let (Some(any), Some(am), true) =
+                            (anytime, &self.anytime_model, state.streaming)
                         {
-                            if *fed >= any.min_bytes && *fed - *probed >= any.probe_stride {
-                                *probed = *fed;
+                            if state.fed >= any.min_bytes
+                                && state.fed - state.probed >= any.probe_stride
+                            {
+                                state.probed = state.fed;
                                 if let Some(label) = Self::probe_anytime(
                                     &am.confidence,
                                     any.threshold,
                                     &mut self.anytime_compiled,
-                                    features,
-                                    *fed,
-                                    last_probe,
+                                    state,
                                     &mut self.feature_scratch,
                                     &mut self.counts_scratch,
                                     &mut self.means_scratch,
                                 ) {
-                                    early_at = Some((t, label));
+                                    ending = Some((t, Some(label)));
                                     break;
                                 }
                             }
                         }
+                        verdicts.push(Verdict::Buffering);
+                        next = next_in_phase(rest, &flow, last_sweep, idle_timeout);
                     }
-                    // lint: allow(L009) — within the capacity reserved by process_batch
-                    verdicts.push(Verdict::Buffering);
+                    ending
                 }
+            };
+            if expired {
+                self.cdb.expire(&flow);
             }
-            if staging {
-                if let Some((p, after)) = rest.split_first() {
-                    let verdict = self.process_one(flow, p.packet);
-                    // lint: allow(L009) — within the capacity reserved by process_batch
-                    verdicts.push(verdict);
-                    rest = after;
-                }
-            } else if let Some(t) = classify_at {
-                let verdict = match self.classify_flow(flow, t) {
+            if let Some((t, early)) = ending {
+                let verdict = match self.conclude(flow, t, early) {
                     Some(label) => Verdict::Classified(label),
                     None => Verdict::Ignored,
                 };
-                // lint: allow(L009) — within the capacity reserved by process_batch
                 verdicts.push(verdict);
-            } else if let Some((t, label)) = early_at {
-                self.classify_early(flow, t, label);
-                // lint: allow(L009) — within the capacity reserved by process_batch
-                verdicts.push(Verdict::Classified(label));
             }
         }
+        rest
     }
 
-    /// The canonical single-packet path: every slow or stateful event
-    /// (sweeps, closes, header staging, creation, classification) is
-    /// defined here, and the batch phases only amortize lookups whose
-    /// elision it proves side-effect-free.
-    fn process_one(&mut self, id: FlowId, packet: &Packet) -> Verdict {
-        let now = packet.timestamp;
-
-        // Opportunistic idle sweep, at most once per idle_timeout: the
-        // configured timeout is enforced even when nobody calls
-        // `sweep_idle` explicitly, so stalled flows cannot pin their
-        // state forever.
-        if now - self.last_sweep >= self.config.idle_timeout {
-            if self.last_sweep.is_finite() {
-                self.sweep_idle(now);
-            }
-            self.last_sweep = now;
+    /// A packet with nothing to classify: it passes through, and a FIN
+    /// or RST first ends its flow — a classified flow's record is
+    /// removed; a pending flow is classified from what it has, and that
+    /// record, made after the close, stays until purged.
+    fn process_control(&mut self, flow: FlowId, packet: &Packet) {
+        if packet.flags.closes_flow() && !self.cdb.remove_on_close(&flow) {
+            self.conclude(flow, packet.timestamp, None);
         }
+        self.queues.passed_through += 1;
+    }
 
-        if packet.flags.closes_flow() {
-            self.cdb.remove_on_close(&id);
-            // A close while still buffering classifies what we have.
-            if self.buffers.contains_key(&id) {
-                self.classify_flow(id, now);
-            }
-            self.queues.passed_through += 1;
-            return Verdict::Ignored;
-        }
-        if !packet.is_data() {
-            self.queues.passed_through += 1;
-            return Verdict::Ignored;
-        }
-
-        if let Some(label) = self.cdb.lookup(&id, now) {
-            // lint: allow(L008) — forwarded has FileClass::ALL.len() slots; label.index() is always in range
-            self.queues.forwarded[label.index()] += 1;
-            return Verdict::Hit(label);
-        }
-
-        let b = self.config.buffer_size;
-        let capacity = self.buffer_capacity();
-        let policy = self.config.header_policy;
-        let (buf, created) = match self.buffers.entry(id) {
-            Entry::Occupied(e) => (e.into_mut(), false),
-            Entry::Vacant(v) => {
-                // Every policy except StripKnown knows its skip up
-                // front, so those flows stream from the first byte and
-                // never stage payload.
-                let stage = match policy {
-                    HeaderPolicy::StripKnown { .. } => FlowStage::Staging(Vec::new()),
-                    _ => {
-                        let skip_remaining = match policy {
-                            HeaderPolicy::None | HeaderPolicy::StripKnown { .. } => 0,
-                            HeaderPolicy::SkipThreshold { t } => t,
-                            // lint: allow(L008) — 0..=t_max is an inclusive range, never empty
-                            HeaderPolicy::RandomSkip { t_max } => self.rng.gen_range(0..=t_max),
-                        };
-                        FlowStage::Streaming {
-                            features: Self::acquire_state(
-                                &mut self.pool,
-                                &mut self.pool_hits,
-                                &self.extractor,
-                                b,
-                            ),
-                            fed: 0,
-                            skip_remaining,
-                            probed: 0,
-                            last_probe: None,
-                        }
-                    }
-                };
-                (
-                    v.insert(FlowBuffer {
-                        stage,
-                        first_ts: now,
-                        last_ts: now,
-                        packets: 0,
-                        seen: 0,
-                    }),
-                    true,
-                )
-            }
+    /// Appends `intake` to a staging flow's raw prefix; once the header
+    /// scan resolves, replays the prefix into the feature state and
+    /// leaves the flow streaming.
+    fn stage(state: &mut PendingFlow, intake: &[u8], policy: HeaderPolicy, b: usize) {
+        // lint: allow(L009) — staging buffers only the bounded pre-resolution prefix (see L006), once per flow
+        state.staging.extend_from_slice(intake);
+        state.skip_remaining = match scan_application_header(&state.staging) {
+            HeaderScan::Resolved(_, offset) => offset,
+            // Unknown application: the threshold-T fallback is final.
+            HeaderScan::Unknown => policy.allowance(),
+            HeaderScan::NeedMore => return,
         };
-
-        buf.packets += 1;
-        buf.last_ts = now;
-        self.queues.buffered += 1;
-
-        // A fresh estimated-mode flow allocates its sketch trackers up
-        // front, so a newly created buffer contributes its entire
-        // resident footprint, not a delta from a prior value.
-        let before = if created { 0 } else { buf.resident_bytes() };
-        let room = capacity.saturating_sub(buf.seen);
-        // lint: allow(L008) — slice end is min'd with payload.len()
-        let intake = &packet.payload[..room.min(packet.payload.len())];
-        buf.seen += intake.len();
-
-        match &mut buf.stage {
-            FlowStage::Staging(staging) => {
-                // lint: allow(L009) — staging buffers only the bounded pre-resolution prefix (see L006), once per flow
-                staging.extend_from_slice(intake);
-                let resolved_skip = match scan_application_header(staging) {
-                    HeaderScan::Resolved(_, offset) => Some(offset),
-                    // Unknown application: the threshold-T fallback is
-                    // now final too.
-                    HeaderScan::Unknown => match policy {
-                        HeaderPolicy::StripKnown { t } => Some(t),
-                        // Staging only happens under StripKnown.
-                        _ => Some(0),
-                    },
-                    HeaderScan::NeedMore => None,
-                };
-                if let Some(skip) = resolved_skip {
-                    let staged = std::mem::take(staging);
-                    let mut features = Self::acquire_state(
-                        &mut self.pool,
-                        &mut self.pool_hits,
-                        &self.extractor,
-                        b,
-                    );
-                    let mut fed = 0usize;
-                    let mut skip_remaining = skip;
-                    if staged.len() > skip {
-                        let take = (staged.len() - skip).min(b);
-                        // lint: allow(L008) — skip < staged.len() on this branch and take <= staged.len() - skip
-                        features.update(&staged[skip..skip + take]);
-                        fed = take;
-                        skip_remaining = 0;
-                    } else {
-                        skip_remaining -= staged.len();
-                    }
-                    buf.stage = FlowStage::Streaming {
-                        features,
-                        fed,
-                        skip_remaining,
-                        probed: 0,
-                        last_probe: None,
-                    };
-                }
-            }
-            FlowStage::Streaming { features, fed, skip_remaining, .. } => {
-                Self::feed_streaming(features, fed, skip_remaining, intake, b);
-            }
-        }
-        let after = buf.resident_bytes();
-        self.resident = self.resident - before + after;
-
-        let full = match &buf.stage {
-            FlowStage::Staging(staged) => staged.len() >= capacity,
-            // A resolved header longer than the allowance can leave
-            // fewer than `b` window bytes in the first `capacity`
-            // payload bytes; `seen >= capacity` classifies those flows
-            // from what fits, like the old full-buffer path did.
-            FlowStage::Streaming { fed, .. } => *fed >= b || buf.seen >= capacity,
-        };
-        if full {
-            return match self.classify_flow(id, now) {
-                Some(label) => Verdict::Classified(label),
-                None => Verdict::Ignored,
-            };
-        }
-        // Anytime probe: a confident partial vector classifies the flow
-        // now instead of waiting for the `fed >= b` cap above.
-        if let Some(any) = self.config.anytime {
-            if let (Some(am), FlowStage::Streaming { features, fed, probed, last_probe, .. }) =
-                (&self.anytime_model, &mut buf.stage)
-            {
-                if *fed >= any.min_bytes && *fed - *probed >= any.probe_stride {
-                    *probed = *fed;
-                    if let Some(label) = Self::probe_anytime(
-                        &am.confidence,
-                        any.threshold,
-                        &mut self.anytime_compiled,
-                        features,
-                        *fed,
-                        last_probe,
-                        &mut self.feature_scratch,
-                        &mut self.counts_scratch,
-                        &mut self.means_scratch,
-                    ) {
-                        self.classify_early(id, now, label);
-                        return Verdict::Classified(label);
-                    }
-                }
-            }
-        }
-        Verdict::Buffering
+        state.streaming = true;
+        let staged = std::mem::take(&mut state.staging);
+        Self::feed(state, &staged, b);
+        state.staging = staged;
+        state.staging.clear();
     }
 
     /// Discards `skip_remaining` leading bytes of `chunk`, then feeds
     /// up to the remaining classification window into the feature state.
-    fn feed_streaming(
-        features: &mut FlowFeatureState,
-        fed: &mut usize,
-        skip_remaining: &mut usize,
-        mut chunk: &[u8],
-        b: usize,
-    ) {
-        if *skip_remaining > 0 {
-            let skipped = (*skip_remaining).min(chunk.len());
-            *skip_remaining -= skipped;
-            // lint: allow(L008) — skipped <= chunk.len() by the min() above
-            chunk = &chunk[skipped..];
-        }
-        let take = b.saturating_sub(*fed).min(chunk.len());
-        if take > 0 {
-            // lint: allow(L008) — take <= chunk.len() by the min() above
-            features.update(&chunk[..take]);
-            *fed += take;
+    fn feed(state: &mut PendingFlow, chunk: &[u8], b: usize) {
+        let skipped = state.skip_remaining.min(chunk.len());
+        state.skip_remaining -= skipped;
+        let window = chunk.get(skipped..).unwrap_or_default();
+        let take = b.saturating_sub(state.fed).min(window.len());
+        let fresh = window.get(..take).unwrap_or_default();
+        if !fresh.is_empty() {
+            state.features.update(fresh);
+            state.fed += take;
         }
     }
 
     /// Classifies-or-drops every flow idle longer than the configured
     /// timeout. Called opportunistically by
-    /// [`process_packet`](Self::process_packet) and available publicly
+    /// [`process_batch`](Self::process_batch) and available publicly
     /// as the serve layer's drain barrier. Returns the number of flows
     /// evicted (a flow whose effective payload is empty is dropped
     /// without a verdict but still counts).
     pub fn sweep_idle(&mut self, now: f64) -> usize {
+        let idle_timeout = self.config.idle_timeout;
         let mut idle: Vec<FlowId> = self
-            .buffers
-            .iter()
-            .filter(|(_, b)| now - b.last_ts > self.config.idle_timeout)
+            .cdb
+            .pending_flows()
+            .filter(|(_, flow)| now - flow.last_ts > idle_timeout)
             .map(|(&id, _)| id)
             // lint: allow(L009) — idle sweep is the periodic maintenance path, not per-packet work
             .collect();
         // Evict in flow-ID order, not HashMap order: two pipelines fed
         // identical traffic then produce identical classification logs
-        // regardless of per-instance hash seeds — the property the
-        // batch ≡ per-packet equivalence suite (and the bench's
-        // pre-timing assertion) compares against.
+        // regardless of per-instance hash seeds — what the batching
+        // invariance suite (and the bench's pre-timing assertion)
+        // compares.
         idle.sort_unstable();
-        let n = idle.len();
-        for id in idle {
-            self.classify_flow(id, now);
+        for &id in &idle {
+            self.conclude(id, now, None);
         }
-        n
+        idle.len()
     }
 
-    /// Alias of [`sweep_idle`](Self::sweep_idle), kept for callers of
-    /// the pre-sweep API.
-    pub fn flush_idle(&mut self, now: f64) -> usize {
-        self.sweep_idle(now)
-    }
-
-    /// Classifies and evicts one buffered flow (used by full-buffer,
-    /// idle, and close paths).
-    fn classify_flow(&mut self, id: FlowId, now: f64) -> Option<FileClass> {
-        // lint: allow(L008) — HashMap::remove never panics (the KB is conservative for Vec::remove)
-        let buf = self.buffers.remove(&id)?;
-        self.resident -= buf.resident_bytes();
-        match buf.stage {
-            // Header decision never resolved (StripKnown flow evicted
-            // while staging): classify one-shot from the staged prefix,
-            // exactly like the historical buffer-then-compute path.
-            FlowStage::Staging(staged) => {
-                let payload = self.staged_payload(&staged);
+    /// Ends a pending flow (full window, confident probe, idle, close):
+    /// renders its verdict — `early`, when a probe already did — turns
+    /// its slot into a CDB record in place, logs the classification and
+    /// recycles the state. A flow with nothing to classify on, or whose
+    /// features the model cannot take, leaves the table without a
+    /// verdict. No-op for a flow that is not pending.
+    fn conclude(&mut self, id: FlowId, now: f64, early: Option<FileClass>) -> Option<FileClass> {
+        let flow = self.cdb.pending(&id)?;
+        let label = early.or_else(|| {
+            if !flow.streaming {
+                // Header decision never resolved: classify one-shot from
+                // the staged prefix.
+                let payload = Self::staged_payload(&self.config, &flow.staging);
                 if payload.is_empty() {
                     return None;
                 }
@@ -1093,102 +786,77 @@ impl Iustitia {
                 self.feature_scratch.clear();
                 // lint: allow(L006, L009) — finished f64 features (one per width) into reused scratch, not payload
                 self.feature_scratch.extend_from_slice(&vector);
+            } else if flow.fed == 0 {
+                // All observed bytes were header/skip: nothing to
+                // classify on.
+                return None;
+            } else {
+                flow.features.finish_into(&mut self.feature_scratch, &mut self.counts_scratch);
             }
-            FlowStage::Streaming { features, fed, .. } => {
-                if fed == 0 {
-                    // All observed bytes were header/skip: nothing to
-                    // classify on, as in the old empty-payload path —
-                    // but the state still returns to the pool.
-                    self.recycle_state(features);
-                    return None;
-                }
-                features.finish_into(&mut self.feature_scratch, &mut self.counts_scratch);
-                self.recycle_state(features);
-            }
-        }
-        // A model trained on a different feature width than the
-        // pipeline extracts cannot render a verdict; such flows are
-        // left unclassified (the CDB miss path treats them as
-        // Ignored) rather than taking the hot path down with a panic.
-        let label = match self.compiled.try_predict(&self.feature_scratch) {
-            Ok(label) => label,
-            Err(_) => return None,
-        };
-        self.commit_verdict(
-            ClassifiedFlow {
+            // A model trained on a different feature width than the
+            // pipeline extracts cannot render a verdict; such flows are
+            // left unclassified rather than taking the hot path down
+            // with a panic.
+            self.compiled.try_predict(&self.feature_scratch).ok()
+        });
+        let state = match label {
+            Some(label) => self.cdb.classify(id, label, now).0,
+            None => self.cdb.evict(&id),
+        }?;
+        self.resident -= state.resident_bytes();
+        if let Some(label) = label {
+            self.queues.forward(label, u64::from(state.packets));
+            self.early_exits += u64::from(early.is_some());
+            self.log.push(ClassifiedFlow {
                 id,
                 label,
-                packets: buf.packets,
-                fill_time: buf.last_ts - buf.first_ts,
-                buffered_bytes: buf.seen,
-                early_exit: false,
-            },
-            now,
-        );
-        Some(label)
-    }
-
-    /// Evicts one buffering flow with a probe-rendered verdict — the
-    /// anytime analogue of [`classify_flow`](Self::classify_flow). The
-    /// label was already predicted from the partial vector, so only
-    /// eviction and bookkeeping remain.
-    fn classify_early(&mut self, id: FlowId, now: f64, label: FileClass) {
-        // Callers only probe flows they hold a live buffer for, but the
-        // defensive miss path keeps this total.
-        // lint: allow(L008) — HashMap::remove returns Option; the None arm returns
-        let buf = match self.buffers.remove(&id) {
-            Some(buf) => buf,
-            None => return,
-        };
-        self.resident -= buf.resident_bytes();
-        if let FlowStage::Streaming { features, .. } = buf.stage {
-            self.recycle_state(features);
+                packets: state.packets,
+                fill_time: state.last_ts - state.first_ts,
+                buffered_bytes: state.seen,
+                early_exit: early.is_some(),
+            });
         }
-        self.commit_verdict(
-            ClassifiedFlow {
-                id,
-                label,
-                packets: buf.packets,
-                fill_time: buf.last_ts - buf.first_ts,
-                buffered_bytes: buf.seen,
-                early_exit: true,
-            },
-            now,
-        );
-    }
-
-    /// Records a rendered verdict: CDB insert, queue accounting, early
-    /// exit counting, log entry (the shared tail of the full-buffer and
-    /// anytime-early paths).
-    fn commit_verdict(&mut self, flow: ClassifiedFlow, now: f64) {
-        self.cdb.insert(flow.id, flow.label, now);
-        // lint: allow(L008) — forwarded has FileClass::ALL.len() slots; label.index() is always in range
-        self.queues.forwarded[flow.label.index()] += flow.packets as u64;
-        if flow.early_exit {
-            self.early_exits += 1;
+        if self.pool.len() < MAX_POOLED_STATES {
+            self.pool.push(state);
         }
-        self.log.push(flow);
+        label
     }
 
     /// Applies the header policy to a still-staged prefix, yielding the
     /// `b` bytes the entropy vector is computed over (the one-shot
-    /// fallback for flows evicted before their header resolved).
-    fn staged_payload<'a>(&self, data: &'a [u8]) -> &'a [u8] {
-        let b = self.config.buffer_size;
-        let start = match self.config.header_policy {
-            HeaderPolicy::None => 0,
-            HeaderPolicy::SkipThreshold { t } => t.min(data.len()),
-            // Non-StripKnown flows never stage; arms kept for totality.
-            HeaderPolicy::RandomSkip { .. } => 0,
-            HeaderPolicy::StripKnown { t } => match strip_application_header(data) {
-                Some((_, offset)) => offset.min(data.len()),
-                None => t.min(data.len()),
-            },
-        };
-        let end = (start + b).min(data.len());
-        // lint: allow(L008) — start <= end <= data.len() by the min() clamps above
-        &data[start..end]
+    /// fallback for flows evicted before their header resolved; only
+    /// [`HeaderPolicy::StripKnown`] flows stage).
+    fn staged_payload<'a>(config: &PipelineConfig, data: &'a [u8]) -> &'a [u8] {
+        let start = match strip_application_header(data) {
+            Some((_, offset)) => offset,
+            None => config.header_policy.allowance(),
+        }
+        .min(data.len());
+        let end = (start + config.buffer_size).min(data.len());
+        data.get(start..end).unwrap_or_default()
     }
+}
+
+/// Whether a packet at `now` must run the opportunistic idle sweep.
+fn sweep_due(now: f64, last_sweep: f64, idle_timeout: f64) -> bool {
+    now - last_sweep >= idle_timeout
+}
+
+/// The next packet of `rest`, if the phase that consumed its
+/// predecessor can take it too: same flow, payload-bearing, not a
+/// close, and not the packet that makes the idle sweep due.
+fn next_in_phase<'a, 'p>(
+    rest: &'a [BatchPacket<'p>],
+    flow: &FlowId,
+    last_sweep: f64,
+    idle_timeout: f64,
+) -> Option<(&'a BatchPacket<'p>, &'a [BatchPacket<'p>])> {
+    let (p, tail) = rest.split_first()?;
+    let same_phase = p.flow == *flow
+        && p.packet.is_data()
+        && !p.packet.flags.closes_flow()
+        && !sweep_due(p.packet.timestamp, last_sweep, idle_timeout);
+    same_phase.then_some((p, tail))
 }
 
 #[cfg(test)]
@@ -1321,8 +989,8 @@ mod tests {
     fn idle_flush_classifies_stalled_flows() {
         let mut ius = Iustitia::new(toy_model(), PipelineConfig::headline(6));
         ius.process_packet(&data_packet(1, 0.0, &text_payload(8)));
-        assert_eq!(ius.flush_idle(1.0), 0, "not idle long enough");
-        assert_eq!(ius.flush_idle(10.0), 1);
+        assert_eq!(ius.sweep_idle(1.0), 0, "not idle long enough");
+        assert_eq!(ius.sweep_idle(10.0), 1);
         assert_eq!(ius.pending_flows(), 0);
         assert_eq!(ius.take_log().len(), 1);
     }

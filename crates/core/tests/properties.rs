@@ -132,6 +132,40 @@ fn arb_hot_flow_packet() -> impl Strategy<Value = Packet> {
     )
 }
 
+/// What [`arb_hot_flow_packet`] leaves to chance, made certain: one
+/// tuple classifies, closes, and sends new data again, back to back, so
+/// the three packets usually share a batch and often a run.
+fn arb_close_and_reopen() -> impl Strategy<Value = Vec<Packet>> {
+    (0.0f64..40.0, 0u16..4, proptest::collection::vec(any::<u8>(), 1..64)).prop_map(
+        |(t, port, payload)| {
+            let src = Ipv4Addr::new(10, 0, 0, 1);
+            let dst = Ipv4Addr::new(192, 168, 1, 1);
+            let tuple = FiveTuple::tcp(src, 4000 + port, dst, 443);
+            let data = |timestamp| Packet {
+                timestamp,
+                tuple,
+                flags: TcpFlags::ACK,
+                payload: payload.clone(),
+            };
+            let fin = Packet {
+                timestamp: t + 0.01,
+                tuple,
+                flags: TcpFlags::ACK | TcpFlags::FIN,
+                payload: Vec::new(),
+            };
+            vec![data(t), fin, data(t + 0.02)]
+        },
+    )
+}
+
+/// A hot-flow packet sequence: single packets, with a close-and-reopen
+/// triple in about one position of six.
+fn arb_hot_flow_packets() -> impl Strategy<Value = Vec<Packet>> {
+    let step = (0u8..6, arb_hot_flow_packet(), arb_close_and_reopen())
+        .prop_map(|(pick, single, triple)| if pick == 0 { triple } else { vec![single] });
+    proptest::collection::vec(step, 0..50).prop_map(|steps| steps.concat())
+}
+
 /// Drives `batched` with `process_batch` over `packets` split into
 /// consecutive batches whose sizes cycle through `cuts`, returning the
 /// concatenated verdicts.
@@ -189,26 +223,28 @@ proptest! {
         prop_assert_eq!(pipeline.pending_flows(), 0);
     }
 
-    /// The batch tentpole invariant: any batching of any packet
-    /// sequence produces bit-identical verdicts AND bit-identical
+    /// Batching invariance: any cut of any packet sequence into
+    /// batches produces bit-identical verdicts AND bit-identical
     /// observable state (queue counters, pending gauges, resident
     /// bytes, CDB contents and churn stats, pool accounting, and the
     /// full classification log — whose labels pin the entropy vectors
-    /// through the model's decision bands) to batch-of-one dispatch.
-    /// Covers interleaved flows, same-flow hit runs, closes and control
-    /// packets mid-batch, idle sweeps, TTL expiry inside hit runs,
-    /// header staging, and recycled pooled state.
+    /// through the model's decision bands) to batches of one. Covers
+    /// interleaved flows, same-flow hit runs, closes and control
+    /// packets mid-run, close-then-new-data on one tuple, idle sweeps,
+    /// TTL expiry inside hit runs, every header policy, and recycled
+    /// pooled state.
     #[test]
     fn process_batch_is_bit_identical_to_per_packet(
-        packets in proptest::collection::vec(arb_hot_flow_packet(), 0..60),
+        packets in arb_hot_flow_packets(),
         cuts in proptest::collection::vec(1usize..16, 0..12),
-        policy_sel in 0u8..3,
+        policy_sel in 0u8..4,
         battery in any::<bool>(),
         ttl in any::<bool>(),
     ) {
         let policy = match policy_sel {
             0 => HeaderPolicy::None,
             1 => HeaderPolicy::StripKnown { t: 8 },
+            2 => HeaderPolicy::SkipThreshold { t: 5 },
             _ => HeaderPolicy::RandomSkip { t_max: 5 },
         };
         let config = PipelineConfig {
@@ -238,11 +274,11 @@ proptest! {
         prop_assert_eq!(batched.take_log(), per_packet.take_log());
     }
 
-    /// The anytime extension of the batch invariant: with probes armed
-    /// — live thresholds that fire mid-run, the disabled sentinel that
-    /// probes but never fires, random strides and floors — any random
-    /// packetization must stay bit-identical to per-packet dispatch,
-    /// including which verdicts exited early.
+    /// Batching invariance with probes armed — live thresholds that
+    /// fire mid-run, the disabled sentinel that probes but never fires,
+    /// random strides and floors: any cut into batches must stay
+    /// bit-identical to batches of one, including which verdicts exited
+    /// early.
     #[test]
     fn process_batch_with_anytime_probes_is_bit_identical(
         packets in proptest::collection::vec(arb_hot_flow_packet(), 0..60),

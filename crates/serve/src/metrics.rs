@@ -66,7 +66,9 @@ impl LatencyHistogram {
     /// Records one sample of `nanos` nanoseconds.
     pub fn record(&self, nanos: u64) {
         let idx = nanos.checked_ilog2().unwrap_or(0) as usize;
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        if let Some(bucket) = self.buckets.get(idx) {
+            bucket.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Copies the current bucket counts.
@@ -239,7 +241,9 @@ impl ServeMetrics {
 
     /// Records a stage latency sample.
     pub fn record(&self, stage: Stage, nanos: u64) {
-        self.stages[stage as usize].record(nanos);
+        if let Some(histogram) = self.stages.get(stage as usize) {
+            LatencyHistogram::record(histogram, nanos);
+        }
     }
 
     /// Copies every counter and histogram.

@@ -57,8 +57,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
+use iustitia::cdb::shard_index;
 use iustitia::cdb::FlowId;
-use iustitia::concurrent::shard_index;
 use iustitia::features::FeatureExtractor;
 
 use crate::conn::{FrameAssembler, WriteBuffer};

@@ -14,21 +14,20 @@
 //! A single [`Reactor`] thread owns every socket: it accepts
 //! connections, reassembles frames from nonblocking reads, computes
 //! flow IDs, and batches packets per shard. Flow-affine work is routed
-//! by [`shard_index`](iustitia::concurrent::shard_index) — the same
-//! partitioning as the offline
-//! [`ShardedIustitia`](iustitia::concurrent::ShardedIustitia) fleet —
-//! to one of `N` *shard workers*, each owning an independent
-//! [`Iustitia`] pipeline and CDB, so no classification state is ever
-//! shared and the packet path takes no locks beyond its own shard
-//! queue. Workers push responses into the reactor's outbox and wake
-//! its eventfd; the reactor serializes them onto the owning socket.
+//! by [`shard_index`](iustitia::cdb::shard_index) to one of `N` *shard
+//! workers*, each owning an independent [`Iustitia`] pipeline with its
+//! flow table, so no classification state is ever shared and the packet
+//! path takes no locks beyond its own shard queue. A worker has one
+//! dispatcher, `process_segment`: it sorts what it drained by flow,
+//! runs each flow's stretch through [`Iustitia::process_batch`] with
+//! the reactor's flow ID, and settles verdict routes in one walk.
+//! Workers push responses into the reactor's outbox and wake its
+//! eventfd; the reactor serializes them onto the owning socket.
 //!
 //! Backpressure is per shard: bounded ingress queues with a
 //! configurable [`AdmissionPolicy`]. The reactor batches every frame
 //! already buffered on a socket (up to [`ServerConfig::batch_limit`])
-//! and pushes each shard's share under a single lock acquisition —
-//! exactly the dispatch the old per-connection reader threads
-//! performed, minus the threads.
+//! and pushes each shard's share under a single lock acquisition.
 //!
 //! Shutdown is graceful and has two phases: *stop* closes the listener
 //! and the queues, letting every worker drain its backlog, classify
@@ -50,7 +49,7 @@ use iustitia::model::NatureModel;
 use iustitia::pipeline::{BatchPacket, ClassifiedFlow, Iustitia, PipelineConfig, Verdict};
 use iustitia_netsim::{FiveTuple, Packet};
 
-use crate::metrics::{ServeMetrics, Stage};
+use crate::metrics::{LatencyHistogram, ServeMetrics, Stage};
 use crate::proto::{FlowVerdict, Response};
 use crate::queue::{AdmissionPolicy, BoundedQueue};
 use crate::reactor::{FanInGate, Outbox, Reactor, ReplySink};
@@ -327,19 +326,18 @@ struct PacketJob {
     reply: ReplySink,
 }
 
-/// One shard worker: owns an [`Iustitia`] pipeline (with its own CDB)
-/// and processes its queue until the server shuts down, then drains.
+/// One shard worker: owns an [`Iustitia`] pipeline (with its own flow
+/// table) and processes its queue until the server shuts down, then
+/// drains.
 ///
 /// Each condvar wakeup drains the whole backlog with a single
 /// [`BoundedQueue::pop_all`]. Contiguous stretches of packet jobs form
 /// a *segment*; control jobs (drain barriers, disconnects) flush the
-/// pending segment first, so their ordering guarantees are unchanged.
-/// Segments are grouped by flow ID and dispatched through
-/// [`Iustitia::process_batch`], which resolves each flow's pipeline
-/// state once per same-flow run instead of once per packet.
+/// pending segment first, so their ordering guarantees hold. Every
+/// segment goes through [`process_segment`].
 fn shard_worker(shared: &Arc<Shared>, shard: usize) {
     let mut config = shared.config.pipeline.clone();
-    // Decorrelate per-shard RNG streams, as the offline fleet does.
+    // Decorrelate per-shard RNG streams.
     config.seed = config.seed.wrapping_add(shard as u64);
     let idle_timeout = config.idle_timeout;
     let mut pipeline = Iustitia::new((*shared.model).clone(), config);
@@ -432,15 +430,19 @@ fn shard_worker(shared: &Arc<Shared>, shard: usize) {
 }
 
 /// Dispatches one segment (a contiguous stretch of packet jobs from a
-/// drained batch) through the pipeline's batch path.
+/// drained batch) through the pipeline.
 ///
-/// The segment is stable-sorted by flow ID: same-flow packets become
-/// adjacent while each flow keeps its arrival order, so
-/// [`Iustitia::process_batch`] resolves every flow's state once per
-/// run. Cross-flow order within one drained segment is a scheduling
-/// detail — concurrent connections already interleave arbitrarily in
-/// the queue — and the batch path is bit-identical to per-packet
-/// dispatch on whatever order is chosen.
+/// The segment is stable-sorted by flow ID, in place: same-flow packets
+/// become adjacent while each flow keeps its arrival order, so the
+/// pipeline resolves every flow's table slot once per run. Cross-flow
+/// order within one drained segment is a scheduling detail — concurrent
+/// connections already interleave arbitrarily in the queue — and the
+/// pipeline's verdicts do not depend on where a packet sequence is cut
+/// into batches.
+///
+/// The sorted segment is then walked in *stretches*: consecutive data
+/// packets of one flow plus the control or close packet that follows
+/// them, if any. A stretch is one [`Iustitia::process_batch`] call.
 fn process_segment(
     pipeline: &mut Iustitia,
     routes: &mut HashMap<FlowId, Route>,
@@ -457,160 +459,122 @@ fn process_segment(
             *last_t = job.packet.timestamp;
         }
     }
-    let mut order: Vec<usize> = (0..segment.len()).collect();
-    order.sort_by(|&a, &b| segment[a].flow.cmp(&segment[b].flow));
-    let grouped: Vec<&PacketJob> = order.iter().map(|&i| &segment[i]).collect();
-    let flows =
-        grouped.iter().zip(grouped.iter().skip(1)).filter(|(a, b)| a.flow != b.flow).count() + 1;
-    shared.metrics.batch_size.record(grouped.len() as u64);
-    shared.metrics.flows_per_batch.record(flows as u64);
+    segment.sort_by_key(|job| job.flow);
+    LatencyHistogram::record(&shared.metrics.batch_size, segment.len() as u64);
 
-    // Split the grouped segment the same way process_batch does: runs
-    // of same-flow data packets go through the batch path; closes and
-    // non-data packets are dispatched singly with the original
-    // per-packet bookkeeping (they can tear down flow state, which
-    // interacts with verdict routing).
-    let mut rest: &[&PacketJob] = &grouped;
-    while let Some((first, tail)) = rest.split_first() {
-        if !first.packet.is_data() || first.packet.flags.closes_flow() {
-            process_single(pipeline, routes, shared, first);
-            rest = tail;
-            continue;
-        }
-        let run_len = 1 + tail
-            .iter()
-            .take_while(|j| {
-                j.flow == first.flow && j.packet.is_data() && !j.packet.flags.closes_flow()
-            })
-            .count();
-        let (run, remainder) = rest.split_at(run_len);
-        process_flow_run(pipeline, routes, shared, run, verdicts);
-        rest = remainder;
+    let items: Vec<BatchPacket<'_>> =
+        segment.iter().map(|job| BatchPacket { flow: job.flow, packet: &job.packet }).collect();
+    let (mut done, mut flows, mut previous) = (0, 0, None);
+    for jobs in segment.chunk_by(|a, b| a.flow == b.flow && plain_data(&a.packet)) {
+        let batch = items.get(done..done + jobs.len()).unwrap_or_default();
+        done += jobs.len();
+        let flow = jobs.first().map(|job| job.flow);
+        flows += u64::from(flow != previous);
+        previous = flow;
+        process_stretch(pipeline, routes, shared, jobs, batch, verdicts);
     }
+    LatencyHistogram::record(&shared.metrics.flows_per_batch, flows);
     segment.clear();
 }
 
-/// Dispatches one packet with the original per-packet bookkeeping
-/// (route insertion, stage attribution, verdict emission, route
-/// teardown on close).
-fn process_single(
-    pipeline: &mut Iustitia,
-    routes: &mut HashMap<FlowId, Route>,
-    shared: &Arc<Shared>,
-    job: &PacketJob,
-) {
-    if job.packet.is_data() {
-        routes.entry(job.flow).or_insert_with(|| Route {
-            tuple: job.packet.tuple,
-            conn_id: job.conn_id,
-            reply: job.reply.clone(),
-        });
-    }
-    let closes = job.packet.flags.closes_flow();
-    let t0 = Instant::now();
-    let verdict = pipeline.process_packet(&job.packet);
-    let nanos = t0.elapsed().as_nanos() as u64;
-    match verdict {
-        Verdict::Hit(_) => {
-            shared.metrics.record(Stage::CdbLookup, nanos);
-            ServeMetrics::add(&shared.metrics.hits, 1);
-            // Flow already classified; no verdict owed.
-            routes.remove(&job.flow);
-        }
-        Verdict::Buffering => {
-            shared.metrics.record(Stage::BufferFill, nanos);
-        }
-        Verdict::Classified(_) => {
-            shared.metrics.record(Stage::Classify, nanos);
-        }
-        Verdict::Ignored => {}
-    }
-    emit_verdicts(pipeline, routes, shared, None);
-    if closes {
-        // Flow state is gone (partial leftovers were classified and
-        // emitted above, if any).
-        routes.remove(&job.flow);
-    }
+/// Whether a packet carries payload and does not close its flow — the
+/// only kind that can sit inside a stretch rather than end it.
+fn plain_data(packet: &Packet) -> bool {
+    packet.is_data() && !packet.flags.closes_flow()
 }
 
-/// Dispatches a run of same-flow data packets through
-/// [`Iustitia::process_batch`], then replays the per-packet route
-/// bookkeeping against the returned verdicts.
+/// Runs one stretch through [`Iustitia::process_batch`], then walks its
+/// verdicts and the classification log once, under a single route rule:
+/// **a flow has a route exactly while a verdict is owed to it** — from
+/// the packet that makes it pending until the log entry that classifies
+/// it is delivered (or the flow closes, or its connection goes away).
+/// CDB hits never touch the route table.
 ///
-/// Log entries for *other* flows (opportunistic idle sweeps firing
-/// mid-run) are delivered up front: their routes are untouched while
-/// this run executes, so the route each would have seen under
-/// per-packet dispatch is the route it sees here. Entries for the
-/// run's own flow are delivered positionally at its `Classified`
-/// verdicts, which is where per-packet dispatch would have emitted
-/// them relative to the route insert/remove sequence.
-fn process_flow_run(
+/// Log entries of *other* flows (an idle sweep fell due mid-stretch)
+/// are delivered first: this stretch leaves their routes alone. The
+/// stretch's own entries are delivered where the walk shows them: at a
+/// `Classified` verdict; at a `Hit` on a flow still owed a verdict (its
+/// own packet made the idle sweep due, and the sweep classified it
+/// first); and, for whatever the trailing control or close packet
+/// caused, at the end.
+fn process_stretch(
     pipeline: &mut Iustitia,
     routes: &mut HashMap<FlowId, Route>,
     shared: &Arc<Shared>,
-    run: &[&PacketJob],
+    jobs: &[PacketJob],
+    batch: &[BatchPacket<'_>],
     verdicts: &mut Vec<Verdict>,
 ) {
-    let flow = run[0].flow;
-    let items: Vec<BatchPacket<'_>> =
-        run.iter().map(|j| BatchPacket { flow: j.flow, packet: &j.packet }).collect();
+    let Some(last) = jobs.last() else {
+        return;
+    };
+    let flow = last.flow;
     let t0 = Instant::now();
-    pipeline.process_batch(&items, verdicts);
-    let nanos = t0.elapsed().as_nanos() as u64;
+    pipeline.process_batch(batch, verdicts);
     // Attribute the mean per-packet cost to the stage that terminated
-    // each packet, mirroring the per-packet path's accounting.
-    let per_packet = nanos / items.len() as u64;
+    // each packet.
+    let per_packet = t0.elapsed().as_nanos() as u64 / jobs.len() as u64;
 
     let log = pipeline.take_log();
     if !log.is_empty() {
         ServeMetrics::add(&shared.metrics.flows_classified, log.len() as u64);
     }
-    let mut own: Vec<ClassifiedFlow> = Vec::new();
-    for entry in log {
-        shared.metrics.bytes_at_verdict.record(entry.buffered_bytes as u64);
-        if entry.id == flow {
-            own.push(entry);
-        } else {
-            deliver(routes, &entry);
+    for entry in &log {
+        LatencyHistogram::record(&shared.metrics.bytes_at_verdict, entry.buffered_bytes as u64);
+        if entry.id != flow {
+            deliver(routes, entry);
         }
     }
-    let mut own = own.into_iter();
+    let mut own = log.iter().filter(|entry| entry.id == flow).peekable();
 
-    for (job, verdict) in run.iter().zip(verdicts.iter()) {
-        if job.packet.is_data() && !routes.contains_key(&flow) {
-            routes.insert(
-                flow,
-                Route { tuple: job.packet.tuple, conn_id: job.conn_id, reply: job.reply.clone() },
-            );
-        }
-        match verdict {
+    // Whether the flow is owed a verdict at this point of the walk;
+    // `None` until the stretch itself has shown it, while the route
+    // table still tells.
+    let mut owed: Option<bool> = None;
+    let mut hits = 0;
+    for (job, verdict) in jobs.iter().zip(verdicts.iter()) {
+        let (stage, entry_due) = match verdict {
+            Verdict::Ignored => continue,
             Verdict::Hit(_) => {
-                shared.metrics.record(Stage::CdbLookup, per_packet);
-                ServeMetrics::add(&shared.metrics.hits, 1);
-                routes.remove(&flow);
+                hits += 1;
+                let swept_by_own_packet =
+                    owed.unwrap_or_else(|| own.peek().is_some() && routes.contains_key(&flow));
+                (Stage::CdbLookup, swept_by_own_packet)
             }
-            Verdict::Buffering => shared.metrics.record(Stage::BufferFill, per_packet),
-            Verdict::Classified(_) => {
-                shared.metrics.record(Stage::Classify, per_packet);
-                if let Some(entry) = own.next() {
-                    deliver(routes, &entry);
-                }
-            }
-            Verdict::Ignored => {}
+            Verdict::Buffering => (Stage::BufferFill, false),
+            Verdict::Classified(_) => (Stage::Classify, true),
+        };
+        ServeMetrics::record(&shared.metrics, stage, per_packet);
+        if stage != Stage::CdbLookup && owed != Some(true) {
+            routes.entry(flow).or_insert_with(|| Route {
+                tuple: job.packet.tuple,
+                conn_id: job.conn_id,
+                reply: job.reply.clone(),
+            });
         }
+        if entry_due {
+            if let Some(entry) = own.next() {
+                deliver(routes, entry);
+            }
+        }
+        owed = Some(stage == Stage::BufferFill);
     }
-    // A flow swept idle mid-run (evicted by its own sweep-due packet,
-    // then re-buffered) logs an extra entry with no Classified verdict;
-    // deliver any such leftovers to the flow's current route.
+    if hits > 0 {
+        ServeMetrics::add(&shared.metrics.hits, hits);
+    }
     for entry in own {
-        deliver(routes, &entry);
+        deliver(routes, entry);
+    }
+    if last.packet.flags.closes_flow() {
+        // The flow's state is gone; so is any verdict it was owed.
+        HashMap::remove(routes, &flow);
     }
 }
 
 /// Sends one classification to the connection that owns the flow,
 /// consuming its route (each route delivers exactly one verdict).
 fn deliver(routes: &mut HashMap<FlowId, Route>, flow: &ClassifiedFlow) {
-    if let Some(route) = routes.remove(&flow.id) {
+    if let Some(route) = HashMap::remove(routes, &flow.id) {
         route.reply.send(Response::FlowVerdict(FlowVerdict {
             tuple: route.tuple,
             label: flow.label,

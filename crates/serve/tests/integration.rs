@@ -181,6 +181,77 @@ fn shutdown_drains_in_flight_flows() {
     }
 }
 
+/// One shard, one connection, the given packets in one write, then a
+/// drain: the verdicts that came back.
+fn verdicts_after_drain(packets: &[Packet]) -> Vec<iustitia_serve::FlowVerdict> {
+    let mut config = server_config();
+    config.shards = 1;
+    let server = Server::start("127.0.0.1:0", trained_model(), config).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for packet in packets {
+        client.submit_packet(packet).unwrap();
+    }
+    client.drain().unwrap();
+    let verdicts = client
+        .poll_events()
+        .into_iter()
+        .filter_map(|event| match event {
+            ClientEvent::Verdict(v) => Some(v),
+            ClientEvent::Busy(_) => None,
+        })
+        .collect();
+    client.close().unwrap();
+    server.shutdown();
+    verdicts
+}
+
+/// A flow that pauses longer than the idle timeout with nothing else on
+/// its shard is classified by the idle sweep its own next packet makes
+/// due; that packet is then a CDB hit. The sweep's verdict must still
+/// reach the client.
+#[test]
+fn flow_swept_by_its_own_packet_keeps_its_verdict() {
+    let tuple = FiveTuple::tcp(Ipv4Addr::new(10, 0, 0, 1), 40001, Ipv4Addr::new(10, 0, 0, 2), 443);
+    let idle_timeout = server_config().pipeline.idle_timeout;
+    let data = |timestamp, payload: &[u8]| Packet {
+        timestamp,
+        tuple,
+        flags: TcpFlags::ACK,
+        payload: payload.to_vec(),
+    };
+    let verdicts =
+        verdicts_after_drain(&[data(0.0, b"partial!"), data(idle_timeout + 1.0, b"and more")]);
+    assert_eq!(verdicts.len(), 1, "exactly one verdict for the flow: {verdicts:?}");
+    assert_eq!(verdicts[0].tuple, tuple);
+    assert_eq!((verdicts[0].packets, verdicts[0].buffered_bytes), (1, 8), "taken by the sweep");
+}
+
+/// A tuple that classifies, closes and starts over inside one write
+/// (one drained segment, when the worker takes it whole) gets one
+/// verdict per life: neither lost with the close's route teardown nor
+/// duplicated.
+#[test]
+fn close_then_reopen_yields_one_verdict_per_life() {
+    let tuple = FiveTuple::tcp(Ipv4Addr::new(10, 0, 0, 1), 40002, Ipv4Addr::new(10, 0, 0, 2), 443);
+    let packet = |timestamp, flags, payload: &[u8]| Packet {
+        timestamp,
+        tuple,
+        flags,
+        payload: payload.to_vec(),
+    };
+    let full = [b'a'; 48];
+    let verdicts = verdicts_after_drain(&[
+        packet(0.0, TcpFlags::ACK, &full),
+        packet(0.1, TcpFlags::ACK, b"a cdb hit"),
+        packet(0.2, TcpFlags::FIN | TcpFlags::ACK, &[]),
+        packet(0.3, TcpFlags::ACK, &full[..16]),
+        packet(0.4, TcpFlags::ACK, &full[..16]),
+    ]);
+    assert_eq!(verdicts.len(), 2, "one verdict per life of the tuple: {verdicts:?}");
+    assert_eq!((verdicts[0].packets, verdicts[0].buffered_bytes), (1, 32));
+    assert_eq!((verdicts[1].packets, verdicts[1].buffered_bytes), (2, 32));
+}
+
 /// A drain barrier reports how many of the flushed flows belonged to
 /// the requesting connection.
 #[test]

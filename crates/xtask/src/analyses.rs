@@ -72,6 +72,7 @@ const KB_QUALIFIED: &[(&str, Effect)] = &[
     ("String::with_capacity", ALLOCS),
     ("String::from", ALLOCS),
     ("Box::new", ALLOCS),
+    ("HashMap::remove", CLEAN), // keyed: returns Option; the bare name stays conservative for Vec::remove
     ("BinaryHeap::new", ALLOCS),
     ("BinaryHeap::with_capacity", ALLOCS),
     ("VecDeque::new", ALLOCS),
@@ -167,6 +168,7 @@ const KB: &[(&str, Effect)] = &[
     ("chunks", CLEAN),       // chunk size is a non-zero constant at every call site
     ("chunks_exact", CLEAN), // chunk size is a non-zero constant at every call site
     ("chunks_exact_mut", CLEAN),
+    ("chunk_by", CLEAN), // chunks are never empty; no size to get wrong
     ("remainder", CLEAN),
     ("windows", CLEAN),   // window size is a non-zero constant at every call site
     ("pop", CLEAN),       // Vec::pop returns Option
@@ -566,8 +568,7 @@ fn l009_alloc_reachability(ws: &Workspace, cfg: &RootsConfig) -> Vec<Violation> 
 
 /// Whether L010 analyzes functions from this file.
 fn l010_scope(file: &str) -> bool {
-    (file.starts_with("crates/serve/src/") && !file.contains("/bin/"))
-        || file == "crates/core/src/concurrent.rs"
+    file.starts_with("crates/serve/src/") && !file.contains("/bin/")
 }
 
 /// Per-function transitive lock summaries: which locks a call may

@@ -12,7 +12,7 @@
 //! | L007 | no `std::collections::HashMap` (SipHash) — use `fastmap::FxHashMap` or `CounterTable` | `entropy` library code |
 //! | L008 | no panic site (panic!/unwrap/expect/`[]`/assert!) reachable from a declared hot-path root | whole workspace, interprocedural |
 //! | L009 | no allocation (Vec/Box/String/format!/collect/…) reachable from a declared steady-state root | whole workspace, interprocedural |
-//! | L010 | lock discipline: locks acquired in declared order, never re-acquired, never held across a channel send | `serve` library code + `core/src/concurrent.rs` |
+//! | L010 | lock discipline: locks acquired in declared order, never re-acquired, never held across a channel send | `serve` library code |
 //! | L011 | no bare `+`/`*`/`+=`/`*=` on lengths and counters — use `checked_`/`wrapping_`/`saturating_` | `serve/src/proto.rs`, `entropy/src/fastmap.rs` |
 //!
 //! L001–L007 are per-token checks implemented in this module. L008–L011

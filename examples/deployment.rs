@@ -7,6 +7,7 @@
 //! cargo run --release -p iustitia --example deployment
 //! ```
 
+use iustitia::cdb::shard_index;
 use iustitia::prelude::*;
 use iustitia_corpus::Rc4;
 
@@ -36,24 +37,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ── 2. Load it in the "router" process and shard across cores ───
     let loaded = NatureModel::load(&model_path)?;
     let shards = 4;
-    let sharded = ShardedIustitia::new(
-        loaded.clone(),
-        PipelineConfig { buffer_size: b, ..PipelineConfig::headline(21) },
-        shards,
-    );
-
     let mut trace = TraceConfig::small_test(22);
     trace.n_flows = 600;
     trace.content = ContentMode::Realistic;
     println!("\nprocessing a {}-flow trace across {shards} shards...", trace.n_flows);
-    let report = sharded.process_stream(TraceGenerator::new(trace));
-    println!(
-        "  {} packets, {} CDB hits, {} flows classified",
-        report.packets, report.hits, report.flows_classified
-    );
-    println!("  per-shard CDB sizes: {:?}", report.cdb_sizes);
-    let mean_c =
-        report.log.iter().map(|f| f.packets as f64).sum::<f64>() / report.log.len().max(1) as f64;
+    // Flows never straddle shards, so each core owns an independent
+    // pipeline (flow table included) and the packet path takes no lock.
+    let mut per_shard = vec![Vec::new(); shards];
+    for packet in TraceGenerator::new(trace) {
+        per_shard[shard_index(&FlowId::of_tuple(&packet.tuple), shards)].push(packet);
+    }
+    let config = PipelineConfig { buffer_size: b, ..PipelineConfig::headline(21) };
+    let work = |packets: &Vec<Packet>| {
+        let mut pipeline = Iustitia::new(loaded.clone(), config.clone());
+        for packet in packets {
+            pipeline.process_packet(packet);
+        }
+        pipeline.sweep_idle(f64::INFINITY);
+        (pipeline.take_log(), pipeline.cdb().len())
+    };
+    let logs: Vec<_> = std::thread::scope(|scope| {
+        let workers: Vec<_> = per_shard.iter().map(|p| scope.spawn(|| work(p))).collect();
+        workers.into_iter().map(|worker| worker.join().expect("shard worker panicked")).collect()
+    });
+    let packets: usize = per_shard.iter().map(Vec::len).sum();
+    let flows: Vec<_> = logs.iter().flat_map(|(log, _)| log).collect();
+    println!("  {packets} packets, {} flows classified", flows.len());
+    println!("  per-shard CDB sizes: {:?}", logs.iter().map(|(_, cdb)| *cdb).collect::<Vec<_>>());
+    let mean_c = flows.iter().map(|f| f.packets as f64).sum::<f64>() / flows.len().max(1) as f64;
     println!("  mean packets-to-classify c = {mean_c:.2}");
 
     // ── 3. Tunnel policy (§4.6) ──────────────────────────────────────

@@ -108,7 +108,7 @@ fn per_flow_state_is_bounded_by_buffer_capacity() {
     for packet in generator.by_ref() {
         pipeline.process_packet(&packet);
     }
-    pipeline.flush_idle(f64::INFINITY);
+    pipeline.sweep_idle(f64::INFINITY);
     for flow in pipeline.take_log() {
         assert!(flow.buffered_bytes <= pipeline.buffer_capacity());
     }
