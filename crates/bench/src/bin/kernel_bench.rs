@@ -1,218 +1,121 @@
-//! Entropy-kernel microbenchmark: old vs new counting kernel.
+//! Entropy-kernel microbenchmark: one hot flow state vs 64 interleaved.
 //!
-//! Compares the pre-overhaul kernel — SipHash `std` HashMap histograms
-//! plus per-width carry rescans — against the current tiered kernel
-//! (dense `k≤2` tables, Fx open addressing, single-pass multi-width
-//! rolling window). The old kernel is replicated in this binary so one
-//! build measures both sides; a startup sanity pass asserts the two
-//! produce bit-identical entropy vectors before anything is timed.
+//! Every cell runs the same work — 64 flows of `b` bytes each, fed in
+//! 512-byte packets through recycled [`IncrementalVector`]s exactly as
+//! the pipeline's pool recycles them (`reset` + `reserve_bytes`, the
+//! packets, `finish_entropies_into`) — in two schedules:
+//!
+//! * **hot**: one state handles the flows one after another, so its
+//!   tables never leave the cache;
+//! * **interleaved**: 64 states are live at once and each packet round
+//!   visits all of them, as concurrent flows do, so every visit finds
+//!   its tables evicted by the other 63.
+//!
+//! Hot-only timing makes per-flow table bytes look free; the
+//! interleaved figure is what a pending flow costs. Both are reported
+//! as ns per flow, split into reset / feed / finish.
 //!
 //! Matrix: buffer size b ∈ {256, 2048, 16384} × width set
-//! {full, svm, cart} × {oneshot, incremental (512-byte packets)}.
-//! Output is criterion-style `ns/iter` lines followed by a JSON
-//! document (captured into `results/BENCH_kernel.json`).
+//! {full, svm, cart}, each cell checked against
+//! [`EntropyVector::compute`] on every round. Output is
+//! criterion-style lines followed by a JSON document.
 //!
-//! `--smoke` runs the whole matrix with minimal iteration counts so CI
-//! can verify the harness end-to-end in ~2 seconds.
+//! `--smoke` runs the whole matrix with one round per cell so CI can
+//! verify the harness end-to-end in ~2 seconds.
 
 use std::hint::black_box;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use iustitia_corpus::{generate_file, FileClass};
 use iustitia_entropy::{EntropyVector, FeatureWidths, IncrementalVector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Replica of the pre-overhaul kernel, kept verbatim-in-spirit: one
-/// SipHash-hashed `HashMap<u128, u64>` per width, fed by a per-width
-/// rescan of every chunk (plus a shared carry for straddling grams).
-mod old_kernel {
-    use std::collections::HashMap;
-
-    pub struct OldHistogram {
-        k: usize,
-        counts: HashMap<u128, u64>,
-        windows: u64,
-    }
-
-    impl OldHistogram {
-        pub fn new(k: usize) -> Self {
-            OldHistogram { k, counts: HashMap::new(), windows: 0 }
-        }
-
-        pub fn extend_from_bytes(&mut self, data: &[u8]) {
-            if data.len() < self.k {
-                return;
-            }
-            let mask: u128 = if self.k >= 16 { u128::MAX } else { (1u128 << (8 * self.k)) - 1 };
-            let mut key: u128 = 0;
-            for &b in &data[..self.k - 1] {
-                key = (key << 8) | u128::from(b);
-            }
-            for &b in &data[self.k - 1..] {
-                key = ((key << 8) | u128::from(b)) & mask;
-                *self.counts.entry(key).or_insert(0) += 1;
-            }
-            self.windows += (data.len() - self.k + 1) as u64;
-        }
-
-        /// Sorted-order Σ m·log2(m) — same summation contract as the
-        /// new kernel, so entropies compare bit-for-bit.
-        pub fn entropy(&self) -> f64 {
-            let m = self.windows;
-            if m <= 1 || self.counts.len() <= 1 {
-                return 0.0;
-            }
-            let mut counts: Vec<u64> = self.counts.values().copied().collect();
-            counts.sort_unstable();
-            let s: f64 = counts
-                .into_iter()
-                .map(|c| {
-                    let c = c as f64;
-                    c * c.log2()
-                })
-                .sum();
-            let m = m as f64;
-            ((m.log2() - s / m) / (8.0 * self.k as f64)).clamp(0.0, 1.0)
-        }
-    }
-
-    /// The old incremental builder: every chunk is rescanned once per
-    /// width, with a `max(k)−1`-byte carry re-fed ahead of each scan.
-    pub struct OldIncremental {
-        hists: Vec<OldHistogram>,
-        carry: Vec<u8>,
-        carry_cap: usize,
-        scratch: Vec<u8>,
-    }
-
-    impl OldIncremental {
-        pub fn new(widths: &[usize]) -> Self {
-            let max_k = widths.iter().copied().max().unwrap_or(1);
-            OldIncremental {
-                hists: widths.iter().map(|&k| OldHistogram::new(k)).collect(),
-                carry: Vec::new(),
-                carry_cap: max_k.saturating_sub(1),
-                scratch: Vec::new(),
-            }
-        }
-
-        pub fn update(&mut self, chunk: &[u8]) {
-            if chunk.is_empty() {
-                return;
-            }
-            for hist in &mut self.hists {
-                let tail = self.carry.len().min(hist.k - 1);
-                let carry = &self.carry[self.carry.len() - tail..];
-                if carry.is_empty() {
-                    hist.extend_from_bytes(chunk);
-                } else {
-                    // Scan carry ++ chunk: the carry is shorter than k,
-                    // so every window of the concatenation ends inside
-                    // `chunk` and is counted exactly once.
-                    self.scratch.clear();
-                    self.scratch.extend_from_slice(carry);
-                    self.scratch.extend_from_slice(chunk);
-                    hist.extend_from_bytes(&self.scratch);
-                }
-            }
-            if chunk.len() >= self.carry_cap {
-                self.carry.clear();
-                self.carry.extend_from_slice(&chunk[chunk.len() - self.carry_cap..]);
-            } else {
-                let keep = self.carry_cap - chunk.len();
-                if self.carry.len() > keep {
-                    let drop = self.carry.len() - keep;
-                    self.carry.drain(..drop);
-                }
-                self.carry.extend_from_slice(chunk);
-            }
-        }
-
-        pub fn finish(&self) -> Vec<f64> {
-            self.hists.iter().map(OldHistogram::entropy).collect()
-        }
-    }
-}
-
 /// 512 bytes: the packet size used by the serve load generator.
 const PACKET: usize = 512;
 
-fn old_oneshot(data: &[u8], widths: &[usize]) -> Vec<f64> {
-    widths
-        .iter()
-        .map(|&k| {
-            let mut h = old_kernel::OldHistogram::new(k);
-            h.extend_from_bytes(data);
-            h.entropy()
-        })
-        .collect()
+/// Flows per round, and live states in the interleaved schedule.
+const FLOWS: usize = 64;
+
+/// Phase names, in the order [`round`] times them.
+const PHASES: [&str; 3] = ["reset", "feed", "finish"];
+
+/// Order-independent digest of the feature values of a set of flows.
+fn digest(values: &[f64]) -> u64 {
+    values.iter().fold(0, |acc, v| acc.wrapping_add(v.to_bits()))
 }
 
-fn old_incremental(data: &[u8], widths: &[usize]) -> Vec<f64> {
-    let mut inc = old_kernel::OldIncremental::new(widths);
-    for chunk in data.chunks(PACKET) {
-        inc.update(chunk);
-    }
-    inc.finish()
-}
-
-fn new_oneshot(data: &[u8], widths: &FeatureWidths) -> Vec<f64> {
-    EntropyVector::compute(data, widths).values().to_vec()
-}
-
-fn new_incremental(data: &[u8], widths: &FeatureWidths) -> Vec<f64> {
-    // The pipeline knows the classification window b up front
-    // (`begin_flow(b_hint)`), so the hinted constructor is the path
-    // that actually runs in production.
-    let mut inc = IncrementalVector::with_byte_hint(widths, data.len());
-    for chunk in data.chunks(PACKET) {
-        inc.update(chunk);
-    }
-    inc.finish().values().to_vec()
-}
-
-fn new_incremental_chunked(data: &[u8], widths: &FeatureWidths, chunk: usize) -> Vec<f64> {
-    let mut inc = IncrementalVector::with_byte_hint(widths, data.len());
-    for c in data.chunks(chunk) {
-        inc.update(c);
-    }
-    inc.finish().values().to_vec()
-}
-
-/// Times `f` criterion-style: calibrate an iteration count to the
-/// target sample length, warm up, then take `samples` samples and
-/// report the median ns/iter.
-fn bench(mut f: impl FnMut() -> Vec<f64>, smoke: bool) -> f64 {
-    if smoke {
+/// Runs every flow once, `states.len()` of them at a time (flow `i` of
+/// a group on state `i`), feeding `chunk`-byte packets round-robin
+/// across the group. Returns the time spent in each of [`PHASES`] and
+/// the [`digest`] of every finished vector.
+fn round(
+    states: &mut [IncrementalVector],
+    flows: &[Vec<u8>],
+    chunk: usize,
+) -> ([Duration; 3], u64) {
+    let (mut out, mut scratch) = (Vec::new(), Vec::new());
+    let mut phases = [Duration::ZERO; 3];
+    let mut sum = 0u64;
+    for group in flows.chunks(states.len()) {
         let start = Instant::now();
-        black_box(f());
-        return start.elapsed().as_nanos() as f64;
-    }
-    // Calibrate: grow iters until one sample takes ≥ 20 ms.
-    let mut iters: u64 = 1;
-    loop {
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
+        for (state, flow) in states.iter_mut().zip(group) {
+            state.reset();
+            state.reserve_bytes(flow.len());
         }
-        if start.elapsed().as_millis() >= 20 {
+        phases[0] += start.elapsed();
+
+        let start = Instant::now();
+        let packets = group.iter().map(|flow| flow.len().div_ceil(chunk)).max().unwrap_or(0);
+        for p in 0..packets {
+            for (state, flow) in states.iter_mut().zip(group) {
+                if let Some(packet) = flow.chunks(chunk).nth(p) {
+                    state.update(black_box(packet));
+                }
+            }
+        }
+        phases[1] += start.elapsed();
+
+        let start = Instant::now();
+        for state in states.iter().take(group.len()) {
+            state.finish_entropies_into(&mut out, &mut scratch);
+            sum = sum.wrapping_add(digest(black_box(&out)));
+        }
+        phases[2] += start.elapsed();
+    }
+    (phases, sum)
+}
+
+/// Median ns per flow of each phase over repeated [`round`]s (one round
+/// in smoke mode; otherwise two warm-up rounds, then at least nine and
+/// at least 0.3 s of them), asserting `expected` on every round.
+fn bench(
+    states: &mut [IncrementalVector],
+    flows: &[Vec<u8>],
+    chunk: usize,
+    expected: u64,
+    smoke: bool,
+) -> [f64; 3] {
+    let mut samples: [Vec<f64>; 3] = Default::default();
+    let warmup = if smoke { 0 } else { 2 };
+    let started = Instant::now();
+    for i in 0.. {
+        let (phases, sum) = round(states, flows, chunk);
+        assert_eq!(sum, expected, "recycled states must stay bit-identical to one-shot");
+        if i >= warmup {
+            for (sample, phase) in samples.iter_mut().zip(phases) {
+                sample.push(phase.as_nanos() as f64 / flows.len() as f64);
+            }
+        }
+        let rounds = samples[0].len();
+        if smoke || (rounds >= 9 && started.elapsed() >= Duration::from_millis(300)) {
             break;
         }
-        iters *= 2;
     }
-    let samples = 9;
-    let mut per_iter: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            start.elapsed().as_nanos() as f64 / iters as f64
-        })
-        .collect();
-    per_iter.sort_by(f64::total_cmp);
-    per_iter[samples / 2]
+    samples.map(|mut sample| {
+        sample.sort_by(f64::total_cmp);
+        sample[sample.len() / 2]
+    })
 }
 
 fn main() {
@@ -224,79 +127,56 @@ fn main() {
         ("cart", FeatureWidths::cart_selected()),
     ];
     let sizes = [256usize, 2048, 16384];
-
-    // Sanity: the old replica and the new kernel must agree bit-for-bit
-    // on every cell before any timing is trusted.
     let mut rng = StdRng::seed_from_u64(7);
-    for &b in &sizes {
-        for class in FileClass::ALL {
-            let data = generate_file(class, b, &mut rng);
-            for (_, widths) in &width_sets {
-                let ws: Vec<usize> = widths.iter().collect();
-                assert_eq!(old_oneshot(&data, &ws), new_oneshot(&data, widths));
-                assert_eq!(old_incremental(&data, &ws), new_incremental(&data, widths));
-                assert_eq!(new_oneshot(&data, widths), new_incremental(&data, widths));
-            }
-        }
-    }
-    eprintln!("sanity: old and new kernels are bit-identical on all {} cells", 3 * 4 * 3);
 
     let mut json_cells = Vec::new();
     for &b in &sizes {
-        let data = generate_file(FileClass::Binary, b, &mut rng);
+        // One payload per flow, the four classes in turn.
+        let flows: Vec<Vec<u8>> = FileClass::ALL
+            .iter()
+            .cycle()
+            .take(FLOWS)
+            .map(|&class| generate_file(class, b, &mut rng))
+            .collect();
         for (name, widths) in &width_sets {
-            let ws: Vec<usize> = widths.iter().collect();
-            let mut cell = Vec::new();
-            for (kernel, mode, ns) in [
-                ("old", "oneshot", bench(|| old_oneshot(&data, &ws), smoke)),
-                ("old", "incremental", bench(|| old_incremental(&data, &ws), smoke)),
-                ("new", "oneshot", bench(|| new_oneshot(&data, widths), smoke)),
-                ("new", "incremental", bench(|| new_incremental(&data, widths), smoke)),
-            ] {
-                println!("kernel/b={b}/{name}/{kernel}/{mode}  time: {ns:>12.0} ns/iter");
-                cell.push((kernel, mode, ns));
+            let one_shot: Vec<f64> = flows
+                .iter()
+                .flat_map(|flow| EntropyVector::compute(flow, widths).into_values())
+                .collect();
+            let expected = digest(&one_shot);
+            let mut states = vec![IncrementalVector::new(widths); FLOWS];
+            let hot = bench(&mut states[..1], &flows, PACKET, expected, smoke);
+            let interleaved = bench(&mut states, &flows, PACKET, expected, smoke);
+            let mut fields = vec![format!("\"b\": {b}, \"widths\": \"{name}\"")];
+            for (schedule, phases) in [("hot", hot), ("interleaved", interleaved)] {
+                let total: f64 = phases.iter().sum();
+                println!(
+                    "kernel/b={b}/{name}/{schedule:<11}  time: {total:>10.0} ns/flow  \
+                     (reset {:.0}, feed {:.0}, finish {:.0})",
+                    phases[0], phases[1], phases[2]
+                );
+                fields.push(format!("\"{schedule}_ns\": {total:.0}"));
+                for (phase, ns) in PHASES.iter().zip(phases) {
+                    fields.push(format!("\"{schedule}_{phase}_ns\": {ns:.0}"));
+                }
             }
-            let ns_of = |kernel: &str, mode: &str| {
-                cell.iter().find(|(k, m, _)| *k == kernel && *m == mode).map(|c| c.2).unwrap_or(0.0)
-            };
-            let one_speedup = ns_of("old", "oneshot") / ns_of("new", "oneshot");
-            let inc_speedup = ns_of("old", "incremental") / ns_of("new", "incremental");
-            println!(
-                "kernel/b={b}/{name}  speedup: oneshot {one_speedup:.2}x, \
-                 incremental {inc_speedup:.2}x"
-            );
-            json_cells.push(format!(
-                "    {{\"b\": {b}, \"widths\": \"{name}\", \
-                 \"old_oneshot_ns\": {:.0}, \"new_oneshot_ns\": {:.0}, \
-                 \"old_incremental_ns\": {:.0}, \"new_incremental_ns\": {:.0}, \
-                 \"oneshot_speedup\": {one_speedup:.2}, \
-                 \"incremental_speedup\": {inc_speedup:.2}}}",
-                ns_of("old", "oneshot"),
-                ns_of("new", "oneshot"),
-                ns_of("old", "incremental"),
-                ns_of("new", "incremental"),
-            ));
+            json_cells.push(format!("    {{{}}}", fields.join(", ")));
         }
     }
 
-    // Chunk-size sweep: how the fixed-width-lane slab kernel amortizes
-    // per-call overhead as feed granularity grows. Each cell is
-    // asserted bit-identical to the one-shot vector before timing.
+    // Chunk-size sweep: how the slab kernel amortizes per-call overhead
+    // as feed granularity grows (one hot state, one flow).
     let sweep_b = 16384usize;
     let sweep_widths = FeatureWidths::svm_selected();
-    let sweep_data = generate_file(FileClass::Binary, sweep_b, &mut rng);
-    let sweep_baseline = new_oneshot(&sweep_data, &sweep_widths);
+    let sweep_flow = vec![generate_file(FileClass::Binary, sweep_b, &mut rng)];
+    let expected = digest(EntropyVector::compute(&sweep_flow[0], &sweep_widths).values());
+    let mut sweep_state = [IncrementalVector::new(&sweep_widths)];
     let mut sweep_cells = Vec::new();
     for chunk in [1usize, 8, 32, 128, 512] {
-        assert_eq!(
-            new_incremental_chunked(&sweep_data, &sweep_widths, chunk),
-            sweep_baseline,
-            "chunked feed (chunk={chunk}) must stay bit-identical to one-shot"
-        );
-        let ns = bench(|| new_incremental_chunked(&sweep_data, &sweep_widths, chunk), smoke);
+        let ns: f64 = bench(&mut sweep_state, &sweep_flow, chunk, expected, smoke).iter().sum();
         let bytes_per_us = sweep_b as f64 / (ns / 1000.0);
         println!(
-            "kernel/chunk_sweep/b={sweep_b}/svm/chunk={chunk}  time: {ns:>12.0} ns/iter \
+            "kernel/chunk_sweep/b={sweep_b}/svm/chunk={chunk}  time: {ns:>12.0} ns/flow \
              ({bytes_per_us:.0} B/us)"
         );
         sweep_cells.push(format!("    {{\"chunk\": {chunk}, \"ns\": {ns:.0}}}"));
@@ -305,10 +185,11 @@ fn main() {
     println!("--- JSON ---");
     println!("{{");
     println!(
-        "  \"benchmark\": \"entropy kernel: SipHash HashMap + per-width rescan (old) vs \
-         tiered histograms + single-pass rolling window (new)\","
+        "  \"benchmark\": \"entropy kernel, ns per flow (reset + feed + finish of a recycled \
+         state): one hot state vs {FLOWS} interleaved flow states\","
     );
     println!("  \"packet_bytes\": {PACKET},");
+    println!("  \"flows\": {FLOWS},");
     println!("  \"mode\": \"{}\",", if smoke { "smoke" } else { "full" });
     println!("  \"cells\": [");
     println!("{}", json_cells.join(",\n"));

@@ -286,8 +286,12 @@ impl FlowFeatureState {
             }
     }
 
-    /// Estimated heap footprint of this flow's feature state, at
-    /// [`BYTES_PER_COUNTER`] per resident counter.
+    /// This flow's feature state in the paper's §4.4 accounting:
+    /// [`BYTES_PER_COUNTER`] per resident counter (one per distinct
+    /// gram in exact mode). It is not the heap the state occupies —
+    /// tables are reserved for the window `b` before the first byte
+    /// arrives and stay half empty at best; `tests/pool_alloc.rs`
+    /// bounds that figure.
     pub fn resident_bytes(&self) -> usize {
         self.counters_used() * BYTES_PER_COUNTER
     }

@@ -325,9 +325,16 @@ pub struct Iustitia {
 }
 
 /// Upper bound on pooled flow states, so a burst of concurrent flows
-/// cannot pin its high-water mark of histogram tables forever. 256 comfortably covers the steady-state pending-flow count
-/// of every bench/serve configuration while capping worst-case retained
-/// memory.
+/// cannot pin its high-water mark of histogram tables forever. 256
+/// comfortably covers the steady-state pending-flow count of every
+/// bench/serve configuration.
+///
+/// What a full pool retains, per pipeline (so per shard), is 256 × the
+/// heap of one feature state — with the `φ′_SVM` widths, 149,888 B
+/// (146 KiB) at `b = 2048` and 4,736 B (4.6 KiB) at `b = 32`
+/// (`tests/pool_alloc.rs` bounds both): 36.6 MiB and 1.2 MiB. That is
+/// real heap, not `resident_bytes()`, which is the paper's per-counter
+/// accounting.
 const MAX_POOLED_STATES: usize = 256;
 
 impl Iustitia {

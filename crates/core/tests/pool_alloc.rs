@@ -11,11 +11,16 @@
 //! A counting wrapper around the system allocator measures this
 //! directly. This file deliberately contains a single `#[test]` so no
 //! concurrent test can perturb the global allocation counter.
+//!
+//! The same wrapper sums the bytes requested, which bounds what
+//! `begin_flow` puts on the heap for one pending flow: the §4.4
+//! accounting (`resident_bytes`) charges per distinct gram and cannot
+//! see a table that is mostly empty.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use iustitia::features::{FeatureMode, TrainingMethod};
+use iustitia::features::{FeatureExtractor, FeatureMode, TrainingMethod};
 use iustitia::model::{train_anytime_from_corpus, train_from_corpus_battery, ModelKind};
 use iustitia::pipeline::{AnytimeConfig, Iustitia, PipelineConfig, Verdict};
 use iustitia_entropy::FeatureWidths;
@@ -25,12 +30,14 @@ use std::net::Ipv4Addr;
 struct CountingAllocator;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
-// SAFETY: pure pass-through to the system allocator plus a relaxed
-// counter increment; no layout or pointer is altered.
+// SAFETY: pure pass-through to the system allocator plus relaxed
+// counter increments; no layout or pointer is altered.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -40,11 +47,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
 }
@@ -56,6 +65,12 @@ fn alloc_calls() -> u64 {
     ALLOC_CALLS.load(Ordering::Relaxed)
 }
 
+/// Bytes requested from the allocator so far (a `realloc` counts its
+/// whole new size).
+fn alloc_bytes() -> u64 {
+    ALLOC_BYTES.load(Ordering::Relaxed)
+}
+
 fn data_packet(port: u16, t: f64, payload: &[u8]) -> Packet {
     let tuple = FiveTuple::tcp(Ipv4Addr::new(10, 0, 0, 1), port, Ipv4Addr::new(10, 0, 0, 2), 443);
     Packet { timestamp: t, tuple, flags: TcpFlags::ACK, payload: payload.to_vec() }
@@ -63,6 +78,23 @@ fn data_packet(port: u16, t: f64, payload: &[u8]) -> Packet {
 
 #[test]
 fn recycled_flow_packets_allocate_nothing_through_classification() {
+    // ── Footprint ────────────────────────────────────────────────────
+    // What one pending flow's feature state asks of the heap, at the
+    // two windows the benchmark runs (svm widths, battery on): three
+    // open tables reserved for `b` bytes plus the dense k = 1 array.
+    let extractor = FeatureExtractor::new(FeatureWidths::svm_selected(), FeatureMode::Exact, 0)
+        .with_battery(true);
+    for (b, limit) in [(2048usize, 192u64 << 10), (32, 8 << 10)] {
+        let before = alloc_bytes();
+        let state = extractor.begin_flow(b);
+        let requested = alloc_bytes() - before;
+        assert!(
+            requested <= limit,
+            "begin_flow({b}) requested {requested} bytes of heap, over the {limit}-byte bound"
+        );
+        drop(state);
+    }
+
     let corpus =
         iustitia_corpus::CorpusBuilder::new(33).files_per_class(20).size_range(1024, 4096).build();
     // Battery on: the randomness battery must hold the zero-alloc

@@ -7,9 +7,11 @@
 //! uses instead:
 //!
 //! * [`CounterTable`] — a linear-probing, power-of-two, insert-only
-//!   `u128 → u64` counter map. Counts only ever increment, so a zero
-//!   count doubles as the empty-slot marker and the table never needs
-//!   tombstones: growth rehashes live entries only.
+//!   counter map, generic over the packed-gram key ([`GramKey`]: `u64`
+//!   for grams of up to 8 bytes, `u128` up to 16). Keys and counts live
+//!   in two parallel arrays, 12 or 20 bytes per slot, and a zero count
+//!   marks an empty slot: clearing the table and folding its counts
+//!   read and write the 4-byte count array only.
 //! * [`FxHashMap`] / [`FxBuildHasher`] — a drop-in `HashMap` alias
 //!   using the same multiply-based hash, for the places that need a
 //!   real map (the estimator's gram → tracker index, divergence
@@ -36,11 +38,8 @@ fn fx_mix(hash: u64, word: u64) -> u64 {
 /// Hashes one packed gram (both 64-bit halves folded through the Fx
 /// round function).
 ///
-/// Grams of width `k ≤ 8` pack entirely into the low word; for those
-/// the second (dependent) mix round is skipped — one well-predicted
-/// branch buys back a multiply on the per-byte counting path. The
-/// function stays deterministic per value, which is all the table
-/// needs.
+/// A key whose high word is zero skips the second (dependent) mix
+/// round, so it hashes exactly like the same value as a `u64` key.
 #[inline]
 #[must_use]
 pub fn fx_hash_u128(key: u128) -> u64 {
@@ -53,39 +52,104 @@ pub fn fx_hash_u128(key: u128) -> u64 {
     }
 }
 
-/// One `(packed gram, count)` slot; `count == 0` marks an empty slot
-/// (valid because a present key always has count ≥ 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Slot {
-    key: u128,
-    count: u64,
+/// A packed-gram key of a [`CounterTable`]: the last `k` bytes of a
+/// stream, big-endian in the low `8k` bits.
+///
+/// Implemented for `u64` (`k ≤ 8`) and `u128` (`k ≤ 16`), so a table
+/// never stores, hashes or compares a key wider than its grams need.
+pub trait GramKey: Copy + Eq + Default {
+    /// The low bits of a `u128`-packed gram (lossless whenever the gram
+    /// fits this key type).
+    fn truncate(gram: u128) -> Self;
+
+    /// The key as a `u128`-packed gram.
+    fn widen(self) -> u128;
+
+    /// Slides the window one byte: shifts `byte` in at the bottom and
+    /// keeps the bits under `mask`.
+    #[must_use]
+    fn roll(self, byte: u8, mask: Self) -> Self;
+
+    /// The Fx hash whose high bits index the table.
+    fn fx_hash(self) -> u64;
 }
 
-const EMPTY: Slot = Slot { key: 0, count: 0 };
+impl GramKey for u64 {
+    #[inline]
+    fn truncate(gram: u128) -> Self {
+        gram as u64
+    }
+
+    #[inline]
+    fn widen(self) -> u128 {
+        u128::from(self)
+    }
+
+    #[inline]
+    fn roll(self, byte: u8, mask: Self) -> Self {
+        ((self << 8) | u64::from(byte)) & mask
+    }
+
+    #[inline]
+    fn fx_hash(self) -> u64 {
+        fx_mix(0, self)
+    }
+}
+
+impl GramKey for u128 {
+    #[inline]
+    fn truncate(gram: u128) -> Self {
+        gram
+    }
+
+    #[inline]
+    fn widen(self) -> u128 {
+        self
+    }
+
+    #[inline]
+    fn roll(self, byte: u8, mask: Self) -> Self {
+        ((self << 8) | u128::from(byte)) & mask
+    }
+
+    #[inline]
+    fn fx_hash(self) -> u64 {
+        fx_hash_u128(self)
+    }
+}
 
 /// Initial capacity of the first allocation (power of two).
 const INITIAL_CAPACITY: usize = 16;
 
-/// An open-addressing `u128 → u64` counter table.
+/// An open-addressing counter table over packed-gram keys.
 ///
 /// Linear probing over a power-of-two slot array, indexed by the high
-/// bits of [`fx_hash_u128`]. The only mutation is
-/// [`increment`](Self::increment): keys are never removed, so lookups
-/// can stop at the first empty slot and growth reinserts live entries
-/// without tombstone bookkeeping. Load is kept at or below ½ — linear
-/// probing degrades quadratically with load (≈8.5 expected probes per
-/// miss at ¾ load vs ≈2.5 at ½), and probe length, not hashing, is
-/// what the gram hot path pays for.
-/// [`clear`](Self::clear) resets the table while keeping its
-/// allocation, which is what lets pooled flow state recycle without
-/// touching the allocator.
+/// bits of [`GramKey::fx_hash`]. Slot `i` is the pair `keys[i]`,
+/// `counts[i]`; `counts[i] == 0` marks it empty, whatever `keys[i]`
+/// holds (valid because a present key always has count ≥ 1). The only
+/// mutation is [`increment`](Self::increment): keys are never removed,
+/// so lookups can stop at the first empty slot and growth reinserts
+/// live entries without tombstone bookkeeping. Load is kept at or
+/// below ½ — linear probing degrades quadratically with load (≈8.5
+/// expected probes per miss at ¾ load vs ≈2.5 at ½), and probe length,
+/// not hashing, is what the gram hot path pays for.
+///
+/// [`clear`](Self::clear) zeroes the count array and nothing else,
+/// keeping both allocations, which is what lets pooled flow state
+/// recycle without touching the allocator; the keys it leaves behind
+/// sit in empty slots and are overwritten on reuse.
+///
+/// Counts are `u32` and saturate at `u32::MAX`: exact for any input
+/// with fewer than 2³² occurrences of one gram (4 GiB of one repeated
+/// pattern), which bounds every classification window by nine orders
+/// of magnitude.
 ///
 /// # Examples
 ///
 /// ```
 /// use iustitia_entropy::fastmap::CounterTable;
 ///
-/// let mut t = CounterTable::new();
+/// let mut t = CounterTable::<u64>::new();
 /// t.increment(7);
 /// t.increment(7);
 /// t.increment(9);
@@ -94,21 +158,24 @@ const INITIAL_CAPACITY: usize = 16;
 /// assert_eq!(t.get(8), 0);
 /// assert_eq!(t.len(), 2);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CounterTable {
-    slots: Vec<Slot>,
+#[derive(Debug, Clone, Default)]
+pub struct CounterTable<K> {
+    /// Slot keys; meaningful only where the matching count is non-zero.
+    keys: Vec<K>,
+    /// Slot counts, parallel to `keys`; zero marks an empty slot.
+    counts: Vec<u32>,
     /// Occupied slots (distinct keys).
     len: usize,
     /// `64 − log2(capacity)`: shift that maps a hash to a slot index.
     shift: u32,
 }
 
-impl CounterTable {
+impl<K: GramKey> CounterTable<K> {
     /// Creates an empty table. No allocation until the first
     /// [`increment`](Self::increment).
     #[must_use]
     pub fn new() -> Self {
-        CounterTable { slots: Vec::new(), len: 0, shift: 0 }
+        CounterTable { keys: Vec::new(), counts: Vec::new(), len: 0, shift: 0 }
     }
 
     /// Creates a table pre-sized for `expected_keys` distinct keys, so
@@ -124,7 +191,7 @@ impl CounterTable {
     /// (one rehash now instead of a cascade of doublings later).
     pub fn reserve(&mut self, additional: usize) {
         let needed = self.len.saturating_add(additional).saturating_mul(2);
-        if needed > self.slots.len() {
+        if needed > self.counts.len() {
             self.rehash(needed.next_power_of_two().max(INITIAL_CAPACITY));
         }
     }
@@ -141,96 +208,111 @@ impl CounterTable {
         self.len == 0
     }
 
+    /// The slot holding `key`, or the empty slot that ends its probe
+    /// sequence. Out of range only when nothing is allocated.
+    #[inline]
+    fn slot_of(&self, key: K) -> usize {
+        let mask = self.counts.len().wrapping_sub(1);
+        let mut i = (key.fx_hash() >> self.shift) as usize & mask;
+        while let (Some(&count), Some(&held)) = (self.counts.get(i), self.keys.get(i)) {
+            if count == 0 || held == key {
+                break;
+            }
+            i = i.wrapping_add(1) & mask;
+        }
+        i
+    }
+
     /// The count of `key` (0 if never incremented).
     #[must_use]
-    pub fn get(&self, key: u128) -> u64 {
-        if self.slots.is_empty() {
-            return 0;
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = (fx_hash_u128(key) >> self.shift) as usize;
-        loop {
-            // lint: allow(L008) — masked probe: slots.len() is a power of two, mask = len - 1
-            let slot = &self.slots[i & mask];
-            if slot.count == 0 {
-                return 0;
-            }
-            if slot.key == key {
-                return slot.count;
-            }
-            i = i.wrapping_add(1);
-        }
+    pub fn get(&self, key: K) -> u64 {
+        self.counts.get(self.slot_of(key)).map_or(0, |&count| u64::from(count))
     }
 
     /// Adds 1 to the count of `key`, inserting it at count 1 if absent.
     #[inline]
-    pub fn increment(&mut self, key: u128) {
-        if self.len.saturating_mul(2) >= self.slots.len() {
-            self.grow();
+    pub fn increment(&mut self, key: K) {
+        if self.len >= self.counts.len() / 2 {
+            self.rehash(self.counts.len().saturating_mul(2).max(INITIAL_CAPACITY));
         }
-        let mask = self.slots.len() - 1;
-        let mut i = (fx_hash_u128(key) >> self.shift) as usize;
-        loop {
-            // lint: allow(L008) — masked probe: slots.len() is a power of two, mask = len - 1
-            let slot = &mut self.slots[i & mask];
-            if slot.count == 0 {
-                *slot = Slot { key, count: 1 };
-                self.len = self.len.saturating_add(1);
+        // Probes in place (not `slot_of` plus a second lookup), and an
+        // empty slot and `key`'s own take the same stores, so the only
+        // data-dependent branch per probe is "someone else's slot".
+        let mask = self.counts.len().wrapping_sub(1);
+        let mut i = (key.fx_hash() >> self.shift) as usize & mask;
+        while let (Some(count), Some(held)) = (self.counts.get_mut(i), self.keys.get_mut(i)) {
+            let empty = *count == 0;
+            if empty | (*held == key) {
+                *held = key;
+                *count = count.saturating_add(1);
+                self.len = self.len.saturating_add(usize::from(empty));
                 return;
             }
-            if slot.key == key {
-                slot.count = slot.count.saturating_add(1);
-                return;
-            }
-            i = i.wrapping_add(1);
+            i = i.wrapping_add(1) & mask;
         }
     }
 
-    /// Doubles capacity (or makes the first allocation).
-    fn grow(&mut self) {
-        self.rehash(self.slots.len().saturating_mul(2).max(INITIAL_CAPACITY));
-    }
-
-    /// Re-slots every live entry into a `new_cap`-slot array
-    /// (`new_cap` a power of two). Counts-only-increment means there
-    /// are no tombstones to filter: every non-empty slot is live.
+    /// Re-slots every live entry into a `new_cap`-slot table
+    /// (`new_cap` a power of two, at least [`INITIAL_CAPACITY`]).
+    /// Counts-only-increment means there are no tombstones to filter:
+    /// every non-empty slot is live.
     fn rehash(&mut self, new_cap: usize) {
         // lint: allow(L009) — growth path: runs only when a flow exceeds its reserve() budget
-        let old = std::mem::replace(&mut self.slots, vec![EMPTY; new_cap]);
-        // lint: allow(L008) — new_cap ≥ INITIAL_CAPACITY, never zero
-        self.shift = 64 - new_cap.ilog2();
-        let mask = new_cap - 1;
-        for slot in old {
-            if slot.count == 0 {
+        let (keys, counts) = (vec![K::default(); new_cap], vec![0u32; new_cap]);
+        let old_keys = std::mem::replace(&mut self.keys, keys);
+        let old_counts = std::mem::replace(&mut self.counts, counts);
+        self.shift = 64 - new_cap.trailing_zeros();
+        for (key, count) in old_keys.into_iter().zip(old_counts) {
+            if count == 0 {
                 continue;
             }
-            let mut i = (fx_hash_u128(slot.key) >> self.shift) as usize;
-            // lint: allow(L008) — masked probe: new_cap is a power of two, mask = len - 1
-            while self.slots[i & mask].count != 0 {
-                i = i.wrapping_add(1);
+            let i = self.slot_of(key);
+            if let (Some(slot), Some(held)) = (self.counts.get_mut(i), self.keys.get_mut(i)) {
+                *slot = count;
+                *held = key;
             }
-            // lint: allow(L008) — masked probe: new_cap is a power of two, mask = len - 1
-            self.slots[i & mask] = slot;
         }
     }
 
-    /// Empties the table, keeping its allocation for reuse.
+    /// Empties the table, keeping its allocations for reuse. Only the
+    /// count array is written.
     pub fn clear(&mut self) {
-        self.slots.fill(EMPTY);
+        self.counts.fill(0);
         self.len = 0;
     }
 
     /// Iterates over `(key, count)` pairs in arbitrary (slot) order.
-    pub fn iter(&self) -> impl Iterator<Item = (u128, u64)> + '_ {
-        self.slots.iter().filter(|s| s.count != 0).map(|s| (s.key, s.count))
+    pub fn iter(&self) -> impl Iterator<Item = (K, u64)> + '_ {
+        self.keys
+            .iter()
+            .zip(&self.counts)
+            .filter(|(_, &count)| count != 0)
+            .map(|(&key, &count)| (key, u64::from(count)))
+    }
+
+    /// The count of every slot, empty ones (zero) included — what a
+    /// fold over the counts alone reads, without touching the keys.
+    #[must_use]
+    pub fn slot_counts(&self) -> &[u32] {
+        &self.counts
     }
 
     /// Allocated slot count (benchmark/diagnostic aid).
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.counts.len()
     }
 }
+
+impl<K: GramKey> PartialEq for CounterTable<K> {
+    /// Semantic equality: the same key → count mapping, whatever the
+    /// capacities, insertion orders, or keys left behind in empty slots.
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().all(|(key, count)| other.get(key) == count)
+    }
+}
+
+impl<K: GramKey> Eq for CounterTable<K> {}
 
 /// A [`Hasher`] running the Fx round function over the written words.
 ///
@@ -337,7 +419,7 @@ mod tests {
 
     #[test]
     fn empty_table() {
-        let t = CounterTable::new();
+        let t = CounterTable::<u128>::new();
         assert_eq!(t.len(), 0);
         assert!(t.is_empty());
         assert_eq!(t.get(0), 0);
@@ -345,24 +427,30 @@ mod tests {
         assert_eq!(t.capacity(), 0);
     }
 
-    #[test]
-    fn counts_match_std_hashmap_model() {
-        let keys = pseudo_random_keys(10_000, 7);
-        let mut table = CounterTable::new();
-        let mut model: HashMap<u128, u64> = HashMap::new();
-        for &k in &keys {
-            table.increment(k);
-            *model.entry(k).or_insert(0) += 1;
+    /// Counts `keys` (truncated to `K`) into a table and a `std` model.
+    fn assert_matches_model<K: GramKey + Ord + std::hash::Hash + std::fmt::Debug>(keys: &[u128]) {
+        let mut table = CounterTable::<K>::new();
+        let mut model: HashMap<K, u64> = HashMap::new();
+        for &k in keys {
+            table.increment(K::truncate(k));
+            *model.entry(K::truncate(k)).or_insert(0) += 1;
         }
         assert_eq!(table.len(), model.len());
         for (&k, &c) in &model {
-            assert_eq!(table.get(k), c, "key {k}");
+            assert_eq!(table.get(k), c, "key {k:?}");
         }
-        let mut from_iter: Vec<(u128, u64)> = table.iter().collect();
+        let mut from_iter: Vec<(K, u64)> = table.iter().collect();
         from_iter.sort_unstable();
-        let mut from_model: Vec<(u128, u64)> = model.into_iter().collect();
+        let mut from_model: Vec<(K, u64)> = model.into_iter().collect();
         from_model.sort_unstable();
         assert_eq!(from_iter, from_model);
+    }
+
+    #[test]
+    fn counts_match_std_hashmap_model() {
+        let keys = pseudo_random_keys(10_000, 7);
+        assert_matches_model::<u128>(&keys);
+        assert_matches_model::<u64>(&keys);
     }
 
     #[test]
@@ -385,7 +473,7 @@ mod tests {
     #[test]
     fn zero_key_is_a_real_key() {
         // key 0 must be distinguishable from an empty slot.
-        let mut t = CounterTable::new();
+        let mut t = CounterTable::<u64>::new();
         t.increment(0);
         t.increment(0);
         assert_eq!(t.get(0), 2);
@@ -405,6 +493,75 @@ mod tests {
         assert_eq!(t.get(3), 0);
         t.increment(3);
         assert_eq!(t.get(3), 1);
+    }
+
+    #[test]
+    fn clear_leaves_only_stale_keys_behind() {
+        // Every key of the first fill is still in the key array after
+        // `clear`; none of them may be visible, and a key that probes
+        // onto its own stale copy must restart from count 1.
+        let mut t = CounterTable::<u64>::with_capacity(64);
+        for k in 0..64u64 {
+            t.increment(k);
+            t.increment(k);
+        }
+        t.clear();
+        assert!(t.slot_counts().iter().all(|&c| c == 0));
+        assert_eq!(t.iter().count(), 0);
+        assert!((0..64u64).all(|k| t.get(k) == 0));
+        t.increment(5);
+        assert_eq!((t.get(5), t.len()), (1, 1));
+        assert_eq!(t.iter().collect::<Vec<_>>(), vec![(5, 1)]);
+    }
+
+    #[test]
+    fn equality_ignores_history() {
+        // Same contents reached three ways: in order; in reverse into a
+        // larger table; and on top of cleared junk whose keys are still
+        // in the key array.
+        let keys: Vec<u64> = (0..200u64).map(|i| i.wrapping_mul(0x9E37_79B9) % 50).collect();
+        let mut plain = CounterTable::<u64>::new();
+        keys.iter().for_each(|&k| plain.increment(k));
+        let mut reversed = CounterTable::<u64>::with_capacity(4096);
+        keys.iter().rev().for_each(|&k| reversed.increment(k));
+        let mut recycled = CounterTable::<u64>::new();
+        (1000..1300u64).for_each(|k| recycled.increment(k));
+        recycled.clear();
+        keys.iter().for_each(|&k| recycled.increment(k));
+        assert_ne!(plain.capacity(), reversed.capacity());
+        assert_eq!(plain, reversed);
+        assert_eq!(plain, recycled);
+        assert_eq!(recycled, reversed);
+        // One more occurrence of one key breaks it, in both directions.
+        reversed.increment(keys[0]);
+        assert_ne!(plain, reversed);
+        assert_ne!(reversed, plain);
+    }
+
+    #[test]
+    fn counts_saturate_at_u32_max() {
+        let mut t = CounterTable::<u64>::new();
+        t.increment(42);
+        let slot = t.slot_of(42);
+        t.counts[slot] = u32::MAX - 1;
+        t.increment(42);
+        assert_eq!(t.get(42), u64::from(u32::MAX));
+        t.increment(42);
+        assert_eq!(t.get(42), u64::from(u32::MAX), "saturates instead of wrapping to empty");
+        assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn narrow_and_wide_keys_hash_alike() {
+        // A gram that fits 64 bits lands in the same slot whichever key
+        // type carries it.
+        for gram in [0u64, 1, 0xFFFF, 0x0123_4567_89AB_CDEF, u64::MAX] {
+            assert_eq!(gram.fx_hash(), u128::from(gram).fx_hash());
+        }
+        assert_eq!(u64::truncate(0xAB << 64 | 0xCD), 0xCD);
+        assert_eq!(0xCDu64.widen(), 0xCD);
+        assert_eq!(0x1122u64.roll(0x33, 0xFFFF), 0x2233);
+        assert_eq!(u128::MAX.roll(0, u128::MAX), u128::MAX << 8);
     }
 
     #[test]

@@ -7,25 +7,25 @@
 //! ([`crate::vector`]) and the divergence measures ([`crate::divergence`]).
 //!
 //! Counting is the per-byte hot path of the whole system (§4 of the
-//! paper demands it be near-memcpy cheap), so the storage is tiered by
-//! alphabet size instead of always paying a general-purpose hash map:
+//! paper demands it be near-memcpy cheap) and every pending flow owns
+//! one histogram per feature width, so storage is sized by what a flow
+//! can put into it, in two tiers:
 //!
-//! * `k = 1` — a dense `[u64; 256]` array: one indexed add per byte.
-//! * `k = 2` — a dense 64 KiB (`65 536 × u64`) table plus a *touched*
-//!   index list, so `distinct`, iteration, and reset cost O(distinct)
-//!   rather than O(65 536).
-//! * `k ≥ 3` — the open-addressing Fx-hashed [`CounterTable`]
-//!   (`256^k` no longer fits a dense table).
+//! * `k = 1` — a dense `[u64; 256]` array (2 KiB): one indexed add per
+//!   byte.
+//! * `k ≥ 2` — the open-addressing Fx-hashed [`CounterTable`], keyed by
+//!   `u64` for `k ≤ 8` and by `u128` above, reserved for the windows
+//!   the caller announces ([`GramHistogram::reserve_bytes`]): 12 bytes
+//!   per slot at ≤ ½ load, so 48 KiB per width for a 2 KiB
+//!   classification window and under 1 KiB for a 32-byte one.
 //!
-//! All three representations sit behind the same API, and
-//! [`sum_m_log_m`](GramHistogram::sum_m_log_m) still sums counts in
-//! sorted order, so every float the crate derives from a histogram is
-//! bit-identical across representations.
+//! Both sit behind the same API, and
+//! [`sum_m_log_m`](GramHistogram::sum_m_log_m) adds its terms in
+//! ascending count order whatever the storage, so every float the
+//! crate derives from a histogram is bit-identical across tiers,
+//! capacities and feeding histories.
 
-use crate::fastmap::CounterTable;
-
-/// Number of slots in the dense `k = 2` table (`256^2`).
-const DENSE2_SLOTS: usize = 1 << 16;
+use crate::fastmap::{CounterTable, GramKey};
 
 /// A frequency histogram of the `k`-byte grams of a byte sequence.
 ///
@@ -63,16 +63,10 @@ enum Store {
         /// Number of non-zero entries.
         distinct: u32,
     },
-    /// `k = 2`: dense gram-indexed counters plus the list of occupied
-    /// indices (each index appears exactly once, pushed on first touch).
-    Dense2 {
-        /// `counts[g]` = occurrences of packed 2-gram `g`.
-        counts: Box<[u64]>,
-        /// Indices with non-zero count, in first-touch order.
-        touched: Vec<u16>,
-    },
-    /// `k ≥ 3`: open-addressing Fx-hashed counter table.
-    Open(CounterTable),
+    /// `2 ≤ k ≤ 8`: open table over `u64` keys.
+    Narrow(CounterTable<u64>),
+    /// `9 ≤ k ≤ 16`: open table over `u128` keys.
+    Wide(CounterTable<u128>),
 }
 
 impl Store {
@@ -80,95 +74,69 @@ impl Store {
         match k {
             // lint: allow(L009) — tier storage is allocated once per histogram at flow setup; pooled reuse clears it
             1 => Store::Dense1 { counts: Box::new([0u64; 256]), distinct: 0 },
-            2 => Store::Dense2 {
-                // lint: allow(L009) — tier storage is allocated once per histogram at flow setup; pooled reuse clears it
-                counts: vec![0u64; DENSE2_SLOTS].into_boxed_slice(),
-                touched: Vec::new(),
-            },
-            _ => Store::Open(CounterTable::new()),
+            2..=8 => Store::Narrow(CounterTable::new()),
+            _ => Store::Wide(CounterTable::new()),
         }
     }
 
     fn get(&self, key: u128) -> u64 {
         match self {
-            // lint: allow(L008) — key is masked to the 256-slot dense table
-            Store::Dense1 { counts, .. } => counts[key as usize & 0xFF],
-            // lint: allow(L008) — key is masked to the 2^16-slot dense table
-            Store::Dense2 { counts, .. } => counts[key as usize & 0xFFFF],
-            Store::Open(table) => table.get(key),
+            Store::Dense1 { counts, .. } => counts.get(key as usize).copied().unwrap_or(0),
+            Store::Narrow(table) => table.get(u64::truncate(key)),
+            Store::Wide(table) => table.get(key),
         }
     }
 
     fn distinct(&self) -> usize {
         match self {
             Store::Dense1 { distinct, .. } => *distinct as usize,
-            Store::Dense2 { touched, .. } => touched.len(),
-            Store::Open(table) => table.len(),
+            Store::Narrow(table) => table.len(),
+            Store::Wide(table) => table.len(),
         }
     }
 
-    /// Resets every counter while keeping allocations (pool recycling):
-    /// O(1) pages for `k = 1`, O(distinct) for `k = 2`, O(capacity) for
-    /// the open table.
+    /// Makes room for `windows` more grams without a mid-stream rehash.
+    /// No-op on the dense tier (already full-alphabet).
+    fn reserve(&mut self, windows: usize) {
+        match self {
+            Store::Dense1 { .. } => {}
+            Store::Narrow(table) => table.reserve(windows),
+            Store::Wide(table) => table.reserve(windows),
+        }
+    }
+
+    /// Resets every counter while keeping allocations (pool recycling).
     fn clear(&mut self) {
         match self {
             Store::Dense1 { counts, distinct } => {
                 counts.fill(0);
                 *distinct = 0;
             }
-            Store::Dense2 { counts, touched } => {
-                for &idx in touched.iter() {
-                    // lint: allow(L008) — touched holds indices previously written, all < 2^16
-                    counts[idx as usize] = 0;
-                }
-                touched.clear();
-            }
-            Store::Open(table) => table.clear(),
+            Store::Narrow(table) => table.clear(),
+            Store::Wide(table) => table.clear(),
         }
     }
 }
 
-/// Iterator over a histogram's `(packed_gram, count)` pairs.
-enum StoreIter<'a> {
-    Dense1(std::iter::Enumerate<std::slice::Iter<'a, u64>>),
-    Dense2 { counts: &'a [u64], touched: std::slice::Iter<'a, u16> },
-    Open(Box<dyn Iterator<Item = (u128, u64)> + 'a>),
-}
-
-impl Iterator for StoreIter<'_> {
-    type Item = (u128, u64);
-
-    fn next(&mut self) -> Option<(u128, u64)> {
-        match self {
-            StoreIter::Dense1(inner) => {
-                for (i, &c) in inner.by_ref() {
-                    if c != 0 {
-                        return Some((i as u128, c));
-                    }
-                }
-                None
-            }
-            StoreIter::Dense2 { counts, touched } => {
-                touched.next().map(|&idx| (u128::from(idx), counts[idx as usize]))
-            }
-            StoreIter::Open(inner) => inner.next(),
-        }
+/// The open-table counting loop: rolls the packed window over `warm`
+/// (bytes that only complete the first window) without counting, then
+/// counts one window per byte of `body`.
+fn count_windows<K: GramKey>(
+    table: &mut CounterTable<K>,
+    k: usize,
+    prev_key: u128,
+    warm: &[u8],
+    body: &[u8],
+) {
+    let mask = K::truncate(width_mask(k));
+    let mut key = K::truncate(prev_key);
+    for &b in warm {
+        key = key.roll(b, mask);
     }
-}
-
-/// One counting step of the dense `k = 2` tier, kept as a free function
-/// so the unrolled slab loop in
-/// [`GramHistogram::extend_packed_carry`] stays branch-light and the
-/// borrow of `counts` / `touched` is taken once per lane.
-#[inline(always)]
-fn bump_dense2(counts: &mut [u64], touched: &mut Vec<u16>, idx: u16) {
-    // lint: allow(L008) — idx is a u16, always within the 2^16-slot dense table
-    let c = &mut counts[idx as usize];
-    if *c == 0 {
-        // lint: allow(L009) — touched holds at most 2^16 entries; its capacity survives pooled reuse
-        touched.push(idx);
+    for &b in body {
+        key = key.roll(b, mask);
+        table.increment(key);
     }
-    *c += 1;
 }
 
 /// Packs up to 16 bytes into a `u128` key.
@@ -210,11 +178,13 @@ impl GramHistogram {
 
     /// Pre-sizes the backing store for counting the grams of `bytes`
     /// contiguous payload bytes, so feeding that many never rehashes
-    /// mid-stream. No-op on the dense tiers (already full-alphabet).
+    /// mid-stream. The reservation is the number of windows, clamped to
+    /// the alphabet size `256^k` — no input has more distinct grams
+    /// than either.
     pub fn reserve_bytes(&mut self, bytes: usize) {
-        if let Store::Open(table) = &mut self.store {
-            table.reserve(bytes.saturating_sub(self.k - 1));
-        }
+        let windows = bytes.saturating_sub(self.k - 1);
+        let alphabet = 1usize.checked_shl(8 * self.k as u32).unwrap_or(usize::MAX);
+        self.store.reserve(windows.min(alphabet));
     }
 
     /// Counts all `k`-grams of `data` into this histogram.
@@ -225,21 +195,12 @@ impl GramHistogram {
     /// through [`crate::incremental::IncrementalVector`], whose rolling
     /// window keeps boundary grams.
     pub fn extend_from_bytes(&mut self, data: &[u8]) {
-        if data.len() < self.k {
-            return;
-        }
-        if let Store::Open(table) = &mut self.store {
-            // Worst case every window is distinct; one rehash up front
-            // replaces the cascade of doublings mid-scan.
-            table.reserve(data.len() - self.k + 1);
-        }
-        // Seed the rolling window with the first k−1 bytes, then run the
-        // same slab loop the incremental path uses: every window of
-        // `data` ends at or after byte k−1.
-        // lint: allow(L008) — data.len() >= k (early return above), so k - 1 is in range
-        let seed = pack_gram(&data[..self.k - 1]);
-        // lint: allow(L008) — data.len() >= k (early return above)
-        self.extend_packed_carry(seed, (self.k - 1) as u64, &data[self.k - 1..]);
+        // Worst case every window is distinct; one rehash up front
+        // replaces the cascade of doublings mid-scan.
+        self.reserve_bytes(data.len());
+        // With nothing fed before, the slab loop the incremental path
+        // uses warms the window over the first k−1 bytes by itself.
+        self.extend_packed_carry(0, 0, data);
     }
 
     /// Counts every `k`-gram window of a flow's byte stream that ends
@@ -249,11 +210,9 @@ impl GramHistogram {
     /// [`crate::incremental::IncrementalVector`]) and `total` is how
     /// many bytes were fed before.
     ///
-    /// The storage tier is resolved **once per chunk** and the inner
-    /// loops run over contiguous bytes in fixed-width lanes (the dense
-    /// `k = 2` tier is 4-way unrolled with indices derived straight from
-    /// byte pairs, so the only loop-carried value is one byte), instead
-    /// of dispatching on the tier per byte.
+    /// The storage tier and key width are resolved **once per chunk**;
+    /// the inner loop runs over contiguous bytes with the rolling key
+    /// as its only loop-carried value.
     ///
     /// Window-for-window identical to feeding the same bytes through the
     /// per-byte rolling update: the window ending at chunk byte `i`
@@ -261,70 +220,29 @@ impl GramHistogram {
     /// valid iff `total + i + 1 >= k`, so the first counting byte is
     /// `start = (k − 1 − total).max(0)` and each later byte slides the
     /// same window by one. Equal window enumerations give equal count
-    /// multisets, and [`sum_m_log_m`](Self::sum_m_log_m) sorts before
-    /// summing, so every derived float is bit-identical.
+    /// multisets, and [`sum_m_log_m`](Self::sum_m_log_m) adds in
+    /// ascending count order, so every derived float is bit-identical.
     pub(crate) fn extend_packed_carry(&mut self, prev_key: u128, total: u64, chunk: &[u8]) {
         let start = (self.k as u64).saturating_sub(total + 1) as usize;
-        if start >= chunk.len() {
+        let (Some(warm), Some(body)) = (chunk.get(..start), chunk.get(start..)) else {
             return;
-        }
-        let windows = chunk.len() - start;
+        };
         match &mut self.store {
             Store::Dense1 { counts, distinct } => {
                 // k == 1: every byte is its own window (start == 0) and
                 // the byte *is* the table index — a pure contiguous
                 // counting loop with no rolling state at all.
-                for &b in chunk {
-                    // lint: allow(L008) — b as usize < 256, the Dense1 table length
-                    let c = &mut counts[b as usize];
-                    if *c == 0 {
-                        *distinct += 1;
+                for &b in body {
+                    if let Some(c) = counts.get_mut(usize::from(b)) {
+                        *distinct += u32::from(*c == 0);
+                        *c += 1;
                     }
-                    *c += 1;
                 }
             }
-            Store::Dense2 { counts, touched } => {
-                // k == 2 ⇒ start ∈ {0, 1}: either the previous byte is
-                // the low byte of `prev_key`, or (total == 0) the first
-                // chunk byte only warms the window.
-                let mut prev: u8 = if start == 0 {
-                    prev_key as u8
-                } else {
-                    // lint: allow(L008) — start < chunk.len() (early return above)
-                    chunk[0]
-                };
-                // lint: allow(L008) — start < chunk.len() (early return above)
-                let body = &chunk[start..];
-                let mut quads = body.chunks_exact(4);
-                for quad in quads.by_ref() {
-                    // lint: allow(L008) — chunks_exact(4) yields exactly 4 bytes
-                    let (b0, b1, b2, b3) = (quad[0], quad[1], quad[2], quad[3]);
-                    bump_dense2(counts, touched, u16::from_be_bytes([prev, b0]));
-                    bump_dense2(counts, touched, u16::from_be_bytes([b0, b1]));
-                    bump_dense2(counts, touched, u16::from_be_bytes([b1, b2]));
-                    bump_dense2(counts, touched, u16::from_be_bytes([b2, b3]));
-                    prev = b3;
-                }
-                for &b in quads.remainder() {
-                    bump_dense2(counts, touched, u16::from_be_bytes([prev, b]));
-                    prev = b;
-                }
-            }
-            Store::Open(table) => {
-                let mask = width_mask(self.k);
-                let mut key = prev_key;
-                // lint: allow(L008) — start < chunk.len() (early return above)
-                for &b in &chunk[..start] {
-                    key = (key << 8) | u128::from(b);
-                }
-                // lint: allow(L008) — start < chunk.len() (early return above)
-                for &b in &chunk[start..] {
-                    key = ((key << 8) | u128::from(b)) & mask;
-                    table.increment(key);
-                }
-            }
+            Store::Narrow(table) => count_windows(table, self.k, prev_key, warm, body),
+            Store::Wide(table) => count_windows(table, self.k, prev_key, warm, body),
         }
-        self.windows += windows as u64;
+        self.windows += body.len() as u64;
     }
 
     /// Counts the `k`-grams of `carry ++ data` into this histogram,
@@ -340,14 +258,6 @@ impl GramHistogram {
     /// Panics if `carry.len() >= k`.
     pub fn extend_across(&mut self, carry: &[u8], data: &[u8]) {
         assert!(carry.len() < self.k, "carry must be shorter than k");
-        if carry.is_empty() {
-            self.extend_from_bytes(data);
-            return;
-        }
-        let total = carry.len() + data.len();
-        if total < self.k {
-            return;
-        }
         // The carry bytes are exactly the rolling window the incremental
         // path would hold after feeding them, so the slab loop applies
         // directly (start = k − 1 − carry.len()).
@@ -355,7 +265,7 @@ impl GramHistogram {
     }
 
     /// Resets the histogram to empty while keeping its allocations
-    /// (dense tables, open-table slots), so pooled flow state recycles
+    /// (dense array, open-table slots), so pooled flow state recycles
     /// without touching the allocator.
     pub fn clear(&mut self) {
         self.store.clear();
@@ -390,14 +300,15 @@ impl GramHistogram {
 
     /// Iterates over `(packed_gram, count)` pairs in arbitrary order.
     pub fn iter(&self) -> impl Iterator<Item = (u128, u64)> + '_ {
-        match &self.store {
-            Store::Dense1 { counts, .. } => StoreIter::Dense1(counts.iter().enumerate()),
-            Store::Dense2 { counts, touched } => {
-                StoreIter::Dense2 { counts, touched: touched.iter() }
-            }
-            // lint: allow(L009) — arbitrary-order diagnostic iterator; reached from the sweep only via .iter() fan-out
-            Store::Open(table) => StoreIter::Open(Box::new(table.iter())),
-        }
+        // Exactly one of the three is `Some`; the others chain in empty.
+        let (dense, narrow, wide) = match &self.store {
+            Store::Dense1 { counts, .. } => (Some(counts.iter()), None, None),
+            Store::Narrow(table) => (None, Some(table.iter()), None),
+            Store::Wide(table) => (None, None, Some(table.iter())),
+        };
+        let dense = dense.into_iter().flatten().zip(0u128..).filter(|(&count, _)| count != 0);
+        let narrow = narrow.into_iter().flatten().map(|(key, count)| (key.widen(), count));
+        dense.map(|(&count, byte)| (byte, count)).chain(narrow).chain(wide.into_iter().flatten())
     }
 
     /// Iterates over the raw counts in arbitrary order.
@@ -408,44 +319,28 @@ impl GramHistogram {
     /// Σ mᵢ·log2(mᵢ) over all gram counts mᵢ — the quantity `S_k`
     /// that the streaming sketch of [`crate::estimate`] approximates.
     ///
-    /// Counts are summed in sorted order so the result is bit-for-bit
-    /// reproducible — across runs *and* across storage tiers (hash-map,
-    /// dense, and open-addressing iteration orders all collapse to the
-    /// same sorted multiset).
+    /// Terms are added in ascending count order so the result is
+    /// bit-for-bit reproducible — across runs *and* across storage
+    /// tiers (hash-map, dense, and open-addressing iteration orders all
+    /// collapse to the same sorted multiset).
     pub fn sum_m_log_m(&self) -> f64 {
         let mut counts: Vec<u64> = Vec::new();
         self.sum_m_log_m_with(&mut counts)
     }
 
     /// [`sum_m_log_m`](Self::sum_m_log_m) using a caller-owned scratch
-    /// buffer, so steady-state feature finishes allocate nothing once
-    /// the buffer has grown to the flow's distinct-gram count.
+    /// buffer, which only the counts of [`SMALL_COUNTS`] and above ever
+    /// reach — so steady-state feature finishes allocate nothing once
+    /// it has grown to the flow's number of such grams.
     ///
-    /// Matches the store tiers directly (instead of going through
-    /// [`Self::iter`], whose open-table arm boxes its iterator): the
-    /// same non-zero counts land in `scratch`, are sorted, and are
-    /// summed by the identical fold — bit-for-bit the same float as
-    /// `sum_m_log_m`.
+    /// Reads the store's count array alone, empty slots included (see
+    /// [`ascending_sum_m_log_m`]).
     pub fn sum_m_log_m_with(&self, scratch: &mut Vec<u64>) -> f64 {
-        scratch.clear();
         match &self.store {
-            Store::Dense1 { counts, .. } => {
-                scratch.extend(counts.iter().copied().filter(|&c| c != 0));
-            }
-            Store::Dense2 { counts, touched } => {
-                // lint: allow(L008) — touched holds indices previously written, all < 2^16
-                scratch.extend(touched.iter().map(|&idx| counts[idx as usize]));
-            }
-            Store::Open(table) => scratch.extend(table.iter().map(|(_, c)| c)),
+            Store::Dense1 { counts, .. } => ascending_sum_m_log_m(counts.as_slice(), scratch),
+            Store::Narrow(table) => ascending_sum_m_log_m(table.slot_counts(), scratch),
+            Store::Wide(table) => ascending_sum_m_log_m(table.slot_counts(), scratch),
         }
-        scratch.sort_unstable();
-        scratch
-            .iter()
-            .map(|&c| {
-                let c = c as f64;
-                c * c.log2()
-            })
-            .sum()
     }
 
     /// Number of counters an exact implementation needs for this input —
@@ -453,6 +348,87 @@ impl GramHistogram {
     pub fn counters_used(&self) -> usize {
         self.store.distinct()
     }
+}
+
+/// Counts below this are tallied per value instead of being sorted.
+/// Nearly every gram of a classification window occurs a handful of
+/// times, so the sort that remains is over a rare few.
+const SMALL_COUNTS: usize = 64;
+
+/// Independent tallies filled round-robin, so a run of equal counts
+/// (most slots hold 0 or 1) does not serialise on one memory cell.
+const TALLY_LANES: usize = 4;
+
+/// `Σ c·log2(c)` over the non-zero entries of `counts`, added in
+/// ascending order of `c` — the float that sorting the non-zero counts
+/// and taking `.map(m_log_m).sum::<f64>()` over them produces, bit for
+/// bit.
+///
+/// One pass tallies how many entries hold each value below
+/// [`SMALL_COUNTS`] (zeros land in tally 0 and are never read); the
+/// larger ones go to `scratch`, which alone is sorted. The fold then
+/// computes each distinct count's term once and adds it as many times
+/// as the count occurs. A count of 1 contributes `+0.0` however often
+/// it occurs, so it is added once.
+fn ascending_sum_m_log_m<T: Copy + Into<u64>>(counts: &[T], scratch: &mut Vec<u64>) -> f64 {
+    const LARGE: u64 = SMALL_COUNTS as u64;
+    let mut lanes = [[0u64; SMALL_COUNTS + 1]; TALLY_LANES];
+    let mut quads = counts.chunks_exact(TALLY_LANES);
+    for quad in quads.by_ref() {
+        tally(&mut lanes, quad);
+    }
+    tally(&mut lanes, quads.remainder());
+    let mut tallies = [0u64; SMALL_COUNTS + 1];
+    for lane in &lanes {
+        for (total, &part) in tallies.iter_mut().zip(lane) {
+            *total += part;
+        }
+    }
+
+    scratch.clear();
+    if tallies.last().is_some_and(|&large| large != 0) {
+        scratch.extend(counts.iter().map(|&count| count.into()).filter(|&count| count >= LARGE));
+        scratch.sort_unstable();
+    }
+
+    // What `Iterator::sum::<f64>()` starts from (−0.0 or, on older
+    // toolchains, 0.0): the sign survives only if nothing is added.
+    let mut sum: f64 = [0.0_f64; 0].iter().sum();
+    for (count, &occurrences) in (1..LARGE).zip(tallies.iter().skip(1)) {
+        if occurrences == 0 {
+            continue;
+        }
+        let addend = m_log_m(count);
+        let repeats = if count == 1 { 1 } else { occurrences };
+        for _ in 0..repeats {
+            sum += addend;
+        }
+    }
+    let (mut previous, mut addend) = (0, 0.0);
+    for &count in scratch.iter() {
+        if count != previous {
+            (previous, addend) = (count, m_log_m(count));
+        }
+        sum += addend;
+    }
+    sum
+}
+
+/// Adds each of `counts` (at most one per lane) to its lane's tally,
+/// everything from [`SMALL_COUNTS`] up to the last one.
+#[inline]
+fn tally<T: Copy + Into<u64>>(lanes: &mut [[u64; SMALL_COUNTS + 1]; TALLY_LANES], counts: &[T]) {
+    for (lane, &count) in lanes.iter_mut().zip(counts) {
+        if let Some(tally) = lane.get_mut(count.into().min(SMALL_COUNTS as u64) as usize) {
+            *tally += 1;
+        }
+    }
+}
+
+/// One term of `S_k`: `m·log2(m)`.
+fn m_log_m(count: u64) -> f64 {
+    let count = count as f64;
+    count * count.log2()
 }
 
 /// The low-`8k`-bit mask of a rolling window key.
@@ -467,7 +443,7 @@ pub(crate) fn width_mask(k: usize) -> u128 {
 
 impl PartialEq for GramHistogram {
     /// Semantic equality: same width, same windows, same gram → count
-    /// mapping — independent of storage tier or insertion order.
+    /// mapping — independent of capacity or insertion order.
     fn eq(&self, other: &Self) -> bool {
         self.k == other.k
             && self.windows == other.windows
@@ -611,7 +587,7 @@ mod tests {
 
     #[test]
     fn iter_visits_every_tier_correctly() {
-        for k in [1usize, 2, 3] {
+        for k in [1usize, 2, 3, 9] {
             let data: Vec<u8> = (0u8..=255).flat_map(|b| [b, b.wrapping_mul(7)]).collect();
             let h = GramHistogram::from_bytes(&data, k);
             let mut pairs: Vec<(u128, u64)> = h.iter().collect();
@@ -632,7 +608,7 @@ mod tests {
 
     #[test]
     fn clear_resets_but_keeps_counting_correctly() {
-        for k in [1usize, 2, 4] {
+        for k in [1usize, 2, 4, 12] {
             let data: Vec<u8> = (0u8..200).map(|i| i.wrapping_mul(13)).collect();
             let mut h = GramHistogram::from_bytes(&data, k);
             h.clear();

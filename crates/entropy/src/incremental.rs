@@ -1,16 +1,16 @@
 //! Incremental (per-packet) construction of entropy vectors.
 //!
-//! The flow pipeline historically buffered the first `b` payload bytes
-//! of a flow and computed [`EntropyVector::compute`] once the buffer
-//! filled — O(`b`) heap per pending flow. This module replaces that
-//! with a streaming builder, and the builder itself runs in a **single
-//! pass**: one rolling packed window is advanced once per byte and
-//! feeds every requested width simultaneously, instead of re-scanning
-//! each chunk once per width.
+//! A pending flow does not buffer its first `b` payload bytes: each
+//! packet is folded into one [`GramHistogram`] per feature width as it
+//! arrives, so what a flow holds is its counter tables — a dense 2 KiB
+//! array for `k = 1` and, for every wider `k`, an open table reserved
+//! for the `b` bytes announced up front
+//! ([`with_byte_hint`](IncrementalVector::with_byte_hint)): ≈ 146 KiB
+//! for the four `φ′_SVM` widths at `b = 2048`, ≈ 4 KiB at `b = 32`.
 //!
-//! The single-pass window argument: the rolling key holds the last
-//! 16 bytes fed (`key = (key << 8) | b`; older bytes fall off the top
-//! of the `u128`). After byte number `t ≥ k` of the stream, the low
+//! One rolling packed window is shared by every width. It holds the
+//! last 16 bytes fed (`key = (key << 8) | b`; older bytes fall off the
+//! top of the `u128`). After byte number `t ≥ k` of the stream, the low
 //! `8k` bits of the key are exactly the window of bytes
 //! `t−k+1 ..= t` — the `t−k+1`-th `k`-gram of the concatenated input.
 //! Each width `k` therefore records one window per byte once at least
@@ -24,9 +24,9 @@
 //! is bit-for-bit equal to [`EntropyVector::compute`] on the
 //! concatenated chunks, because equal window enumerations give equal
 //! gram-count multisets, and
-//! [`sum_m_log_m`](GramHistogram::sum_m_log_m) sums counts in sorted
-//! order — collapsing any iteration-order or storage-tier difference
-//! before a single float is produced.
+//! [`sum_m_log_m`](GramHistogram::sum_m_log_m) adds its terms in
+//! ascending count order — collapsing any slot-order, capacity or
+//! storage-tier difference before a single float is produced.
 
 use crate::histogram::GramHistogram;
 use crate::vector::{
@@ -90,13 +90,11 @@ impl IncrementalVector {
     /// Folds one chunk of payload into every per-width histogram.
     ///
     /// Each width consumes the chunk as one contiguous slab
-    /// ([`GramHistogram::extend_packed_carry`]): the storage tier is
-    /// resolved once per width per chunk and the dense `k = 1` / `k = 2`
-    /// tiers run fixed-width-lane inner loops, instead of the historical
-    /// per-byte loop that re-dispatched on every width for every byte.
-    /// The enumerated windows are identical (see the module docs'
-    /// rolling-window argument applied per width), so chunked ≡ one-shot
-    /// still holds bit-for-bit.
+    /// ([`GramHistogram::extend_packed_carry`]): the storage tier and
+    /// key width are resolved once per width per chunk, not per byte.
+    /// The enumerated windows are those of the module docs'
+    /// rolling-window argument applied per width, so chunked ≡ one-shot
+    /// holds bit-for-bit.
     pub fn update(&mut self, chunk: &[u8]) {
         if chunk.is_empty() {
             return;
@@ -109,8 +107,7 @@ impl IncrementalVector {
         // the chunk survive in the key (older ones shift off the top),
         // so folding just the tail is byte-for-byte what the per-byte
         // roll would leave behind.
-        // lint: allow(L008) — start = len.saturating_sub(16) <= len, so the range is always valid
-        let tail = &chunk[chunk.len().saturating_sub(16)..];
+        let tail = chunk.get(chunk.len().saturating_sub(16)..).unwrap_or(chunk);
         let mut key = prev_key;
         for &b in tail {
             key = (key << 8) | u128::from(b);
@@ -158,8 +155,8 @@ impl IncrementalVector {
     }
 
     /// Writes the feature values of everything fed so far into `out`
-    /// (cleared first), using `counts_scratch` for the per-width count
-    /// sorting — so a warm caller allocates nothing. Values are
+    /// (cleared first), using `counts_scratch` for the few large counts
+    /// each width sorts — so a warm caller allocates nothing. Values are
     /// bit-identical to [`finish`](Self::finish).
     pub fn finish_entropies_into(&self, out: &mut Vec<f64>, counts_scratch: &mut Vec<u64>) {
         out.clear();

@@ -42,6 +42,10 @@
 /// Autocorrelation lags, in feature order.
 const LAGS: [usize; 3] = [1, 2, 4];
 
+/// The largest of [`LAGS`] (which ascend): once this many bytes are
+/// fed, every lag has a partner for every further byte.
+const MAX_LAG: u64 = LAGS[LAGS.len() - 1] as u64;
+
 /// Number of features the battery emits, in [`finish`] order:
 /// chi-square, bit-runs, autocorrelation at lags 1/2/4, longest run.
 ///
@@ -123,53 +127,112 @@ impl RandomnessBattery {
     }
 
     /// Folds one chunk of payload into the integer accumulators.
+    ///
+    /// The first bytes of a flow go through [`step`](Self::step), which
+    /// asks per byte whether each lag has a partner yet. Once
+    /// [`MAX_LAG`] bytes are in, every answer is yes for good, and the
+    /// rest of the chunk runs a loop without those questions: running
+    /// values in locals, and the sums that depend only on the byte
+    /// fed (`pairs`, `Σb`, `Σb²` — the same for every lag) taken once
+    /// per chunk.
     pub fn update(&mut self, chunk: &[u8]) {
-        for &b in chunk {
-            let bv = u64::from(b);
-            // lint: allow(L008) — b as usize < 256, the counts table length
-            self.counts[b as usize] += 1;
-
-            // Bit stream, MSB-first within each byte: runs grow by one
-            // per adjacent unequal bit pair, plus one to open the
-            // stream. `b ^ (b >> 1)` marks the 7 within-byte
-            // adjacencies; the byte boundary compares the previous
-            // byte's LSB with this byte's MSB.
-            self.bit_ones += u64::from(b.count_ones());
-            let within = u64::from(((b ^ (b >> 1)) & 0x7F).count_ones());
-            if self.total == 0 {
-                self.bit_runs = 1 + within;
-            } else {
-                self.bit_runs += within + u64::from((self.prev_bit ^ (b >> 7)) & 1);
-            }
-            self.prev_bit = b & 1;
-
-            // Autocorrelation: the partner for lag L is the byte fed L
-            // positions earlier, read from the rolling window *before*
-            // this byte is pushed in.
-            for (acc, &lag) in self.lags.iter_mut().zip(&LAGS) {
-                if self.total >= lag as u64 {
-                    let a = u64::from((self.window >> (8 * (lag - 1))) & 0xFF);
-                    acc.pairs += 1;
-                    acc.sum_a += a;
-                    acc.sum_b += bv;
-                    acc.sum_aa += a * a;
-                    acc.sum_bb += bv * bv;
-                    acc.sum_ab += a * bv;
-                }
-            }
-            self.window = (self.window << 8) | u32::from(b);
-
-            // Longest run of equal bytes. The window's low byte now
-            // holds this byte; compare against the byte before it.
-            if self.total > 0 && ((self.window >> 8) & 0xFF) as u8 == b {
-                self.cur_run += 1;
-            } else {
-                self.cur_run = 1;
-            }
-            self.max_run = self.max_run.max(self.cur_run);
-
-            self.total += 1;
+        let warm = MAX_LAG.saturating_sub(self.total) as usize;
+        let (head, body) = (chunk.get(..warm).unwrap_or(chunk), chunk.get(warm..).unwrap_or(&[]));
+        for &b in head {
+            self.step(b);
         }
+        let (mut window, mut prev_bit) = (self.window, self.prev_bit);
+        let (mut cur_run, mut max_run) = (self.cur_run, self.max_run);
+        let (mut bit_ones, mut bit_runs) = (0u64, 0u64);
+        let (mut sum_b, mut sum_bb) = (0u64, 0u64);
+        // Per lag: Σa, Σa², Σab over this chunk's pairs.
+        let mut partner_sums = [[0u64; 3]; LAGS.len()];
+        for &b in body {
+            let bv = u64::from(b);
+            if let Some(count) = self.counts.get_mut(usize::from(b)) {
+                *count += 1;
+            }
+            bit_ones += u64::from(b.count_ones());
+            bit_runs += u64::from(((b ^ (b >> 1)) & 0x7F).count_ones())
+                + u64::from((prev_bit ^ (b >> 7)) & 1);
+            prev_bit = b & 1;
+            sum_b += bv;
+            sum_bb += bv * bv;
+            for ([sum_a, sum_aa, sum_ab], &lag) in partner_sums.iter_mut().zip(&LAGS) {
+                let a = u64::from((window >> (8 * (lag - 1))) & 0xFF);
+                *sum_a += a;
+                *sum_aa += a * a;
+                *sum_ab += a * bv;
+            }
+            cur_run = if window as u8 == b { cur_run + 1 } else { 1 };
+            max_run = max_run.max(cur_run);
+            window = (window << 8) | u32::from(b);
+        }
+        let fed = body.len() as u64;
+        for (acc, [sum_a, sum_aa, sum_ab]) in self.lags.iter_mut().zip(partner_sums) {
+            acc.pairs += fed;
+            acc.sum_a += sum_a;
+            acc.sum_b += sum_b;
+            acc.sum_aa += sum_aa;
+            acc.sum_bb += sum_bb;
+            acc.sum_ab += sum_ab;
+        }
+        (self.window, self.prev_bit) = (window, prev_bit);
+        (self.cur_run, self.max_run) = (cur_run, max_run);
+        self.bit_ones += bit_ones;
+        self.bit_runs += bit_runs;
+        self.total += fed;
+    }
+
+    /// Folds one byte in, for any state — including the first
+    /// [`MAX_LAG`] bytes of a flow, when the stream has no previous
+    /// bit and some lags no partner yet.
+    fn step(&mut self, b: u8) {
+        let bv = u64::from(b);
+        if let Some(count) = self.counts.get_mut(usize::from(b)) {
+            *count += 1;
+        }
+
+        // Bit stream, MSB-first within each byte: runs grow by one
+        // per adjacent unequal bit pair, plus one to open the
+        // stream. `b ^ (b >> 1)` marks the 7 within-byte
+        // adjacencies; the byte boundary compares the previous
+        // byte's LSB with this byte's MSB.
+        self.bit_ones += u64::from(b.count_ones());
+        let within = u64::from(((b ^ (b >> 1)) & 0x7F).count_ones());
+        if self.total == 0 {
+            self.bit_runs = 1 + within;
+        } else {
+            self.bit_runs += within + u64::from((self.prev_bit ^ (b >> 7)) & 1);
+        }
+        self.prev_bit = b & 1;
+
+        // Autocorrelation: the partner for lag L is the byte fed L
+        // positions earlier, read from the rolling window *before*
+        // this byte is pushed in.
+        for (acc, &lag) in self.lags.iter_mut().zip(&LAGS) {
+            if self.total >= lag as u64 {
+                let a = u64::from((self.window >> (8 * (lag - 1))) & 0xFF);
+                acc.pairs += 1;
+                acc.sum_a += a;
+                acc.sum_b += bv;
+                acc.sum_aa += a * a;
+                acc.sum_bb += bv * bv;
+                acc.sum_ab += a * bv;
+            }
+        }
+
+        // Longest run of equal bytes: the window's low byte still
+        // holds the previous byte.
+        if self.total > 0 && self.window as u8 == b {
+            self.cur_run += 1;
+        } else {
+            self.cur_run = 1;
+        }
+        self.max_run = self.max_run.max(self.cur_run);
+        self.window = (self.window << 8) | u32::from(b);
+
+        self.total += 1;
     }
 
     /// Total bytes fed so far.
@@ -294,6 +357,22 @@ mod tests {
                 inc.update(chunk);
             }
             assert_eq!(inc.finish(), one_shot, "chunk_len={chunk_len}");
+        }
+    }
+
+    #[test]
+    fn steady_loop_leaves_the_state_the_general_step_would() {
+        // Field for field, not just the same features: `step` alone is
+        // the definition, `update` the peeled form of it.
+        let data = uniform_bytes(300, 11);
+        for chunk_len in [1usize, 2, 3, 4, 5, 7, 97, 300] {
+            let mut peeled = RandomnessBattery::new();
+            let mut stepped = RandomnessBattery::new();
+            for chunk in data.chunks(chunk_len) {
+                peeled.update(chunk);
+                chunk.iter().for_each(|&b| stepped.step(b));
+                assert_eq!(peeled, stepped, "chunk_len={chunk_len}");
+            }
         }
     }
 

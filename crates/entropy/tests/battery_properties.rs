@@ -46,6 +46,35 @@ proptest! {
         );
     }
 
+    /// `update` takes its first four bytes (the largest lag) through a
+    /// general step and the rest through a loop that assumes every lag
+    /// has its partner. Packets of 1–5 bytes, after a first packet of
+    /// 0–5, put the hand-over at every offset inside a packet, at packet
+    /// boundaries, and in packets too short to reach it.
+    #[test]
+    fn tiny_packets_cross_the_warm_up_hand_over_at_every_offset(
+        data in proptest::collection::vec(any::<u8>(), 0..64),
+        first in 0usize..=5,
+        cuts in proptest::collection::vec(1usize..=5, 1..12),
+    ) {
+        let (head, rest) = data.split_at(first.min(data.len()));
+        let mut battery = RandomnessBattery::new();
+        battery.update(head);
+        for chunk in packetize(rest, &cuts) {
+            battery.update(chunk);
+        }
+        prop_assert_eq!(battery.total_bytes(), data.len() as u64);
+        prop_assert_eq!(battery.finish(), battery_features(&data));
+
+        // One-shot runs each loop once; the byte-at-a-time feed enters
+        // and leaves the second one per byte.
+        let mut bytewise = RandomnessBattery::new();
+        for &byte in &data {
+            bytewise.update(&[byte]);
+        }
+        prop_assert_eq!(battery.finish(), bytewise.finish());
+    }
+
     /// Degenerate packetization: a stream of 1-byte packets.
     #[test]
     fn one_byte_packets_match_one_shot(data in proptest::collection::vec(any::<u8>(), 0..512)) {

@@ -24,6 +24,25 @@ fn packetize<'a>(data: &'a [u8], cuts: &[usize]) -> Vec<&'a [u8]> {
     chunks
 }
 
+/// Payloads for the counting tests, `len` bytes long, of three kinds:
+/// arbitrary bytes (nearly every gram of width ≥ 2 occurs once); bytes
+/// drawn from 2–4 symbols (counts of 64 and far above at small `k`, so
+/// `sum_m_log_m` sorts its spill); and a few long constant runs (one
+/// count in the hundreds next to a handful of ones).
+fn payloads(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u8>> {
+    let arbitrary = proptest::collection::vec(any::<u8>(), len.clone());
+    let few_symbols = (2u8..=4, proptest::collection::vec(any::<u8>(), len.clone())).prop_map(
+        |(symbols, bytes)| bytes.into_iter().map(|b| b'a' + b % symbols).collect::<Vec<u8>>(),
+    );
+    let runs = (len, proptest::collection::vec((any::<u8>(), 1usize..600), 1..6)).prop_map(
+        |(len, runs)| {
+            let bytes = runs.iter().flat_map(|&(byte, n)| std::iter::repeat_n(byte, n));
+            bytes.cycle().take(len).collect::<Vec<u8>>()
+        },
+    );
+    prop_oneof![arbitrary, few_symbols, runs]
+}
+
 /// Reference gram counter: a plain `std` HashMap over raw windows.
 /// Returns `(distinct, windows, sum_m_log_m)` with the sum taken in
 /// sorted count order, exactly as `GramHistogram::sum_m_log_m` defines
@@ -201,20 +220,24 @@ proptest! {
         prop_assert_eq!(session.finish().values(), &entropy_vector(&data, &[1, 2, 3])[..]);
     }
 
-    /// Every storage tier (dense `k=1`, dense `k=2`, open-addressing
-    /// `k≥3`) must agree exactly with a `std` HashMap reference on
-    /// `(distinct, windows, sum_m_log_m)` — and on every individual
-    /// gram count.
+    /// Every storage tier (dense `k=1`, open-addressing over `u64` keys
+    /// for `k≤8` and over `u128` keys above) must agree exactly with a
+    /// `std` HashMap reference on `(distinct, windows, sum_m_log_m)` —
+    /// and on every individual gram count — whether the counts are all
+    /// ones, all small, or large enough to take the sorted spill.
     #[test]
     fn histogram_tiers_match_hashmap_model(
-        data in proptest::collection::vec(any::<u8>(), 0..1024),
-        k in 1usize..=6,
+        data in payloads(0..1024),
+        k in 1usize..=16,
     ) {
         let hist = GramHistogram::from_bytes(&data, k);
         let (distinct, windows, sum) = hashmap_model(&data, k);
         prop_assert_eq!(hist.distinct(), distinct);
         prop_assert_eq!(hist.window_count(), windows);
         prop_assert_eq!(hist.sum_m_log_m(), sum, "sorted-order sums must be bit-identical");
+        // `==` cannot tell −0.0 from 0.0: the empty and the all-ones
+        // histograms sum to a zero whose sign must match too.
+        prop_assert_eq!(hist.sum_m_log_m().to_bits(), sum.to_bits());
         if data.len() >= k {
             for window in data.windows(k).take(32) {
                 let expected = data.windows(k).filter(|w| *w == window).count() as u64;
@@ -239,17 +262,25 @@ proptest! {
     }
 
     /// `clear()` + refeed must be indistinguishable from a fresh
-    /// histogram on every tier (the pool-recycling invariant).
+    /// histogram on every tier (the pool-recycling invariant) — also
+    /// when the junk was longer than the data, so its keys are still in
+    /// slots the data never reaches, and the recycled table is reserved
+    /// for less than it already holds.
     #[test]
     fn cleared_histogram_recounts_like_fresh(
-        junk in proptest::collection::vec(any::<u8>(), 0..512),
-        data in proptest::collection::vec(any::<u8>(), 0..512),
-        k in 1usize..=5,
+        junk in payloads(512..2048),
+        data in payloads(0..512),
+        k in 1usize..=16,
     ) {
         let mut recycled = GramHistogram::from_bytes(&junk, k);
         recycled.clear();
+        prop_assert_eq!(recycled.distinct(), 0);
+        prop_assert_eq!(recycled.counts().count(), 0);
+        recycled.reserve_bytes(data.len() / 2);
         recycled.extend_from_bytes(&data);
-        prop_assert_eq!(recycled, GramHistogram::from_bytes(&data, k));
+        let fresh = GramHistogram::from_bytes(&data, k);
+        prop_assert_eq!(recycled.sum_m_log_m().to_bits(), fresh.sum_m_log_m().to_bits());
+        prop_assert_eq!(recycled, fresh);
     }
 
     /// The single-pass multi-width update must equal independent
