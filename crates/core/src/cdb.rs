@@ -42,7 +42,7 @@ use iustitia_corpus::FileClass;
 use iustitia_netsim::FiveTuple;
 
 use crate::features::FlowFeatureState;
-use crate::sha1::{sha1, Digest};
+use crate::sha1::{sha1_13, Digest};
 
 /// A 160-bit flow identifier: SHA-1 of the canonical 5-tuple bytes.
 #[derive(
@@ -53,7 +53,14 @@ pub struct FlowId(pub Digest);
 impl FlowId {
     /// Hashes a 5-tuple into its flow ID.
     pub fn of_tuple(tuple: &FiveTuple) -> FlowId {
-        FlowId(sha1(&tuple.as_bytes()))
+        FlowId(sha1_13(&tuple.as_bytes()))
+    }
+
+    /// The leading 64 bits of the hash, big-endian: as uniform as the
+    /// whole, and one integer to place or order flows by.
+    pub fn lead(&self) -> u64 {
+        let [b0, b1, b2, b3, b4, b5, b6, b7, ..] = self.0;
+        u64::from_be_bytes([b0, b1, b2, b3, b4, b5, b6, b7])
     }
 }
 
@@ -76,10 +83,9 @@ impl fmt::Display for FlowId {
 ///
 /// Panics if `shards == 0`.
 pub fn shard_index(id: &FlowId, shards: usize) -> usize {
+    // lint: allow(L008) — a shard count is fixed at start-up (`Server::start` rejects 0), not per packet
     assert!(shards > 0, "need at least one shard");
-    let mut prefix = [0u8; 8];
-    prefix.copy_from_slice(&id.0[..8]);
-    (u64::from_be_bytes(prefix) % shards as u64) as usize
+    (id.lead() % shards as u64) as usize
 }
 
 /// One CDB record (194 bits in the paper's layout).

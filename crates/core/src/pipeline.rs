@@ -26,7 +26,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use iustitia_corpus::{scan_application_header, strip_application_header, FileClass, HeaderScan};
-use iustitia_netsim::Packet;
+use iustitia_netsim::{Packet, TcpFlags};
 
 use crate::cdb::{CdbConfig, ClassificationDatabase, FlowId, PendingFlow, Slot};
 use crate::features::{FeatureExtractor, FeatureMode};
@@ -178,6 +178,40 @@ impl<'a> BatchPacket<'a> {
     /// Pairs a packet with its computed flow ID.
     pub fn new(packet: &'a Packet) -> Self {
         BatchPacket { flow: FlowId::of_tuple(&packet.tuple), packet }
+    }
+}
+
+/// What the packet state machine reads of a packet: its flow ID, its
+/// capture time, its flags and its payload bytes. [`BatchPacket`] is
+/// the view over an owned [`Packet`]; the serve layer's shard workers
+/// implement it over payloads that stay in the byte slab the reactor
+/// wrote them to, so a served packet is never rebuilt as a `Packet`.
+pub trait PacketView {
+    /// The packet's flow ID ([`FlowId::of_tuple`] of its 5-tuple).
+    fn flow(&self) -> FlowId;
+    /// Capture time in seconds from trace start.
+    fn timestamp(&self) -> f64;
+    /// TCP flags (empty for UDP).
+    fn flags(&self) -> TcpFlags;
+    /// Application payload; empty for a pure control packet.
+    fn payload(&self) -> &[u8];
+}
+
+impl PacketView for BatchPacket<'_> {
+    fn flow(&self) -> FlowId {
+        self.flow
+    }
+
+    fn timestamp(&self) -> f64 {
+        self.packet.timestamp
+    }
+
+    fn flags(&self) -> TcpFlags {
+        self.packet.flags
+    }
+
+    fn payload(&self) -> &[u8] {
+        &self.packet.payload
     }
 }
 
@@ -516,14 +550,14 @@ impl Iustitia {
     /// batches. Every event that looks beyond the run's own slot (an
     /// idle sweep falling due, a close, a classification with its purge,
     /// a TTL expiry) ends the phase at exactly the packet that causes it.
-    pub fn process_batch(&mut self, batch: &[BatchPacket<'_>], verdicts: &mut Vec<Verdict>) {
+    pub fn process_batch<P: PacketView>(&mut self, batch: &[P], verdicts: &mut Vec<Verdict>) {
         verdicts.clear();
         // Caller-owned scratch: grows once to the largest batch seen,
         // then every push below stays within it.
         verdicts.reserve(batch.len());
         let mut rest = batch;
         while let Some(first) = rest.first() {
-            rest = self.process_run(first.flow, rest, verdicts);
+            rest = self.process_run(first.flow(), rest, verdicts);
         }
     }
 
@@ -535,22 +569,22 @@ impl Iustitia {
     /// control or close packet, otherwise together with every data
     /// packet after it that the same table slot can serve (see
     /// [`next_in_phase`]).
-    fn process_run<'a, 'p>(
+    fn process_run<'a, P: PacketView>(
         &mut self,
         flow: FlowId,
-        mut rest: &'a [BatchPacket<'p>],
+        mut rest: &'a [P],
         verdicts: &mut Vec<Verdict>,
-    ) -> &'a [BatchPacket<'p>] {
+    ) -> &'a [P] {
         let idle_timeout = self.config.idle_timeout;
         let b = self.config.buffer_size;
         let capacity = self.buffer_capacity();
         let policy = self.config.header_policy;
         let anytime = self.config.anytime;
         while let Some((first, tail)) = rest.split_first() {
-            if first.flow != flow {
+            if first.flow() != flow {
                 break;
             }
-            let now = first.packet.timestamp;
+            let now = first.timestamp();
             // Opportunistic idle sweep, at most once per idle_timeout:
             // the configured timeout is enforced even when nobody calls
             // `sweep_idle` explicitly, so stalled flows cannot pin their
@@ -562,8 +596,8 @@ impl Iustitia {
                 self.last_sweep = now;
             }
             let last_sweep = self.last_sweep;
-            if !first.packet.is_data() || first.packet.flags.closes_flow() {
-                self.process_control(flow, first.packet);
+            if first.payload().is_empty() || first.flags().closes_flow() {
+                self.process_control(flow, first.flags(), now);
                 verdicts.push(Verdict::Ignored);
                 rest = tail;
                 continue;
@@ -603,7 +637,7 @@ impl Iustitia {
                     let label = rec.label;
                     let ttl = self.config.cdb.reclassify_after;
                     while let Some((p, after)) = next {
-                        let t = p.packet.timestamp;
+                        let t = p.timestamp();
                         if rec.expired(ttl, t) {
                             // Drop the record once the slot borrow is
                             // over; this packet then starts the flow
@@ -624,7 +658,7 @@ impl Iustitia {
                 Slot::Pending(state) => {
                     let mut ending = None;
                     while let Some((p, after)) = next {
-                        let t = p.packet.timestamp;
+                        let t = p.timestamp();
                         state.packets += 1;
                         state.last_ts = t;
                         self.queues.buffered += 1;
@@ -635,7 +669,8 @@ impl Iustitia {
                         let before = if created { 0 } else { state.resident_bytes() };
                         created = false;
                         let room = capacity.saturating_sub(state.seen);
-                        let intake = p.packet.payload.get(..room).unwrap_or(&p.packet.payload);
+                        let payload = p.payload();
+                        let intake = payload.get(..room).unwrap_or(payload);
                         state.seen += intake.len();
                         if state.streaming {
                             Self::feed(state, intake, b);
@@ -706,9 +741,9 @@ impl Iustitia {
     /// or RST first ends its flow — a classified flow's record is
     /// removed; a pending flow is classified from what it has, and that
     /// record, made after the close, stays until purged.
-    fn process_control(&mut self, flow: FlowId, packet: &Packet) {
-        if packet.flags.closes_flow() && !self.cdb.remove_on_close(&flow) {
-            self.conclude(flow, packet.timestamp, None);
+    fn process_control(&mut self, flow: FlowId, flags: TcpFlags, now: f64) {
+        if flags.closes_flow() && !self.cdb.remove_on_close(&flow) {
+            self.conclude(flow, now, None);
         }
         self.queues.passed_through += 1;
     }
@@ -852,17 +887,17 @@ fn sweep_due(now: f64, last_sweep: f64, idle_timeout: f64) -> bool {
 /// The next packet of `rest`, if the phase that consumed its
 /// predecessor can take it too: same flow, payload-bearing, not a
 /// close, and not the packet that makes the idle sweep due.
-fn next_in_phase<'a, 'p>(
-    rest: &'a [BatchPacket<'p>],
+fn next_in_phase<'a, P: PacketView>(
+    rest: &'a [P],
     flow: &FlowId,
     last_sweep: f64,
     idle_timeout: f64,
-) -> Option<(&'a BatchPacket<'p>, &'a [BatchPacket<'p>])> {
+) -> Option<(&'a P, &'a [P])> {
     let (p, tail) = rest.split_first()?;
-    let same_phase = p.flow == *flow
-        && p.packet.is_data()
-        && !p.packet.flags.closes_flow()
-        && !sweep_due(p.packet.timestamp, last_sweep, idle_timeout);
+    let same_phase = p.flow() == *flow
+        && !p.payload().is_empty()
+        && !p.flags().closes_flow()
+        && !sweep_due(p.timestamp(), last_sweep, idle_timeout);
     same_phase.then_some((p, tail))
 }
 

@@ -6,9 +6,18 @@
 //! collision-resistant by modern standards, but flow identification
 //! only needs second-preimage scarcity over 13-byte inputs, so we
 //! reproduce the paper's choice faithfully.
+//!
+//! There is one compression function, `compress`, over a 16-word
+//! circular message schedule. [`sha1`] pads arbitrary input into blocks
+//! for it; [`sha1_13`] lays a 13-byte flow key, its padding and its bit
+//! length straight into the sixteen words of a single block — the flow
+//! hash runs once per packet, so it skips the byte staging.
 
 /// A 160-bit SHA-1 digest.
 pub type Digest = [u8; 20];
+
+/// The initial hash value (FIPS 180-1 §7).
+const H0: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
 
 /// Computes the SHA-1 digest of `data`.
 ///
@@ -27,67 +36,139 @@ pub type Digest = [u8; 20];
 /// # }
 /// ```
 pub fn sha1(data: &[u8]) -> Digest {
-    let mut h: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
+    let mut h = H0;
 
     // Full blocks straight from the input; the remainder and padding
     // (0x80, zeros, 64-bit big-endian bit length) go through a fixed
-    // stack buffer of at most two blocks. Flow-ID hashing runs on the
-    // per-packet path, so this function must not heap-allocate.
-    let mut blocks = data.chunks_exact(64);
-    for block in blocks.by_ref() {
-        compress(&mut h, block);
-    }
-    let rem = blocks.remainder();
+    // stack buffer of at most two blocks — no heap allocation.
+    let (blocks, rem) = data.as_chunks::<64>();
     let mut tail = [0u8; 128];
-    // lint: allow(L008) — rem.len() < 64 slices into the [u8; 128] buffer
-    tail[..rem.len()].copy_from_slice(rem);
-    // lint: allow(L008) — rem.len() < 64 indexes into the [u8; 128] buffer
-    tail[rem.len()] = 0x80;
-    let tail_len = if rem.len() < 56 { 64 } else { 128 };
-    let bit_len = (data.len() as u64).wrapping_mul(8);
-    // lint: allow(L008) — tail_len ∈ {64, 128} slices into the [u8; 128] buffer
-    tail[tail_len - 8..tail_len].copy_from_slice(&bit_len.to_be_bytes());
-    // lint: allow(L008) — tail_len ∈ {64, 128} slices into the [u8; 128] buffer
-    for block in tail[..tail_len].chunks_exact(64) {
-        compress(&mut h, block);
+    for (dst, &src) in tail.iter_mut().zip(rem.iter().chain(&[0x80])) {
+        *dst = src;
     }
+    let tail_blocks = if rem.len() < 56 { 1 } else { 2 };
+    let bit_len = (data.len() as u64).wrapping_mul(8);
+    // The length's bytes, last first, onto the end of the last block.
+    for (dst, src) in tail.iter_mut().take(tail_blocks * 64).rev().zip(bit_len.to_le_bytes()) {
+        *dst = src;
+    }
+    for block in blocks.iter().chain(tail.as_chunks::<64>().0.iter().take(tail_blocks)) {
+        compress(&mut h, block_words(block));
+    }
+    digest_of(&h)
+}
 
+/// The SHA-1 digest of a 13-byte input — the flow key of
+/// [`FlowId::of_tuple`](crate::cdb::FlowId::of_tuple). Equal to
+/// [`sha1`] on the same bytes: thirteen bytes, the `0x80` terminator
+/// and the bit length (104) fit one block, built here word by word.
+pub fn sha1_13(input: &[u8; 13]) -> Digest {
+    let [b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12] = *input;
+    let mut h = H0;
+    compress(
+        &mut h,
+        [
+            u32::from_be_bytes([b0, b1, b2, b3]),
+            u32::from_be_bytes([b4, b5, b6, b7]),
+            u32::from_be_bytes([b8, b9, b10, b11]),
+            u32::from_be_bytes([b12, 0x80, 0, 0]),
+            0,
+            0,
+            0,
+            0,
+            0,
+            0,
+            0,
+            0,
+            0,
+            0,
+            0,
+            13 * 8,
+        ],
+    );
+    digest_of(&h)
+}
+
+/// A 64-byte block as sixteen big-endian words.
+fn block_words(block: &[u8; 64]) -> [u32; 16] {
+    let mut w = [0u32; 16];
+    for (wi, quad) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+        *wi = u32::from_be_bytes(*quad);
+    }
+    w
+}
+
+/// The five state words as the big-endian digest.
+fn digest_of(h: &[u32; 5]) -> Digest {
     let mut out = [0u8; 20];
-    for (chunk, word) in out.chunks_exact_mut(4).zip(&h) {
-        // lint: allow(L008) — both sides are exactly 4 bytes
-        chunk.copy_from_slice(&word.to_be_bytes());
+    for (dst, src) in out.iter_mut().zip(h.iter().flat_map(|word| word.to_be_bytes())) {
+        *dst = src;
     }
     out
 }
 
-/// One SHA-1 compression round over a 64-byte block.
-fn compress(h: &mut [u32; 5], block: &[u8]) {
-    let mut w = [0u32; 80];
-    for (wi, word) in w.iter_mut().zip(block.chunks_exact(4)) {
-        // lint: allow(L008) — chunks_exact(4) yields exactly 4 bytes
-        *wi = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
-    }
-    for i in 16..80 {
-        // lint: allow(L008) — indices 16..80 into the [u32; 80] schedule
-        w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
-    }
-    let [mut a, mut b, mut c, mut d, mut e] = *h;
-    for (i, &wi) in w.iter().enumerate() {
-        let (f, k) = match i {
-            0..=19 => ((b & c) | ((!b) & d), 0x5A827999),
-            20..=39 => (b ^ c ^ d, 0x6ED9EBA1),
-            40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1BBCDC),
+/// Schedule word `t`, from the sixteen-word ring that holds the most
+/// recent ones (word `t` lives in slot `t mod 16`).
+#[inline(always)]
+fn word(w: &[u32; 16], t: usize) -> u32 {
+    w.get(t & 15).copied().unwrap_or_default()
+}
+
+/// Rounds `t0 .. t0 + 5`, each with the round function and constant
+/// of its twenty-round stage.
+///
+/// Only the last sixteen schedule words are ever read again, so they
+/// live in a ring: from round 16 on, word `t` overwrites word `t - 16`.
+/// Inlined at sixteen literal `t0`s, the five-round loop unrolls: the
+/// stage `match` folds away, every ring slot is a constant and the ring
+/// lives in registers.
+#[inline(always)]
+fn five_rounds(state: &mut [u32; 5], w: &mut [u32; 16], t0: usize) {
+    for t in t0..t0 + 5 {
+        if t >= 16 {
+            let mixed = word(w, t + 13) ^ word(w, t + 8) ^ word(w, t + 2) ^ word(w, t);
+            if let Some(slot) = w.get_mut(t & 15) {
+                *slot = mixed.rotate_left(1);
+            }
+        }
+        let [a, b, c, d, e] = *state;
+        let (f, k) = match t / 20 {
+            0 => ((b & c) | (!b & d), 0x5A827999),
+            1 => (b ^ c ^ d, 0x6ED9EBA1),
+            2 => ((b & c) | (b & d) | (c & d), 0x8F1BBCDC),
             _ => (b ^ c ^ d, 0xCA62C1D6),
         };
-        let temp =
-            a.rotate_left(5).wrapping_add(f).wrapping_add(e).wrapping_add(k).wrapping_add(wi);
-        e = d;
-        d = c;
-        c = b.rotate_left(30);
-        b = a;
-        a = temp;
+        let temp = a
+            .rotate_left(5)
+            .wrapping_add(f)
+            .wrapping_add(e)
+            .wrapping_add(k)
+            .wrapping_add(word(w, t));
+        *state = [temp, a, b.rotate_left(30), c, d];
     }
-    for (hi, v) in h.iter_mut().zip([a, b, c, d, e]) {
+}
+
+/// One SHA-1 compression over a block's sixteen words: eighty rounds,
+/// five at a time.
+fn compress(h: &mut [u32; 5], mut w: [u32; 16]) {
+    let mut state = *h;
+    five_rounds(&mut state, &mut w, 0);
+    five_rounds(&mut state, &mut w, 5);
+    five_rounds(&mut state, &mut w, 10);
+    five_rounds(&mut state, &mut w, 15);
+    five_rounds(&mut state, &mut w, 20);
+    five_rounds(&mut state, &mut w, 25);
+    five_rounds(&mut state, &mut w, 30);
+    five_rounds(&mut state, &mut w, 35);
+    five_rounds(&mut state, &mut w, 40);
+    five_rounds(&mut state, &mut w, 45);
+    five_rounds(&mut state, &mut w, 50);
+    five_rounds(&mut state, &mut w, 55);
+    five_rounds(&mut state, &mut w, 60);
+    five_rounds(&mut state, &mut w, 65);
+    five_rounds(&mut state, &mut w, 70);
+    five_rounds(&mut state, &mut w, 75);
+    for (hi, v) in h.iter_mut().zip(state) {
         *hi = hi.wrapping_add(v);
     }
 }
@@ -135,6 +216,18 @@ mod tests {
             assert_eq!(d1, d2);
             assert_ne!(d1, [0u8; 20]);
         }
+    }
+
+    #[test]
+    fn single_block_entry_equals_generic_sha1_on_random_flow_keys() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5A1);
+        for _ in 0..5_000 {
+            let key: [u8; 13] = std::array::from_fn(|_| rng.gen());
+            assert_eq!(sha1_13(&key), sha1(&key), "key {key:02x?}");
+        }
+        assert_eq!(sha1_13(&[0; 13]), sha1(&[0; 13]));
+        assert_eq!(sha1_13(&[0xFF; 13]), sha1(&[0xFF; 13]));
     }
 
     #[test]

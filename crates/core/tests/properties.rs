@@ -6,7 +6,7 @@ use iustitia::model::{
     AnytimeModel, AnytimeStageModel, ModelKind, NatureModel, ANYTIME_THRESHOLD_DISABLED,
 };
 use iustitia::pipeline::{
-    AnytimeConfig, BatchPacket, HeaderPolicy, Iustitia, PipelineConfig, Verdict,
+    AnytimeConfig, BatchPacket, HeaderPolicy, Iustitia, PacketView, PipelineConfig, Verdict,
 };
 use iustitia::sha1::sha1;
 use iustitia_corpus::FileClass;
@@ -188,6 +188,72 @@ fn run_batched(batched: &mut Iustitia, packets: &[Packet], cuts: &[usize]) -> Ve
     got
 }
 
+/// A packet whose payload lies in a byte slab shared with its
+/// neighbours — the shape the serve layer's shard workers hand the
+/// pipeline — instead of in a `Packet` of its own.
+struct SlabBacked<'a> {
+    flow: FlowId,
+    timestamp: f64,
+    flags: TcpFlags,
+    payload: &'a [u8],
+}
+
+impl PacketView for SlabBacked<'_> {
+    fn flow(&self) -> FlowId {
+        self.flow
+    }
+
+    fn timestamp(&self) -> f64 {
+        self.timestamp
+    }
+
+    fn flags(&self) -> TcpFlags {
+        self.flags
+    }
+
+    fn payload(&self) -> &[u8] {
+        self.payload
+    }
+}
+
+/// [`run_batched`] over the same cuts, with every batch's payloads
+/// copied back to back into one slab and presented through
+/// [`SlabBacked`] views.
+fn run_slab_backed(pipeline: &mut Iustitia, packets: &[Packet], cuts: &[usize]) -> Vec<Verdict> {
+    let mut got = Vec::new();
+    let mut verdicts = Vec::new();
+    let mut slab: Vec<u8> = Vec::new();
+    let mut rest = packets;
+    let mut i = 0;
+    while !rest.is_empty() {
+        let take = cuts.get(i % cuts.len().max(1)).copied().unwrap_or(rest.len());
+        let (chunk, remainder) = rest.split_at(take.clamp(1, rest.len()));
+        slab.clear();
+        let spans: Vec<std::ops::Range<usize>> = chunk
+            .iter()
+            .map(|p| {
+                slab.extend_from_slice(&p.payload);
+                slab.len() - p.payload.len()..slab.len()
+            })
+            .collect();
+        let items: Vec<SlabBacked<'_>> = chunk
+            .iter()
+            .zip(spans)
+            .map(|(p, span)| SlabBacked {
+                flow: FlowId::of_tuple(&p.tuple),
+                timestamp: p.timestamp,
+                flags: p.flags,
+                payload: &slab[span],
+            })
+            .collect();
+        pipeline.process_batch(&items, &mut verdicts);
+        got.extend(verdicts.iter().copied());
+        rest = remainder;
+        i += 1;
+    }
+    got
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -258,10 +324,20 @@ proptest! {
             ..PipelineConfig::headline(21)
         };
         let mut per_packet = Iustitia::new(any_model(), config.clone());
-        let mut batched = Iustitia::new(any_model(), config);
+        let mut batched = Iustitia::new(any_model(), config.clone());
+        let mut slab_backed = Iustitia::new(any_model(), config);
 
         let expected: Vec<Verdict> = packets.iter().map(|p| per_packet.process_packet(p)).collect();
         let got = run_batched(&mut batched, &packets, &cuts);
+
+        // The same machine over payloads borrowed from a byte slab.
+        let from_slab = run_slab_backed(&mut slab_backed, &packets, &cuts);
+        prop_assert_eq!(&from_slab, &expected, "slab-backed verdicts must be bit-identical");
+        prop_assert_eq!(slab_backed.queues(), per_packet.queues());
+        prop_assert_eq!(slab_backed.pending_flows(), per_packet.pending_flows());
+        prop_assert_eq!(slab_backed.resident_feature_bytes(), per_packet.resident_feature_bytes());
+        prop_assert_eq!(slab_backed.cdb().stats(), per_packet.cdb().stats());
+        prop_assert_eq!(slab_backed.state_pool_hits(), per_packet.state_pool_hits());
 
         prop_assert_eq!(got, expected, "verdict sequences must be bit-identical");
         prop_assert_eq!(batched.queues(), per_packet.queues());
@@ -271,7 +347,9 @@ proptest! {
         prop_assert_eq!(batched.cdb().stats(), per_packet.cdb().stats());
         prop_assert_eq!(batched.state_pool_hits(), per_packet.state_pool_hits());
         prop_assert_eq!(batched.state_pool_size(), per_packet.state_pool_size());
-        prop_assert_eq!(batched.take_log(), per_packet.take_log());
+        let log = per_packet.take_log();
+        prop_assert_eq!(batched.take_log(), log.clone());
+        prop_assert_eq!(slab_backed.take_log(), log);
     }
 
     /// Batching invariance with probes armed — live thresholds that

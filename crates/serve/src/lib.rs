@@ -6,9 +6,9 @@
 //! TCP at line rate. A [`Server`] partitions flow state across `N`
 //! shard workers (each owning a private pipeline + classification
 //! database), admits packets through bounded per-shard queues with a
-//! configurable [`AdmissionPolicy`], batches frame decoding on reader
-//! threads, and exports live counters and per-stage latency histograms
-//! through the `Stats` request.
+//! configurable [`AdmissionPolicy`], decodes and batches frames on one
+//! epoll reactor thread, and exports live counters and per-stage
+//! latency histograms through the `Stats` request.
 //!
 //! The matching [`Client`] speaks the length-prefixed binary protocol
 //! of [`proto`]: streamed [`SubmitPacket`](proto::Request::SubmitPacket)
@@ -64,11 +64,13 @@ pub mod server;
 pub mod sys;
 
 pub use client::{Client, ClientError, ClientEvent};
-pub use conn::{FrameAssembler, WriteBuffer};
+pub use conn::{FrameAssembler, FrameWalk, WriteBuffer};
 pub use metrics::{
     HistogramSnapshot, LatencyHistogram, ServeMetrics, ShardGauges, ShardStats, Stage,
     StatsSnapshot,
 };
-pub use proto::{FlowVerdict, ProtoError, Request, Response};
-pub use queue::{AdmissionPolicy, BoundedQueue, PushOutcome};
+pub use proto::{FlowVerdict, PacketRef, ProtoError, Request, RequestRef, Response};
+pub use queue::{
+    AdmissionPolicy, BoundedQueue, Drained, PacketRecord, PacketSlab, PushOutcome, SlabPacket,
+};
 pub use server::{Server, ServerConfig};

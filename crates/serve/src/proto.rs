@@ -108,6 +108,13 @@ fn malformed(msg: impl Into<String>) -> ProtoError {
     ProtoError::Malformed(msg.into())
 }
 
+/// A [`ProtoError::Malformed`] with a formatted message, for the
+/// request parser's rejections.
+fn rejected(msg: std::fmt::Arguments<'_>) -> ProtoError {
+    // lint: allow(L009) — the frame is rejected: its connection gets an `Error` reply and closes
+    ProtoError::Malformed(msg.to_string())
+}
+
 /// A client-to-server message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -119,6 +126,35 @@ pub enum Request {
     /// Ask for a metrics snapshot.
     Stats,
     /// Barrier: classify all in-flight flows and report.
+    Drain,
+}
+
+/// A [`Request::SubmitPacket`] body, with the payload still where the
+/// frame put it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PacketRef<'a> {
+    /// Capture time in seconds from trace start.
+    pub timestamp: f64,
+    /// Flow 5-tuple.
+    pub tuple: FiveTuple,
+    /// TCP flags (empty for UDP).
+    pub flags: TcpFlags,
+    /// Application payload, borrowed from the frame body.
+    pub payload: &'a [u8],
+}
+
+/// A [`Request`] whose byte fields borrow from the frame body it was
+/// parsed from — what the reactor handles, so that a payload is copied
+/// once, from the read buffer to its shard's slab.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RequestRef<'a> {
+    /// See [`Request::SubmitPacket`].
+    SubmitPacket(PacketRef<'a>),
+    /// See [`Request::ClassifyBuffer`].
+    ClassifyBuffer(&'a [u8]),
+    /// See [`Request::Stats`].
+    Stats,
+    /// See [`Request::Drain`].
     Drain,
 }
 
@@ -266,21 +302,20 @@ impl<'a> FieldReader<'a> {
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
         let end = self.pos.checked_add(n).filter(|&e| e <= self.body.len());
-        let end = end.ok_or_else(|| malformed("truncated frame body"))?;
-        let slice = &self.body[self.pos..end];
-        self.pos = end;
+        let slice = end.and_then(|end| self.body.get(self.pos..end));
+        let slice = slice.ok_or_else(|| malformed("truncated frame body"))?;
+        self.pos = self.pos.saturating_add(n);
         Ok(slice)
     }
 
     /// A fixed-size array; infallible once `take` has sized the slice.
     fn array<const N: usize>(&mut self) -> Result<[u8; N], ProtoError> {
-        let mut out = [0u8; N];
-        out.copy_from_slice(self.take(N)?);
-        Ok(out)
+        <[u8; N]>::try_from(self.take(N)?).map_err(|_| malformed("truncated frame body"))
     }
 
     pub(crate) fn u8(&mut self) -> Result<u8, ProtoError> {
-        Ok(self.take(1)?[0])
+        let [byte] = self.array()?;
+        Ok(byte)
     }
 
     pub(crate) fn u32(&mut self) -> Result<u32, ProtoError> {
@@ -301,15 +336,15 @@ impl<'a> FieldReader<'a> {
     }
 
     pub(crate) fn tuple(&mut self) -> Result<FiveTuple, ProtoError> {
-        let b = self.take(13)?;
-        let src_ip = Ipv4Addr::new(b[0], b[1], b[2], b[3]);
-        let dst_ip = Ipv4Addr::new(b[4], b[5], b[6], b[7]);
-        let src_port = u16::from_be_bytes([b[8], b[9]]);
-        let dst_port = u16::from_be_bytes([b[10], b[11]]);
-        match b[12] {
+        let [s0, s1, s2, s3, d0, d1, d2, d3, sp0, sp1, dp0, dp1, protocol] = self.array()?;
+        let src_ip = Ipv4Addr::from([s0, s1, s2, s3]);
+        let dst_ip = Ipv4Addr::from([d0, d1, d2, d3]);
+        let src_port = u16::from_be_bytes([sp0, sp1]);
+        let dst_port = u16::from_be_bytes([dp0, dp1]);
+        match protocol {
             6 => Ok(FiveTuple::tcp(src_ip, src_port, dst_ip, dst_port)),
             17 => Ok(FiveTuple::udp(src_ip, src_port, dst_ip, dst_port)),
-            other => Err(malformed(format!("unknown protocol number {other}"))),
+            other => Err(rejected(format_args!("unknown protocol number {other}"))),
         }
     }
 
@@ -325,7 +360,8 @@ impl<'a> FieldReader<'a> {
         if self.pos == self.body.len() {
             Ok(())
         } else {
-            Err(malformed(format!("{} trailing bytes in frame body", self.body.len() - self.pos)))
+            let trailing = self.body.len().saturating_sub(self.pos);
+            Err(rejected(format_args!("{trailing} trailing bytes in frame body")))
         }
     }
 }
@@ -364,28 +400,53 @@ impl Request {
         }
     }
 
-    /// Parses a frame previously produced by [`Request::encode`].
+    /// Parses a frame previously produced by [`Request::encode`]:
+    /// [`RequestRef::decode`], then a copy of the byte fields.
     ///
     /// # Errors
     ///
     /// Returns [`ProtoError::Malformed`] on unknown types or bad bodies.
     pub fn decode(type_byte: u8, body: &[u8]) -> Result<Request, ProtoError> {
+        RequestRef::decode(type_byte, body).map(|request| request.to_owned())
+    }
+}
+
+impl<'a> RequestRef<'a> {
+    /// Parses a request frame in place — the one request parser.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProtoError::Malformed`] on unknown types or bad bodies.
+    pub fn decode(type_byte: u8, body: &'a [u8]) -> Result<RequestRef<'a>, ProtoError> {
         let mut r = FieldReader::new(body);
         let req = match type_byte {
             REQ_SUBMIT_PACKET => {
                 let timestamp = r.f64()?;
                 let tuple = r.tuple()?;
                 let flags = TcpFlags::from_bits_truncate(r.u8()?);
-                let payload = r.bytes()?.to_vec();
-                Request::SubmitPacket(Packet { timestamp, tuple, flags, payload })
+                let payload = r.bytes()?;
+                RequestRef::SubmitPacket(PacketRef { timestamp, tuple, flags, payload })
             }
-            REQ_CLASSIFY_BUFFER => Request::ClassifyBuffer(r.bytes()?.to_vec()),
-            REQ_STATS => Request::Stats,
-            REQ_DRAIN => Request::Drain,
-            other => return Err(malformed(format!("unknown request type {other:#04x}"))),
+            REQ_CLASSIFY_BUFFER => RequestRef::ClassifyBuffer(r.bytes()?),
+            REQ_STATS => RequestRef::Stats,
+            REQ_DRAIN => RequestRef::Drain,
+            other => return Err(rejected(format_args!("unknown request type {other:#04x}"))),
         };
         r.finish()?;
         Ok(req)
+    }
+
+    /// The request with its byte fields copied out of the frame.
+    #[must_use]
+    pub fn to_owned(&self) -> Request {
+        match *self {
+            RequestRef::SubmitPacket(PacketRef { timestamp, tuple, flags, payload }) => {
+                Request::SubmitPacket(Packet { timestamp, tuple, flags, payload: payload.to_vec() })
+            }
+            RequestRef::ClassifyBuffer(data) => Request::ClassifyBuffer(data.to_vec()),
+            RequestRef::Stats => Request::Stats,
+            RequestRef::Drain => Request::Drain,
+        }
     }
 }
 

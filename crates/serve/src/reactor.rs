@@ -9,12 +9,27 @@
 //! pooled per-flow feature state, and standing up a thousand sockets
 //! costs seconds of thread spawning (see `results/BENCH_epoll.json`'s
 //! thread-per-connection baseline). The reactor replaces all of those
-//! threads with one: sockets are nonblocking, reads land in
-//! per-connection [`FrameAssembler`]s, writes buffer in
+//! threads with one: sockets are nonblocking, writes buffer in
 //! [`WriteBuffer`]s with `EPOLLOUT` re-armed only while bytes are
-//! pending, and the shard fan-in is byte-for-byte the old one — the
-//! same [`Job`]s, the same bounded-queue admission, the same drain
-//! barriers.
+//! pending, and barriers complete by message instead of by parking.
+//!
+//! # The packet path
+//!
+//! Every read lands in one 64 KiB scratch buffer shared by all
+//! connections. The connection's [`FrameAssembler`] walks the frames in
+//! it where they lie ([`RequestRef`] borrows a `SubmitPacket`'s payload
+//! from the scratch), and only an incomplete frame at the end of the
+//! read is banked on the connection — one whose frames arrive whole
+//! never owns a buffer. A packet is hashed, then *staged*: a fixed-size record plus
+//! its payload bytes appended to its shard's [`PacketSlab`] — the one
+//! copy the payload gets. Every [`ServerConfig::batch_limit`] frames,
+//! and before anything that must stay ordered after them, the staged
+//! slabs are dispatched: one [`push_packets`](crate::queue::BoundedQueue::push_packets)
+//! per shard that has any, which applies admission per packet and
+//! leaves the refused ones behind for their `Busy` replies. The staging
+//! slabs keep their capacity, so the path allocates nothing per packet.
+//!
+//! [`ServerConfig::batch_limit`]: crate::server::ServerConfig::batch_limit
 //!
 //! # Event sources
 //!
@@ -50,7 +65,7 @@
 //! joining the writer thread after the reader saw EOF.
 
 use std::collections::{HashMap, VecDeque};
-use std::io;
+use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -61,9 +76,10 @@ use iustitia::cdb::shard_index;
 use iustitia::cdb::FlowId;
 use iustitia::features::FeatureExtractor;
 
-use crate::conn::{FrameAssembler, WriteBuffer};
+use crate::conn::{split_frame, truncation, FrameAssembler, FrontFrame, WriteBuffer};
 use crate::metrics::{ServeMetrics, Stage};
-use crate::proto::{ProtoError, Request, Response, MAX_FRAME};
+use crate::proto::{PacketRef, ProtoError, RequestRef, Response, MAX_FRAME};
+use crate::queue::{PacketRecord, PacketSlab};
 use crate::server::{Job, Shared};
 use crate::sys::{Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
@@ -143,9 +159,16 @@ impl Outbox {
         self.wake.drain();
     }
 
+    /// Queues `response` for delivery to `conn_id` and wakes the
+    /// reactor.
+    pub(crate) fn reply(&self, conn_id: u64, response: Response) {
+        self.push(OutMsg::Reply { conn_id, response });
+    }
+
     fn push(&self, msg: OutMsg) {
         let mut pending = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
         let was_empty = pending.is_empty();
+        // lint: allow(L009) — per reply, not per packet; the deque keeps its capacity across drains
         pending.push_back(msg);
         drop(pending);
         // One eventfd write per empty→non-empty transition, not per
@@ -168,26 +191,6 @@ impl Outbox {
 impl std::fmt::Debug for Outbox {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Outbox").finish_non_exhaustive()
-    }
-}
-
-/// Where a shard worker sends a connection's responses: a handle on
-/// the reactor's outbox, replacing the old per-connection
-/// `mpsc::Sender<Response>` + writer thread.
-#[derive(Clone, Debug)]
-pub(crate) struct ReplySink {
-    conn_id: u64,
-    outbox: Arc<Outbox>,
-}
-
-impl ReplySink {
-    pub(crate) fn new(conn_id: u64, outbox: Arc<Outbox>) -> ReplySink {
-        ReplySink { conn_id, outbox }
-    }
-
-    /// Queues `response` for delivery and wakes the reactor.
-    pub(crate) fn send(&self, response: Response) {
-        self.outbox.push(OutMsg::Reply { conn_id: self.conn_id, response });
     }
 }
 
@@ -261,6 +264,8 @@ struct Conn {
     disconnect_sent: bool,
     /// All shards acked the disconnect: close once `out` drains.
     close_when_flushed: bool,
+    /// Queued in the reactor's `dirty` list for this iteration's flush.
+    dirty: bool,
     accepted_at: Instant,
 }
 
@@ -299,7 +304,8 @@ pub(crate) struct Reactor {
     /// Serves one-shot `ClassifyBuffer` requests on the reactor thread
     /// (stateless per call; shared across connections).
     extractor: FeatureExtractor,
-    per_shard: Vec<Vec<Job>>,
+    /// Packets decoded since the last dispatch, one slab per shard.
+    staged: Vec<PacketSlab>,
     pending_frames: usize,
     dirty: Vec<usize>,
     out_scratch: Vec<OutMsg>,
@@ -345,7 +351,7 @@ impl Reactor {
             udp_out: VecDeque::new(),
             udp_interest: EPOLLIN,
             extractor,
-            per_shard: (0..shards).map(|_| Vec::new()).collect(),
+            staged: (0..shards).map(|_| PacketSlab::default()).collect(),
             pending_frames: 0,
             dirty: Vec::new(),
             out_scratch: Vec::new(),
@@ -516,6 +522,7 @@ impl Reactor {
             read_closed: false,
             disconnect_sent: false,
             close_when_flushed: false,
+            dirty: false,
             accepted_at: Instant::now(),
         });
         self.by_id.insert(conn_id, idx);
@@ -543,77 +550,77 @@ impl Reactor {
         self.update_interest(idx);
     }
 
-    /// Reads whatever the socket has (up to [`READ_BUDGET`]), then
-    /// decodes and handles every complete frame banked so far.
+    /// Reads whatever the socket has (up to [`READ_BUDGET`]) through the
+    /// shared scratch buffer, handling every complete frame of each
+    /// read where it lies.
     fn read_conn(&mut self, idx: usize) {
-        let mut saw_eof = false;
-        let mut read_total = 0usize;
-        loop {
-            let Some(conn) = self.conns[idx].as_mut() else { return };
-            if conn.read_closed {
-                return;
-            }
-            let before = conn.asm.buffered_bytes() as u64;
-            match conn.asm.fill_from(&mut conn.stream, &mut self.scratch) {
-                Ok(0) => {
-                    saw_eof = true;
-                    break;
-                }
-                Ok(n) => {
-                    self.reassembly_bytes = self
-                        .reassembly_bytes
-                        .wrapping_add(conn.asm.buffered_bytes() as u64 - before);
-                    read_total += n;
-                    if read_total >= READ_BUDGET {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.close_conn(idx);
-                    return;
-                }
-            }
+        let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else { return };
+        if conn.read_closed {
+            return;
         }
-        self.process_frames(idx);
+        // The walk borrows the assembler and the scratch while frames
+        // are handled with all of `self`; both come back below.
+        let mut asm = std::mem::take(&mut conn.asm);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let banked_before = asm.buffered_bytes() as u64;
+        let saw_eof = self.read_frames(idx, &mut asm, &mut scratch);
+        self.scratch = scratch;
+        self.reassembly_bytes = self.reassembly_bytes.wrapping_sub(banked_before);
+        if let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) {
+            self.reassembly_bytes = self.reassembly_bytes.wrapping_add(asm.buffered_bytes() as u64);
+            conn.asm = asm;
+        }
         if saw_eof {
             self.read_eof(idx);
         }
     }
 
-    /// Decodes and handles every complete frame in the connection's
-    /// reassembly buffer, dispatching to the shards each time
-    /// `batch_limit` frames accumulate.
-    fn process_frames(&mut self, idx: usize) {
-        let batch_limit = self.shared.config.batch_limit;
-        loop {
-            let frame = {
-                let Some(conn) = self.conns[idx].as_mut() else { return };
-                if conn.read_closed {
-                    return;
+    /// The read loop of [`read_conn`](Self::read_conn): returns whether
+    /// the peer's EOF was seen.
+    fn read_frames(&mut self, idx: usize, asm: &mut FrameAssembler, scratch: &mut [u8]) -> bool {
+        let mut read_total = 0usize;
+        while read_total < READ_BUDGET {
+            let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else { break };
+            if conn.read_closed {
+                break;
+            }
+            match conn.stream.read(scratch) {
+                Ok(0) => return true,
+                Ok(n) => {
+                    read_total += n;
+                    self.process_frames(idx, asm, scratch.get(..n).unwrap_or(&[]));
                 }
-                let before = conn.asm.buffered_bytes() as u64;
-                let next = conn.asm.next_frame();
-                let after = conn.asm.buffered_bytes() as u64;
-                self.reassembly_bytes = self.reassembly_bytes.wrapping_sub(before - after);
-                next
-            };
-            match frame {
-                Ok(Some((type_byte, body))) => match Request::decode(type_byte, &body) {
-                    Ok(request) => {
-                        self.handle_request(&Origin::Tcp(idx), request);
-                        self.pending_frames += 1;
-                        if self.pending_frames >= batch_limit {
-                            self.dispatch_pending();
-                        }
-                    }
-                    Err(e) => {
-                        self.protocol_error(idx, &e);
-                        return;
-                    }
-                },
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => {
+                    self.close_conn(idx);
+                    break;
+                }
+            }
+        }
+        false
+    }
+
+    /// Decodes and handles every complete frame of one read, dispatching
+    /// to the shards each time `batch_limit` frames accumulate; the
+    /// incomplete frame at its end, if any, stays banked in `asm`.
+    fn process_frames(&mut self, idx: usize, asm: &mut FrameAssembler, read: &[u8]) {
+        let batch_limit = self.shared.config.batch_limit;
+        let mut walk = asm.walk(read);
+        loop {
+            let request = match walk.next_frame() {
+                Ok(Some((type_byte, body))) => RequestRef::decode(type_byte, body),
                 Ok(None) => return,
+                Err(e) => Err(e),
+            };
+            match request {
+                Ok(request) => {
+                    self.handle_request(&Origin::Tcp(idx), request);
+                    self.pending_frames += 1;
+                    if self.pending_frames >= batch_limit {
+                        self.dispatch_pending();
+                    }
+                }
                 Err(e) => {
                     self.protocol_error(idx, &e);
                     return;
@@ -700,30 +707,35 @@ impl Reactor {
         }
     }
 
-    fn handle_request(&mut self, origin: &Origin, request: Request) {
+    /// Hashes a packet's flow and stages it for its shard: the record,
+    /// and the one copy its payload gets.
+    fn stage_packet(&mut self, conn_id: u64, packet: &PacketRef<'_>) {
+        let t0 = Instant::now();
+        let flow = FlowId::of_tuple(&packet.tuple);
+        ServeMetrics::record(&self.shared.metrics, Stage::Hash, t0.elapsed().as_nanos() as u64);
+        let shard = shard_index(&flow, self.shared.config.shards);
+        if let Some(staged) = self.staged.get_mut(shard) {
+            let record =
+                PacketRecord::new(packet.timestamp, packet.tuple, packet.flags, flow, conn_id);
+            staged.push(record, packet.payload);
+        }
+    }
+
+    fn handle_request(&mut self, origin: &Origin, request: RequestRef<'_>) {
         let Some(conn_id) = self.origin_conn_id(origin) else { return };
         match request {
-            Request::SubmitPacket(packet) => {
-                let t0 = Instant::now();
-                let flow = FlowId::of_tuple(&packet.tuple);
-                self.shared.metrics.record(Stage::Hash, t0.elapsed().as_nanos() as u64);
-                let shard = shard_index(&flow, self.shared.config.shards);
-                let reply = ReplySink::new(conn_id, Arc::clone(&self.outbox));
-                if let Some(jobs) = self.per_shard.get_mut(shard) {
-                    jobs.push(Job::Packet { packet, flow, conn_id, reply });
-                }
-            }
-            Request::ClassifyBuffer(data) => {
+            RequestRef::SubmitPacket(packet) => self.stage_packet(conn_id, &packet),
+            RequestRef::ClassifyBuffer(data) => {
                 let t0 = Instant::now();
                 let buffer_size = self.shared.config.pipeline.buffer_size;
-                let prefix = &data[..data.len().min(buffer_size)];
+                let prefix = data.get(..buffer_size).unwrap_or(data);
                 let features = self.extractor.extract(prefix);
                 let label = self.shared.model.predict(&features);
                 self.shared.metrics.record(Stage::Classify, t0.elapsed().as_nanos() as u64);
                 ServeMetrics::add(&self.shared.metrics.classify_requests, 1);
                 self.reply_direct(origin, &Response::ClassifyResult(label));
             }
-            Request::Stats => {
+            RequestRef::Stats => {
                 // Account for earlier submits in this batch first (and
                 // write out any Busy rejections they produced), so a
                 // client's own submit→stats ordering is reflected.
@@ -732,7 +744,7 @@ impl Reactor {
                 let snapshot = self.shared.snapshot();
                 self.reply_direct(origin, &Response::Stats(Box::new(snapshot)));
             }
-            Request::Drain => {
+            RequestRef::Drain => {
                 // Barrier: everything submitted before the drain must
                 // reach the shards before the drain jobs do.
                 self.dispatch_pending();
@@ -747,29 +759,26 @@ impl Reactor {
         }
     }
 
-    /// Pushes each shard's pending jobs under one lock acquisition and
-    /// applies the admission outcome: `Busy` replies for rejected
-    /// packets, drop counters for evictions. This is the reactor's
-    /// event-dispatch entry point into the shard fan-in.
+    /// Moves each shard's staged packets into its queue under one lock
+    /// acquisition and applies the admission outcome: `Busy` replies
+    /// for refused packets, drop counters for evictions. This is the
+    /// reactor's event-dispatch entry point into the shard fan-in.
     pub(crate) fn dispatch_pending(&mut self) {
         self.pending_frames = 0;
-        for (shard, jobs) in self.per_shard.iter_mut().enumerate() {
-            if jobs.is_empty() {
+        for (staged, queue) in self.staged.iter_mut().zip(&self.shared.queues) {
+            if staged.is_empty() {
                 continue;
             }
-            let submitted = jobs.len() as u64;
-            let Some(queue) = self.shared.queues.get(shard) else { continue };
-            let pending = std::mem::take(jobs);
-            let outcome = queue.push_batch(pending);
-            let rejected = outcome.rejected.len() as u64;
+            let submitted = staged.len() as u64;
+            let dropped = queue.push_packets(staged) as u64;
+            let rejected = staged.len() as u64;
             ServeMetrics::add(&self.shared.metrics.packets, submitted.saturating_sub(rejected));
             ServeMetrics::add(&self.shared.metrics.busy_rejects, rejected);
-            ServeMetrics::add(&self.shared.metrics.dropped_oldest, outcome.dropped.len() as u64);
-            for job in outcome.rejected {
-                if let Job::Packet { packet, reply, .. } = job {
-                    reply.send(Response::Busy(packet.tuple));
-                }
+            ServeMetrics::add(&self.shared.metrics.dropped_oldest, dropped);
+            for refused in staged.records() {
+                self.outbox.reply(refused.conn_id, Response::Busy(refused.tuple));
             }
+            staged.clear();
         }
     }
 
@@ -788,7 +797,8 @@ impl Reactor {
         if conn.out.push_frame(type_byte, &body).is_err() {
             return;
         }
-        if !self.dirty.contains(&idx) {
+        if !conn.dirty {
+            conn.dirty = true;
             self.dirty.push(idx);
         }
     }
@@ -798,9 +808,8 @@ impl Reactor {
     fn flush_dirty(&mut self) {
         let mut dirty = std::mem::take(&mut self.dirty);
         for idx in dirty.drain(..) {
-            if self.conns.get(idx).is_none_or(|slot| slot.is_none()) {
-                continue;
-            }
+            let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else { continue };
+            conn.dirty = false;
             self.flush_conn(idx);
             self.update_interest(idx);
         }
@@ -944,27 +953,33 @@ impl Reactor {
     }
 
     /// One datagram = exactly one frame (same length-prefixed format
-    /// as the stream transport, validated by the same assembler).
+    /// as the stream transport, validated by the same assembler),
+    /// parsed where `recv_from` put it.
     fn udp_datagram(&mut self, addr: SocketAddr, len: usize) {
-        let data = self.scratch.get(..len).unwrap_or(&[]).to_vec();
-        let mut asm = FrameAssembler::new();
-        asm.extend(&data);
-        let frame = match asm.next_frame() {
-            Ok(Some(frame)) if asm.at_frame_boundary() => frame,
-            Ok(Some(_)) | Ok(None) => {
-                let why = asm.eof_error().map_or_else(
+        let scratch = std::mem::take(&mut self.scratch);
+        self.udp_frame(addr, scratch.get(..len).unwrap_or(&[]));
+        self.scratch = scratch;
+    }
+
+    fn udp_frame(&mut self, addr: SocketAddr, datagram: &[u8]) {
+        let request = match split_frame(datagram) {
+            Ok(Some(FrontFrame { type_byte, body, rest: [] })) => {
+                RequestRef::decode(type_byte, body)
+            }
+            // A short frame, or bytes after the one frame: whatever is
+            // left over reads as a truncated frame.
+            Ok(partial) => {
+                let left_over = partial.map_or(datagram, |frame| frame.rest);
+                let why = truncation(left_over).map_or_else(
                     || "datagram must contain exactly one frame".to_string(),
                     |e| e.to_string(),
                 );
                 self.udp_send(addr, &Response::Error(why));
                 return;
             }
-            Err(e) => {
-                self.udp_send(addr, &Response::Error(e.to_string()));
-                return;
-            }
+            Err(e) => Err(e),
         };
-        let request = match Request::decode(frame.0, &frame.1) {
+        let request = match request {
             Ok(request) => request,
             Err(e) => {
                 self.udp_send(addr, &Response::Error(e.to_string()));

@@ -12,22 +12,31 @@
 //! ```
 //!
 //! A single [`Reactor`] thread owns every socket: it accepts
-//! connections, reassembles frames from nonblocking reads, computes
-//! flow IDs, and batches packets per shard. Flow-affine work is routed
-//! by [`shard_index`](iustitia::cdb::shard_index) to one of `N` *shard
-//! workers*, each owning an independent [`Iustitia`] pipeline with its
-//! flow table, so no classification state is ever shared and the packet
-//! path takes no locks beyond its own shard queue. A worker has one
-//! dispatcher, `process_segment`: it sorts what it drained by flow,
-//! runs each flow's stretch through [`Iustitia::process_batch`] with
-//! the reactor's flow ID, and settles verdict routes in one walk.
-//! Workers push responses into the reactor's outbox and wake its
-//! eventfd; the reactor serializes them onto the owning socket.
+//! connections, decodes frames out of nonblocking reads where the read
+//! put them, computes flow IDs, and stages packets per shard. Flow-affine
+//! work is routed by [`shard_index`](iustitia::cdb::shard_index) to one
+//! of `N` *shard workers*, each owning an independent [`Iustitia`]
+//! pipeline with its flow table, so no classification state is ever
+//! shared and the packet path takes no locks beyond its own shard
+//! queue.
+//!
+//! A packet crosses from the socket to its pipeline with **one copy of
+//! its payload and no allocation**: the reactor appends the payload to
+//! the shard's staging [`PacketSlab`] beside a fixed-size record
+//! (timestamp, tuple, flags, flow ID, connection), a dispatch moves the
+//! staged packets into the shard's queue under one lock acquisition,
+//! and the worker takes everything queued by swapping its emptied
+//! buffers in. A worker has one dispatcher, `process_segment`: it sorts
+//! an index of what it drained by flow, runs each flow's stretch
+//! through [`Iustitia::process_batch`] on the payloads where they lie,
+//! and settles verdict routes in one walk. Workers push responses into
+//! the reactor's outbox and wake its eventfd; the reactor serializes
+//! them onto the owning socket.
 //!
 //! Backpressure is per shard: bounded ingress queues with a
-//! configurable [`AdmissionPolicy`]. The reactor batches every frame
-//! already buffered on a socket (up to [`ServerConfig::batch_limit`])
-//! and pushes each shard's share under a single lock acquisition.
+//! configurable [`AdmissionPolicy`], applied packet by packet. The
+//! reactor stages every frame a read delivered (up to
+//! [`ServerConfig::batch_limit`]) before it dispatches.
 //!
 //! Shutdown is graceful and has two phases: *stop* closes the listener
 //! and the queues, letting every worker drain its backlog, classify
@@ -46,13 +55,13 @@ use std::time::Instant;
 use iustitia::cdb::FlowId;
 use iustitia::model::AnytimeModel;
 use iustitia::model::NatureModel;
-use iustitia::pipeline::{BatchPacket, ClassifiedFlow, Iustitia, PipelineConfig, Verdict};
-use iustitia_netsim::{FiveTuple, Packet};
+use iustitia::pipeline::{ClassifiedFlow, Iustitia, PipelineConfig, Verdict};
+use iustitia_netsim::FiveTuple;
 
 use crate::metrics::{LatencyHistogram, ServeMetrics, Stage};
 use crate::proto::{FlowVerdict, Response};
-use crate::queue::{AdmissionPolicy, BoundedQueue};
-use crate::reactor::{FanInGate, Outbox, Reactor, ReplySink};
+use crate::queue::{AdmissionPolicy, BoundedQueue, Drained, PacketSlab, SlabPacket};
+use crate::reactor::{FanInGate, Outbox, Reactor};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -102,20 +111,9 @@ impl ServerConfig {
     }
 }
 
-/// Work item on a shard queue.
+/// Control item on a shard queue (packets travel beside these, in the
+/// queue's [`PacketSlab`]).
 pub(crate) enum Job {
-    /// One packet to classify, with the reply sink of the connection
-    /// that submitted it.
-    Packet {
-        /// The packet itself.
-        packet: Packet,
-        /// Its flow id (computed on the reactor thread).
-        flow: FlowId,
-        /// The submitting connection.
-        conn_id: u64,
-        /// Where its flow's verdict must be delivered.
-        reply: ReplySink,
-    },
     /// Barrier: classify all in-flight flows now; the last shard's ack
     /// replies `DrainComplete` through the gate.
     Drain {
@@ -138,7 +136,6 @@ pub(crate) enum Job {
 struct Route {
     tuple: FiveTuple,
     conn_id: u64,
-    reply: ReplySink,
 }
 
 /// State shared by every thread of one server.
@@ -318,23 +315,35 @@ impl Drop for Server {
     }
 }
 
-/// A packet job pulled off the shard queue, awaiting batched dispatch.
-struct PacketJob {
-    packet: Packet,
-    flow: FlowId,
-    conn_id: u64,
-    reply: ReplySink,
+/// How many sorted packets `process_segment` turns into pipeline views
+/// at a time. The views borrow the drained slab, so they cannot outlive
+/// a call; a fixed array on the stack holds them without allocating.
+const VIEW_CHUNK: usize = 64;
+
+/// A shard worker's pipeline with the state its dispatcher carries from
+/// segment to segment.
+struct Shard<'a> {
+    shared: &'a Shared,
+    pipeline: Iustitia,
+    routes: HashMap<FlowId, Route>,
+    /// Latest packet timestamp seen: the clock of drains and shutdown.
+    last_t: f64,
+    /// Scratch: a segment's record positions, each behind the leading
+    /// 64 bits of its flow ID, sorted.
+    order: Vec<(u64, u32)>,
+    /// Scratch: a stretch's verdicts.
+    verdicts: Vec<Verdict>,
 }
 
 /// One shard worker: owns an [`Iustitia`] pipeline (with its own flow
 /// table) and processes its queue until the server shuts down, then
 /// drains.
 ///
-/// Each condvar wakeup drains the whole backlog with a single
-/// [`BoundedQueue::pop_all`]. Contiguous stretches of packet jobs form
-/// a *segment*; control jobs (drain barriers, disconnects) flush the
-/// pending segment first, so their ordering guarantees hold. Every
-/// segment goes through [`process_segment`].
+/// Each condvar wakeup takes the whole backlog with a single
+/// [`BoundedQueue::pop_into`]. The packets between two control jobs
+/// (drain barriers, disconnects) form a *segment*; a control job is
+/// handled after the segment in front of it, so its ordering guarantees
+/// hold. Every segment goes through [`Shard::process_segment`].
 fn shard_worker(shared: &Arc<Shared>, shard: usize) {
     let mut config = shared.config.pipeline.clone();
     // Decorrelate per-shard RNG streams.
@@ -344,269 +353,256 @@ fn shard_worker(shared: &Arc<Shared>, shard: usize) {
     if let Some(anytime) = &shared.config.anytime {
         pipeline = pipeline.with_anytime(anytime.clone());
     }
-    let mut routes: HashMap<FlowId, Route> = HashMap::new();
-    let mut last_t = 0.0f64;
-    // Reused across segments: pending packet jobs and verdict scratch.
-    let mut segment: Vec<PacketJob> = Vec::new();
-    let mut verdicts: Vec<Verdict> = Vec::new();
+    let mut worker = Shard {
+        shared,
+        pipeline,
+        routes: HashMap::new(),
+        last_t: 0.0,
+        order: Vec::new(),
+        verdicts: Vec::new(),
+    };
+    let gauges = &shared.metrics.shards[shard];
+    let mut drained: Drained<Job> = Drained::default();
 
-    while let Some(batch) = shared.queues[shard].pop_all() {
-        for job in batch {
+    while shared.queues[shard].pop_into(&mut drained) {
+        let mut done = 0;
+        while let Some((mark, job)) = drained.items.pop_front() {
+            // Everything submitted before the control job is dispatched
+            // before it takes effect.
+            let at = mark.max(done);
+            worker.process_segment(&drained.packets, done..at);
+            done = at;
             match job {
-                Job::Packet { packet, flow, conn_id, reply } => {
-                    segment.push(PacketJob { packet, flow, conn_id, reply });
-                }
                 Job::Drain { conn_id, gate } => {
-                    // Barrier: everything submitted before the drain is
-                    // dispatched before the sweep.
-                    process_segment(
-                        &mut pipeline,
-                        &mut routes,
-                        shared,
-                        &mut last_t,
-                        &mut segment,
-                        &mut verdicts,
-                    );
-                    pipeline.sweep_idle(last_t + idle_timeout + 1.0);
-                    let flushed = emit_verdicts(&mut pipeline, &mut routes, shared, Some(conn_id));
+                    worker.pipeline.sweep_idle(worker.last_t + idle_timeout + 1.0);
+                    let flushed = worker.emit_verdicts(Some(conn_id));
                     // Refresh gauges before acking so a Stats request
                     // issued right after the drain sees the swept state.
-                    shared.metrics.shards[shard].set(
-                        pipeline.pending_flows() as u64,
-                        pipeline.resident_feature_bytes() as u64,
-                        pipeline.state_pool_hits(),
-                        pipeline.state_pool_size() as u64,
-                        pipeline.early_exit_verdicts(),
-                    );
+                    worker.publish(gauges);
                     gate.ack(flushed);
                 }
                 Job::Disconnect { conn_id, gate } => {
-                    // Flush first: packets this connection submitted
-                    // before going away still get processed, and their
-                    // routes must exist to be forgotten here.
-                    process_segment(
-                        &mut pipeline,
-                        &mut routes,
-                        shared,
-                        &mut last_t,
-                        &mut segment,
-                        &mut verdicts,
-                    );
-                    routes.retain(|_, route| route.conn_id != conn_id);
+                    // Packets this connection submitted before going
+                    // away were processed above, so their routes exist
+                    // to be forgotten here.
+                    worker.routes.retain(|_, route| route.conn_id != conn_id);
                     gate.ack(0);
                 }
             }
         }
-        process_segment(
-            &mut pipeline,
-            &mut routes,
-            shared,
-            &mut last_t,
-            &mut segment,
-            &mut verdicts,
-        );
+        worker.process_segment(&drained.packets, done..drained.packets.len());
+        drained.packets.clear();
         // Refresh this shard's gauges once per drained batch: cheap
         // (a few relaxed stores) and fresh enough for a Stats poll.
-        shared.metrics.shards[shard].set(
-            pipeline.pending_flows() as u64,
-            pipeline.resident_feature_bytes() as u64,
-            pipeline.state_pool_hits(),
-            pipeline.state_pool_size() as u64,
-            pipeline.early_exit_verdicts(),
-        );
+        worker.publish(gauges);
     }
 
     // Queue closed: graceful shutdown. Classify every in-flight flow
     // from the bytes it has buffered and emit final verdicts.
-    pipeline.sweep_idle(last_t + idle_timeout + 1.0);
-    emit_verdicts(&mut pipeline, &mut routes, shared, None);
-    shared.metrics.shards[shard].set(
-        0,
-        0,
-        pipeline.state_pool_hits(),
-        pipeline.state_pool_size() as u64,
-        pipeline.early_exit_verdicts(),
-    );
-}
-
-/// Dispatches one segment (a contiguous stretch of packet jobs from a
-/// drained batch) through the pipeline.
-///
-/// The segment is stable-sorted by flow ID, in place: same-flow packets
-/// become adjacent while each flow keeps its arrival order, so the
-/// pipeline resolves every flow's table slot once per run. Cross-flow
-/// order within one drained segment is a scheduling detail — concurrent
-/// connections already interleave arbitrarily in the queue — and the
-/// pipeline's verdicts do not depend on where a packet sequence is cut
-/// into batches.
-///
-/// The sorted segment is then walked in *stretches*: consecutive data
-/// packets of one flow plus the control or close packet that follows
-/// them, if any. A stretch is one [`Iustitia::process_batch`] call.
-fn process_segment(
-    pipeline: &mut Iustitia,
-    routes: &mut HashMap<FlowId, Route>,
-    shared: &Arc<Shared>,
-    last_t: &mut f64,
-    segment: &mut Vec<PacketJob>,
-    verdicts: &mut Vec<Verdict>,
-) {
-    if segment.is_empty() {
-        return;
-    }
-    for job in segment.iter() {
-        if job.packet.timestamp > *last_t {
-            *last_t = job.packet.timestamp;
-        }
-    }
-    segment.sort_by_key(|job| job.flow);
-    LatencyHistogram::record(&shared.metrics.batch_size, segment.len() as u64);
-
-    let items: Vec<BatchPacket<'_>> =
-        segment.iter().map(|job| BatchPacket { flow: job.flow, packet: &job.packet }).collect();
-    let (mut done, mut flows, mut previous) = (0, 0, None);
-    for jobs in segment.chunk_by(|a, b| a.flow == b.flow && plain_data(&a.packet)) {
-        let batch = items.get(done..done + jobs.len()).unwrap_or_default();
-        done += jobs.len();
-        let flow = jobs.first().map(|job| job.flow);
-        flows += u64::from(flow != previous);
-        previous = flow;
-        process_stretch(pipeline, routes, shared, jobs, batch, verdicts);
-    }
-    LatencyHistogram::record(&shared.metrics.flows_per_batch, flows);
-    segment.clear();
+    worker.pipeline.sweep_idle(worker.last_t + idle_timeout + 1.0);
+    worker.emit_verdicts(None);
+    worker.publish(gauges);
 }
 
 /// Whether a packet carries payload and does not close its flow — the
 /// only kind that can sit inside a stretch rather than end it.
-fn plain_data(packet: &Packet) -> bool {
-    packet.is_data() && !packet.flags.closes_flow()
+fn plain_data(packet: &SlabPacket<'_>) -> bool {
+    !packet.payload.is_empty() && !packet.record.flags.closes_flow()
 }
 
-/// Runs one stretch through [`Iustitia::process_batch`], then walks its
-/// verdicts and the classification log once, under a single route rule:
-/// **a flow has a route exactly while a verdict is owed to it** — from
-/// the packet that makes it pending until the log entry that classifies
-/// it is delivered (or the flow closes, or its connection goes away).
-/// CDB hits never touch the route table.
-///
-/// Log entries of *other* flows (an idle sweep fell due mid-stretch)
-/// are delivered first: this stretch leaves their routes alone. The
-/// stretch's own entries are delivered where the walk shows them: at a
-/// `Classified` verdict; at a `Hit` on a flow still owed a verdict (its
-/// own packet made the idle sweep due, and the sweep classified it
-/// first); and, for whatever the trailing control or close packet
-/// caused, at the end.
-fn process_stretch(
-    pipeline: &mut Iustitia,
-    routes: &mut HashMap<FlowId, Route>,
-    shared: &Arc<Shared>,
-    jobs: &[PacketJob],
-    batch: &[BatchPacket<'_>],
-    verdicts: &mut Vec<Verdict>,
-) {
-    let Some(last) = jobs.last() else {
-        return;
-    };
-    let flow = last.flow;
-    let t0 = Instant::now();
-    pipeline.process_batch(batch, verdicts);
-    // Attribute the mean per-packet cost to the stage that terminated
-    // each packet.
-    let per_packet = t0.elapsed().as_nanos() as u64 / jobs.len() as u64;
-
-    let log = pipeline.take_log();
-    if !log.is_empty() {
-        ServeMetrics::add(&shared.metrics.flows_classified, log.len() as u64);
+impl Shard<'_> {
+    /// Publishes the pipeline's gauges for the `Stats` request.
+    fn publish(&self, gauges: &crate::metrics::ShardGauges) {
+        gauges.set(
+            self.pipeline.pending_flows() as u64,
+            self.pipeline.resident_feature_bytes() as u64,
+            self.pipeline.state_pool_hits(),
+            self.pipeline.state_pool_size() as u64,
+            self.pipeline.early_exit_verdicts(),
+        );
     }
-    for entry in &log {
-        LatencyHistogram::record(&shared.metrics.bytes_at_verdict, entry.buffered_bytes as u64);
-        if entry.id != flow {
-            deliver(routes, entry);
-        }
-    }
-    let mut own = log.iter().filter(|entry| entry.id == flow).peekable();
 
-    // Whether the flow is owed a verdict at this point of the walk;
-    // `None` until the stretch itself has shown it, while the route
-    // table still tells.
-    let mut owed: Option<bool> = None;
-    let mut hits = 0;
-    for (job, verdict) in jobs.iter().zip(verdicts.iter()) {
-        let (stage, entry_due) = match verdict {
-            Verdict::Ignored => continue,
-            Verdict::Hit(_) => {
-                hits += 1;
-                let swept_by_own_packet =
-                    owed.unwrap_or_else(|| own.peek().is_some() && routes.contains_key(&flow));
-                (Stage::CdbLookup, swept_by_own_packet)
-            }
-            Verdict::Buffering => (Stage::BufferFill, false),
-            Verdict::Classified(_) => (Stage::Classify, true),
+    /// Dispatches one segment — the records of `slab` at `range`, a
+    /// contiguous stretch of packets from a drained batch — through the
+    /// pipeline.
+    ///
+    /// An index of the segment is sorted by flow ID, ties in arrival
+    /// order: same-flow packets become adjacent while each flow keeps
+    /// its order, so the pipeline resolves every flow's table slot once
+    /// per run; the records and their payloads stay where the queue
+    /// handed them over. (The sort compares the leading 64 bits of the
+    /// SHA-1 flow ID. Should two flows of one segment ever share them,
+    /// their packets interleave in arrival order and merely form
+    /// shorter stretches.) Cross-flow order within one drained segment
+    /// is a scheduling detail — concurrent connections already
+    /// interleave arbitrarily in the queue — and the pipeline's
+    /// verdicts do not depend on where a packet sequence is cut into
+    /// batches.
+    ///
+    /// The sorted segment is then walked in *stretches*: consecutive
+    /// data packets of one flow plus the control or close packet that
+    /// follows them, if any. A stretch is one
+    /// [`Iustitia::process_batch`] call. (A stretch is also cut where
+    /// the walk moves on to its next [`VIEW_CHUNK`] views, which the
+    /// same invariance makes harmless.)
+    fn process_segment(&mut self, slab: &PacketSlab, range: std::ops::Range<usize>) {
+        let records = slab.records().get(range).unwrap_or(&[]);
+        let Some(first) = records.first() else {
+            return;
         };
-        ServeMetrics::record(&shared.metrics, stage, per_packet);
-        if stage != Stage::CdbLookup && owed != Some(true) {
-            routes.entry(flow).or_insert_with(|| Route {
-                tuple: job.packet.tuple,
-                conn_id: job.conn_id,
-                reply: job.reply.clone(),
-            });
-        }
-        if entry_due {
-            if let Some(entry) = own.next() {
-                deliver(routes, entry);
+        for record in records {
+            if record.timestamp > self.last_t {
+                self.last_t = record.timestamp;
             }
         }
-        owed = Some(stage == Stage::BufferFill);
+        let mut order = std::mem::take(&mut self.order);
+        order.clear();
+        for (record, at) in records.iter().zip(0u32..) {
+            order.push((record.flow.lead(), at));
+        }
+        order.sort_unstable();
+        LatencyHistogram::record(&self.shared.metrics.batch_size, records.len() as u64);
+
+        let (mut flows, mut previous) = (0, None);
+        // Slots past a chunk's end keep whatever they held; nothing
+        // reads them.
+        let mut views = [slab.packet(first); VIEW_CHUNK];
+        for chunk in order.chunks(VIEW_CHUNK) {
+            for (view, &(_, at)) in views.iter_mut().zip(chunk) {
+                if let Some(record) = records.get(at as usize) {
+                    *view = slab.packet(record);
+                }
+            }
+            let sorted = views.get(..chunk.len()).unwrap_or(&[]);
+            for stretch in sorted.chunk_by(|a, b| a.record.flow == b.record.flow && plain_data(a)) {
+                let flow = stretch.first().map(|packet| packet.record.flow);
+                flows += u64::from(flow != previous);
+                previous = flow;
+                self.process_stretch(stretch);
+            }
+        }
+        LatencyHistogram::record(&self.shared.metrics.flows_per_batch, flows);
+        self.order = order;
     }
-    if hits > 0 {
-        ServeMetrics::add(&shared.metrics.hits, hits);
+
+    /// Runs one stretch through [`Iustitia::process_batch`], then walks its
+    /// verdicts and the classification log once, under a single route rule:
+    /// **a flow has a route exactly while a verdict is owed to it** — from
+    /// the packet that makes it pending until the log entry that classifies
+    /// it is delivered (or the flow closes, or its connection goes away).
+    /// CDB hits never touch the route table.
+    ///
+    /// Log entries of *other* flows (an idle sweep fell due mid-stretch)
+    /// are delivered first: this stretch leaves their routes alone. The
+    /// stretch's own entries are delivered where the walk shows them: at a
+    /// `Classified` verdict; at a `Hit` on a flow still owed a verdict (its
+    /// own packet made the idle sweep due, and the sweep classified it
+    /// first); and, for whatever the trailing control or close packet
+    /// caused, at the end.
+    fn process_stretch(&mut self, stretch: &[SlabPacket<'_>]) {
+        let Some(last) = stretch.last() else {
+            return;
+        };
+        let Shard { shared, pipeline, routes, verdicts, .. } = self;
+        let outbox = &shared.outbox;
+        let flow = last.record.flow;
+        let t0 = Instant::now();
+        pipeline.process_batch(stretch, verdicts);
+        // Attribute the mean per-packet cost to the stage that terminated
+        // each packet.
+        let per_packet = t0.elapsed().as_nanos() as u64 / stretch.len() as u64;
+
+        let log = pipeline.take_log();
+        if !log.is_empty() {
+            ServeMetrics::add(&shared.metrics.flows_classified, log.len() as u64);
+        }
+        for entry in &log {
+            LatencyHistogram::record(&shared.metrics.bytes_at_verdict, entry.buffered_bytes as u64);
+            if entry.id != flow {
+                deliver(routes, outbox, entry);
+            }
+        }
+        let mut own = log.iter().filter(|entry| entry.id == flow).peekable();
+
+        // Whether the flow is owed a verdict at this point of the walk;
+        // `None` until the stretch itself has shown it, while the route
+        // table still tells.
+        let mut owed: Option<bool> = None;
+        let mut hits = 0;
+        for (packet, verdict) in stretch.iter().zip(verdicts.iter()) {
+            let (stage, entry_due) = match verdict {
+                Verdict::Ignored => continue,
+                Verdict::Hit(_) => {
+                    hits += 1;
+                    let swept_by_own_packet =
+                        owed.unwrap_or_else(|| own.peek().is_some() && routes.contains_key(&flow));
+                    (Stage::CdbLookup, swept_by_own_packet)
+                }
+                Verdict::Buffering => (Stage::BufferFill, false),
+                Verdict::Classified(_) => (Stage::Classify, true),
+            };
+            ServeMetrics::record(&shared.metrics, stage, per_packet);
+            if stage != Stage::CdbLookup && owed != Some(true) {
+                // lint: allow(L009) — once per flow that becomes pending, into a table that keeps its capacity
+                routes.entry(flow).or_insert(Route {
+                    tuple: packet.record.tuple,
+                    conn_id: packet.record.conn_id,
+                });
+            }
+            if entry_due {
+                if let Some(entry) = own.next() {
+                    deliver(routes, outbox, entry);
+                }
+            }
+            owed = Some(stage == Stage::BufferFill);
+        }
+        if hits > 0 {
+            ServeMetrics::add(&shared.metrics.hits, hits);
+        }
+        for entry in own {
+            deliver(routes, outbox, entry);
+        }
+        if last.record.flags.closes_flow() {
+            // The flow's state is gone; so is any verdict it was owed.
+            HashMap::remove(routes, &flow);
+        }
     }
-    for entry in own {
-        deliver(routes, entry);
-    }
-    if last.packet.flags.closes_flow() {
-        // The flow's state is gone; so is any verdict it was owed.
-        HashMap::remove(routes, &flow);
+
+    /// Delivers every newly logged classification to the connection that
+    /// owns the flow. Returns how many belonged to `count_conn`.
+    fn emit_verdicts(&mut self, count_conn: Option<u64>) -> u32 {
+        let log = self.pipeline.take_log();
+        if log.is_empty() {
+            return 0;
+        }
+        let mut matched = 0u32;
+        ServeMetrics::add(&self.shared.metrics.flows_classified, log.len() as u64);
+        for flow in log {
+            self.shared.metrics.bytes_at_verdict.record(flow.buffered_bytes as u64);
+            if let Some(route) = self.routes.get(&flow.id) {
+                if count_conn == Some(route.conn_id) {
+                    matched += 1;
+                }
+            }
+            deliver(&mut self.routes, &self.shared.outbox, &flow);
+        }
+        matched
     }
 }
 
 /// Sends one classification to the connection that owns the flow,
 /// consuming its route (each route delivers exactly one verdict).
-fn deliver(routes: &mut HashMap<FlowId, Route>, flow: &ClassifiedFlow) {
+fn deliver(routes: &mut HashMap<FlowId, Route>, outbox: &Outbox, flow: &ClassifiedFlow) {
     if let Some(route) = HashMap::remove(routes, &flow.id) {
-        route.reply.send(Response::FlowVerdict(FlowVerdict {
-            tuple: route.tuple,
-            label: flow.label,
-            packets: flow.packets,
-            buffered_bytes: flow.buffered_bytes as u32,
-            fill_time: flow.fill_time,
-        }));
+        outbox.reply(
+            route.conn_id,
+            Response::FlowVerdict(FlowVerdict {
+                tuple: route.tuple,
+                label: flow.label,
+                packets: flow.packets,
+                buffered_bytes: flow.buffered_bytes as u32,
+                fill_time: flow.fill_time,
+            }),
+        );
     }
-}
-
-/// Delivers every newly logged classification to the connection that
-/// owns the flow. Returns how many belonged to `count_conn`.
-fn emit_verdicts(
-    pipeline: &mut Iustitia,
-    routes: &mut HashMap<FlowId, Route>,
-    shared: &Arc<Shared>,
-    count_conn: Option<u64>,
-) -> u32 {
-    let log = pipeline.take_log();
-    if log.is_empty() {
-        return 0;
-    }
-    let mut matched = 0u32;
-    ServeMetrics::add(&shared.metrics.flows_classified, log.len() as u64);
-    for flow in log {
-        shared.metrics.bytes_at_verdict.record(flow.buffered_bytes as u64);
-        if let Some(route) = routes.get(&flow.id) {
-            if count_conn == Some(route.conn_id) {
-                matched += 1;
-            }
-        }
-        deliver(routes, &flow);
-    }
-    matched
 }

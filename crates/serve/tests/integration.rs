@@ -514,6 +514,13 @@ fn many_connections_smoke() {
         "open-connection gauge in range: {}",
         stats.open_connections
     );
+    // The sockets have gone quiet at frame boundaries: at most a
+    // partial frame may stay banked per connection, and here every
+    // frame arrived whole, so nothing is.
+    assert_eq!(
+        stats.reassembly_buffer_bytes, 0,
+        "quiet connections at a frame boundary bank no bytes"
+    );
 
     drop(probes);
     control.close().unwrap();

@@ -7,6 +7,11 @@
 //! [`read_frame`] decoder produces from the same byte stream, fail
 //! with the same typed errors, and reject hostile length prefixes
 //! before buffering the claimed payload.
+//!
+//! Both interfaces are held to this: the owned one (`extend` +
+//! `next_frame`) and the borrowed walk the reactor runs over each read
+//! (`walk`), which additionally must never bank more than the one
+//! partial frame at the end of a read.
 
 use std::io::Cursor;
 
@@ -46,6 +51,39 @@ fn reassemble(wire: &[u8], chunks: &[usize]) -> Result<Vec<(u8, Vec<u8>)>, Proto
     Ok(decoded)
 }
 
+/// Feeds `wire` to an assembler as reads of the given sizes, each
+/// decoded in place by a [`FrameAssembler::walk`] — as the reactor does.
+/// Returns the frames, and the error that ended decoding: a walk's, or
+/// at the end of the stream the assembler's `eof_error`.
+///
+/// After every read, what is banked must be a strict prefix of one
+/// frame: at most the frame's own bytes, and less than all of them.
+fn walk_reads(wire: &[u8], chunks: &[usize]) -> (Vec<(u8, Vec<u8>)>, Option<ProtoError>) {
+    let mut asm = FrameAssembler::new();
+    let mut decoded = Vec::new();
+    let mut offset = 0usize;
+    let mut chunk_iter = chunks.iter().copied().cycle();
+    while offset < wire.len() {
+        let take = chunk_iter.next().unwrap_or(1).max(1).min(wire.len() - offset);
+        let mut walk = asm.walk(&wire[offset..offset + take]);
+        offset += take;
+        loop {
+            match walk.next_frame() {
+                Ok(Some((type_byte, body))) => decoded.push((type_byte, body.to_vec())),
+                Ok(None) => break,
+                Err(e) => return (decoded, Some(e)),
+            }
+        }
+        let consumed: usize = decoded.iter().map(|(_, body)| body.len() + 5).sum();
+        assert_eq!(asm.buffered_bytes(), offset - consumed, "everything undecoded is banked");
+        if let Some(prefix) = wire[consumed..].first_chunk::<4>() {
+            let frame = u32::from_be_bytes(*prefix) as usize + 4;
+            assert!(asm.buffered_bytes() < frame, "banked bytes exceed one partial frame");
+        }
+    }
+    (decoded, asm.eof_error())
+}
+
 /// The blocking decoder's view of the same bytes.
 fn blocking_decode(wire: &[u8]) -> (Vec<(u8, Vec<u8>)>, Option<ProtoError>) {
     let mut cursor = Cursor::new(wire);
@@ -76,7 +114,10 @@ proptest! {
         let (expected, err) = blocking_decode(&wire);
         prop_assert!(err.is_none(), "valid frames must decode cleanly");
         let decoded = reassemble(&wire, &chunks).expect("valid frames reassemble cleanly");
-        prop_assert_eq!(decoded, expected);
+        prop_assert_eq!(&decoded, &expected);
+        let (walked, walk_err) = walk_reads(&wire, &chunks);
+        prop_assert!(walk_err.is_none(), "a valid stream ends at a frame boundary");
+        prop_assert_eq!(walked, expected);
     }
 
     /// The degenerate fragmentation — one byte per read — still
@@ -86,7 +127,34 @@ proptest! {
         let wire = encode_frames(&frames);
         let (expected, _) = blocking_decode(&wire);
         let decoded = reassemble(&wire, &[1]).expect("valid frames reassemble cleanly");
-        prop_assert_eq!(decoded, expected);
+        prop_assert_eq!(&decoded, &expected);
+        prop_assert_eq!(walk_reads(&wire, &[1]).0, expected);
+    }
+
+    /// A frame that straddles three reads — its length prefix split
+    /// from its body, its body split again — comes out of the walk
+    /// byte-identical, whatever surrounds it.
+    #[test]
+    fn a_frame_straddling_three_reads_survives_the_walk(
+        before in arb_frames(),
+        type_byte in any::<u8>(),
+        body in proptest::collection::vec(any::<u8>(), 2..300),
+        after in arb_frames(),
+        first_cut in 1usize..4,
+        second_cut_fraction in 0.0f64..1.0,
+    ) {
+        let lead = encode_frames(&before);
+        let mut frames = before;
+        frames.push((type_byte, body.clone()));
+        frames.extend(after);
+        let wire = encode_frames(&frames);
+        // Read 1 ends inside the straddler's length prefix, read 2
+        // inside its body, read 3 takes the rest of the stream.
+        let second_cut = 5 + (((body.len() - 1) as f64) * second_cut_fraction) as usize;
+        let reads = [lead.len() + first_cut, second_cut - first_cut, wire.len()];
+        let (walked, err) = walk_reads(&wire, &reads);
+        prop_assert!(err.is_none());
+        prop_assert_eq!(walked, frames);
     }
 
     /// Garbage bytes produce the same terminal error (and the same
@@ -127,11 +195,15 @@ proptest! {
             streaming_err = asm.eof_error();
         }
 
-        prop_assert_eq!(decoded, expected);
-        match (streaming_err, blocking_err) {
-            (None, None) => {}
-            (Some(s), Some(b)) => prop_assert_eq!(s.to_string(), b.to_string()),
-            (s, b) => prop_assert!(false, "error mismatch: streaming={s:?} blocking={b:?}"),
+        prop_assert_eq!(&decoded, &expected);
+        let (walked, walk_err) = walk_reads(&wire, &chunks);
+        prop_assert_eq!(walked, expected);
+        for streaming_err in [streaming_err, walk_err] {
+            match (streaming_err, &blocking_err) {
+                (None, None) => {}
+                (Some(s), Some(b)) => prop_assert_eq!(s.to_string(), b.to_string()),
+                (s, b) => prop_assert!(false, "error mismatch: streaming={s:?} blocking={b:?}"),
+            }
         }
     }
 
@@ -154,6 +226,25 @@ proptest! {
         prop_assert!(matches!(err, ProtoError::FrameTooLarge { .. }));
         // Only the 4 header bytes ever entered the buffer.
         prop_assert!(asm.buffered_bytes() <= 4);
+
+        // The walk: the same prefix in the same fragments, the last of
+        // them followed by bytes of the payload it claims.
+        let mut asm = FrameAssembler::new();
+        let mut pieces: Vec<Vec<u8>> = header.chunks(chunk).map(<[u8]>::to_vec).collect();
+        pieces.last_mut().expect("a 4-byte header has pieces").extend_from_slice(&[0x5A; 32]);
+        let mut outcome = Ok(());
+        for piece in &pieces {
+            let mut walk = asm.walk(piece);
+            while outcome.is_ok() {
+                match walk.next_frame() {
+                    Ok(Some(_)) => prop_assert!(false, "no frame can come of a hostile prefix"),
+                    Ok(None) => break,
+                    Err(e) => outcome = Err(e),
+                }
+            }
+        }
+        prop_assert!(matches!(outcome, Err(ProtoError::FrameTooLarge { .. })));
+        prop_assert!(asm.buffered_bytes() <= 4, "a hostile prefix banks at most itself");
     }
 
     /// A truncated stream (EOF mid-frame) reports the same
@@ -179,9 +270,14 @@ proptest! {
             Ok(None) => asm.eof_error(),
             Err(e) => Some(e),
         };
-        match (streaming_err, blocking_err) {
-            (Some(s), Some(b)) => prop_assert_eq!(s.to_string(), b.to_string()),
-            (s, b) => prop_assert!(false, "truncation mismatch: streaming={s:?} blocking={b:?}"),
+        let (_, walk_err) = walk_reads(truncated, &[truncated.len()]);
+        for streaming_err in [streaming_err, walk_err] {
+            match (streaming_err, &blocking_err) {
+                (Some(s), Some(b)) => prop_assert_eq!(s.to_string(), b.to_string()),
+                (s, b) => {
+                    prop_assert!(false, "truncation mismatch: streaming={s:?} blocking={b:?}")
+                }
+            }
         }
     }
 }

@@ -25,7 +25,7 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::path::Path;
 
-use crate::callgraph::CallGraph;
+use crate::callgraph::{is_primitive, CallGraph};
 use crate::config::{self, RootsConfig};
 use crate::lexer::lex;
 use crate::lints::{collect_rs_files, parse_suppressions, Suppressions, Violation};
@@ -92,6 +92,7 @@ const KB: &[(&str, Effect)] = &[
     ("split_at", PANICS),
     ("split_at_mut", PANICS),
     ("copy_from_slice", PANICS),
+    ("copy_within", PANICS), // range-checked
     ("clone_from_slice", PANICS),
     ("swap", PANICS),   // slice swap is index-checked; mem::swap is qualified above
     ("remove", PANICS), // Vec::remove is index-checked (HashMap::remove is not, kept conservative)
@@ -196,6 +197,9 @@ const KB: &[(&str, Effect)] = &[
     ("seed_from_u64", CLEAN),     // vendored rand: array-state seeding, no allocation
     ("split_first", CLEAN),
     ("split_last", CLEAN),
+    ("first_chunk", CLEAN),       // Option-returning, like `first`
+    ("split_first_chunk", CLEAN), // Option-returning, like `split_first`
+    ("split_at_checked", CLEAN),  // the Option-returning `split_at`
     ("sort_unstable", CLEAN),
     ("sort_unstable_by", CLEAN),
     ("sort_unstable_by_key", CLEAN),
@@ -283,28 +287,6 @@ const KB: &[(&str, Effect)] = &[
 /// `saturating_mul`, `wrapping_shl`, `is_ascii`, `as_bytes`, …).
 const CLEAN_PREFIXES: &[&str] =
     &["checked_", "saturating_", "wrapping_", "overflowing_", "is_", "as_"];
-
-/// Rust integer/float primitive type names.
-fn is_primitive(name: &str) -> bool {
-    matches!(
-        name,
-        "u8" | "u16"
-            | "u32"
-            | "u64"
-            | "u128"
-            | "usize"
-            | "i8"
-            | "i16"
-            | "i32"
-            | "i64"
-            | "i128"
-            | "isize"
-            | "f32"
-            | "f64"
-            | "char"
-            | "bool"
-    )
-}
 
 /// The assumed effect of a callee that resolved to no workspace fn.
 pub fn effect_of(callee: &Callee) -> Effect {

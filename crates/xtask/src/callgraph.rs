@@ -50,6 +50,28 @@ const STD_TRAIT_METHODS: &[&str] = &[
     "from_str",
 ];
 
+/// Rust integer/float primitive type names.
+pub fn is_primitive(name: &str) -> bool {
+    matches!(
+        name,
+        "u8" | "u16"
+            | "u32"
+            | "u64"
+            | "u128"
+            | "usize"
+            | "i8"
+            | "i16"
+            | "i32"
+            | "i64"
+            | "i128"
+            | "isize"
+            | "f32"
+            | "f64"
+            | "char"
+            | "bool"
+    )
+}
+
 /// The indexed workspace call graph.
 pub struct CallGraph {
     /// All parsed items (test items included, but never indexed).
@@ -153,6 +175,11 @@ impl CallGraph {
                     }
                 }
                 return self.by_name.get(name).cloned().unwrap_or_default();
+            }
+            // `u64::from(..)`, `f64::max(..)`: a primitive's associated
+            // function, never a module path into the workspace.
+            if is_primitive(qualifier) {
+                return Vec::new();
             }
             if qualifier.chars().next().is_some_and(char::is_uppercase) {
                 // `Type::name` — enum constructors (`FileClass::Text`)
@@ -294,6 +321,21 @@ impl B { fn other() {} }
             .resolve(&Callee::Path(vec!["std".into(), "mem".into(), "swap".into()]), ctx)
             .is_empty());
         assert!(g.resolve(&Callee::Bare("totally_unknown".into()), ctx).is_empty());
+    }
+
+    #[test]
+    fn primitive_associated_fns_are_not_module_paths() {
+        let g = graph(
+            r#"
+struct E;
+impl E { fn from(x: u8) -> E { E } }
+fn f(b: bool) -> u64 { u64::from(b) }
+"#,
+        );
+        let f = g.find("f")[0];
+        let ctx = &g.fns[f].clone();
+        assert!(g.resolve(&Callee::Path(vec!["u64".into(), "from".into()]), ctx).is_empty());
+        assert_eq!(g.resolve(&Callee::Path(vec!["E".into(), "from".into()]), ctx).len(), 1);
     }
 
     #[test]
