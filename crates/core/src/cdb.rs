@@ -34,9 +34,80 @@
 //! [`size_bits`]: ClassificationDatabase::size_bits
 //! [`lookup`]: ClassificationDatabase::lookup
 //! [`Iustitia::pending_flows`]: crate::pipeline::Iustitia::pending_flows
+//!
+//! # A flow is hashed once
+//!
+//! [`FlowId::of_tuple`] is SHA-1 and stays the reference. Whoever
+//! hashes per packet — [`Iustitia::process_packet`] and the serve
+//! reactor — asks a [`FlowIdMemo`] first: a fixed-size, set-associative
+//! cache from the canonical 13-byte tuple to its [`FlowId`].
+//!
+//! * **What it may return.** Every way of every set holds a tuple
+//!   together with the SHA-1 of that tuple, from allocation on (an
+//!   unused way holds the all-zero tuple and *its* digest — there is no
+//!   valid bit to get wrong). A hit compares all 13 bytes, so the only
+//!   thing [`FlowIdMemo::id_of`] can return is `FlowId::of_tuple` of the
+//!   tuple it was asked about; a miss computes exactly that and
+//!   replaces the set's least-recently-used way. The memo never
+//!   invalidates: a tuple's SHA-1 does not change when its flow closes.
+//! * **Why its index needs no secret.** The set index is an unkeyed
+//!   multiply-fold of the tuple. Two tuples that share a set can only
+//!   evict each other, so a sender who aims every tuple at one set buys
+//!   what every packet paid before the memo existed — one SHA-1 — plus
+//!   one probe of a [`WAYS`](FlowIdMemo::WAYS)-way set. There is
+//!   no chain to lengthen and nothing to learn from the index.
+//! * **What it costs.** [`FlowIdMemo::BYTES`] (304 KiB) per owner,
+//!   allocated by the first miss: a pipeline that is only ever handed
+//!   precomputed IDs (every serve shard) carries an empty `Vec`.
+//!
+//! # The tables are indexed by the digest
+//!
+//! [`FlowMap`] — the flow table here and the serve shards' verdict
+//! routes — does not run SipHash over a key that is already a uniform
+//! 160-bit digest. `FlowId`'s `Hash` feeds the hasher [`FlowId::lead`]
+//! alone, and [`DigestState`] turns that word into the table hash with
+//! one folded multiply under a per-process random key:
+//! `fold((lead ^ k₀) · k₁)`, `fold` being the high half of the 128-bit
+//! product XOR the low half.
+//!
+//! The key and the fold are both load-bearing, because the tuple — and
+//! so, at 2ᵏ offline SHA-1s per k chosen bits, the digest — is the
+//! sender's to choose:
+//!
+//! * *Identity* (`hash = lead`) fails without any attacker:
+//!   [`shard_index`] has already spent `lead % shards`, so with 4 shards
+//!   every ID of one shard's table has the same low two bits, and
+//!   hashbrown picks the bucket from the low bits — three quarters of
+//!   the buckets would stay empty. With one, 2²⁰ hashes per tuple buy
+//!   IDs that agree in their low 20 bits and fill one probe sequence:
+//!   the classic quadratic flood.
+//! * *XOR with a secret* moves every ID alike: IDs that agree in their
+//!   low bits still do afterwards. A *plain* multiply by a secret odd
+//!   `k₁` is no better — the low k bits of a product depend only on the
+//!   low k bits of its factors.
+//! * The fold brings the high half of the product, which every bit of
+//!   `lead` and of both keys reaches, down onto the low bits hashbrown
+//!   indexes by (and leaves its 7-bit tag in the top bits equally
+//!   mixed). Which IDs share a bucket now depends on `k₀` and `k₁`,
+//!   which are drawn once per process from the OS-seeded
+//!   `RandomState` and never leave it.
+//!
+//! What the keys cannot separate is two IDs with the same `lead`: they
+//! hash alike in every process. That costs the table one extra 20-byte
+//! comparison per such pair — it still compares whole keys, so nothing
+//! is misfiled — and costs the sender a birthday search over 64 bits:
+//! about 2³² SHA-1s for one pair, 2⁴³ for three IDs, 2⁴⁸ for four, and
+//! towards 2⁶⁴ per ID for a run long enough to notice, against 2²⁰ per
+//! entry for the attacks above. SipHash made that impossible rather
+//! than expensive; the difference is a hash of 20 bytes saved on every
+//! lookup, insert and evict.
+//!
+//! [`Iustitia::process_packet`]: crate::pipeline::Iustitia::process_packet
 
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::hash_map::{Entry, HashMap, RandomState};
 use std::fmt;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::OnceLock;
 
 use iustitia_corpus::FileClass;
 use iustitia_netsim::FiveTuple;
@@ -46,9 +117,18 @@ use crate::sha1::{sha1_13, Digest};
 
 /// A 160-bit flow identifier: SHA-1 of the canonical 5-tuple bytes.
 #[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
 )]
 pub struct FlowId(pub Digest);
+
+/// Hashes as [`lead`](FlowId::lead): the digest is already uniform, so
+/// a table needs one word of it, not a second hash over all twenty
+/// bytes (see the [module docs](self)).
+impl Hash for FlowId {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.lead());
+    }
+}
 
 impl FlowId {
     /// Hashes a 5-tuple into its flow ID.
@@ -87,6 +167,270 @@ pub fn shard_index(id: &FlowId, shards: usize) -> usize {
     assert!(shards > 0, "need at least one shard");
     (id.lead() % shards as u64) as usize
 }
+
+/// A map keyed by [`FlowId`] and indexed by the digest itself (see the
+/// [module docs](self)).
+pub type FlowMap<V> = HashMap<FlowId, V, DigestState>;
+
+/// The high half of `a · b` XOR the low half: every bit of both factors
+/// reaches the low bits of the result.
+fn folded_multiply(a: u64, b: u64) -> u64 {
+    let product = u128::from(a) * u128::from(b);
+    (product >> 64) as u64 ^ product as u64
+}
+
+/// The [`BuildHasher`] of a [`FlowMap`]: a folded multiply of
+/// [`FlowId::lead`] under a per-process random key. Why it is keyed,
+/// and why it folds, is the flooding argument of the
+/// [module docs](self).
+#[derive(Clone, Copy)]
+pub struct DigestState {
+    /// `k₀`, XORed onto the word hashed.
+    mask: u64,
+    /// `k₁`, the (odd) multiplier.
+    multiplier: u64,
+}
+
+impl Default for DigestState {
+    /// The process's keys, drawn from the OS-seeded [`RandomState`] the
+    /// first time a table is made.
+    fn default() -> Self {
+        static KEYS: OnceLock<DigestState> = OnceLock::new();
+        *KEYS.get_or_init(|| {
+            let seed = RandomState::new();
+            DigestState { mask: seed.hash_one(0u8), multiplier: seed.hash_one(1u8) | 1 }
+        })
+    }
+}
+
+impl BuildHasher for DigestState {
+    type Hasher = DigestHasher;
+
+    fn build_hasher(&self) -> DigestHasher {
+        DigestHasher { keys: *self, hash: 0 }
+    }
+}
+
+/// Like [`RandomState`]'s, this does not print the keys.
+impl fmt::Debug for DigestState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DigestState").finish_non_exhaustive()
+    }
+}
+
+/// The [`Hasher`] of a [`FlowMap`]; see [`DigestState`].
+#[derive(Debug, Clone, Copy)]
+pub struct DigestHasher {
+    keys: DigestState,
+    hash: u64,
+}
+
+impl Hasher for DigestHasher {
+    /// The one call a [`FlowId`] makes.
+    fn write_u64(&mut self, word: u64) {
+        self.hash = folded_multiply(self.hash ^ word ^ self.keys.mask, self.keys.multiplier);
+    }
+
+    /// Any other key, eight bytes at a time (the trait requires it; no
+    /// table in this workspace hashes one).
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            for (dst, src) in word.iter_mut().zip(chunk) {
+                *dst = *src;
+            }
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// The canonical 13-byte tuple as two words: the addresses, then the
+/// ports and the protocol byte (top three bytes zero), so a probe
+/// compares and indexes words, not byte strings.
+type MemoKey = [u64; 2];
+
+fn memo_key(bytes: &[u8; 13]) -> MemoKey {
+    let [b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12] = *bytes;
+    [
+        u64::from_le_bytes([b0, b1, b2, b3, b4, b5, b6, b7]),
+        u64::from_le_bytes([b8, b9, b10, b11, b12, 0, 0, 0]),
+    ]
+}
+
+/// The memo set a key lives in: a multiply-fold of its two words under
+/// fixed odd constants (unkeyed on purpose — see the
+/// [module docs](self)).
+fn set_index(key: &MemoKey) -> usize {
+    let [addresses, ports] = *key;
+    let mixed = folded_multiply(addresses ^ 0x9E37_79B9_7F4A_7C15, ports ^ 0xD1B5_4A32_D192_ED03);
+    mixed as usize & (FlowIdMemo::SETS - 1)
+}
+
+/// One set of a [`FlowIdMemo`]: [`FlowIdMemo::WAYS`] tuples with their
+/// digests.
+#[derive(Clone, Copy)]
+struct MemoSet {
+    keys: [MemoKey; FlowIdMemo::WAYS],
+    /// Each way's recency rank, a permutation of `0..WAYS`: 0 is the
+    /// most recently used way, `WAYS - 1` the next to be replaced.
+    ranks: [u8; FlowIdMemo::WAYS],
+    ids: [FlowId; FlowIdMemo::WAYS],
+}
+
+impl MemoSet {
+    /// Marks `way` most recently used: the ways that were more recent
+    /// than it each age by one.
+    fn touch(&mut self, way: usize) {
+        let Some(&rank) = self.ranks.get(way) else {
+            return;
+        };
+        if rank == 0 {
+            return;
+        }
+        // One pass, one store of the whole array: the next probe of
+        // this set reads the ranks back at once.
+        let mut ranks = self.ranks;
+        for (at, other) in ranks.iter_mut().enumerate() {
+            *other = if at == way { 0 } else { *other + u8::from(*other < rank) };
+        }
+        self.ranks = ranks;
+    }
+}
+
+/// An exact-match cache from a flow's 5-tuple to its [`FlowId`], in
+/// front of SHA-1: 2,048 sets of 4 ways, least-recently-used
+/// replacement within a set. What it may return, why its index is not
+/// keyed and what it costs are in the [module docs](self).
+///
+/// # Examples
+///
+/// ```
+/// use iustitia::cdb::{FlowId, FlowIdMemo};
+/// use iustitia_netsim::FiveTuple;
+/// use std::net::Ipv4Addr;
+///
+/// let tuple = FiveTuple::tcp(Ipv4Addr::new(10, 0, 0, 1), 4000, Ipv4Addr::new(10, 0, 0, 2), 443);
+/// let mut memo = FlowIdMemo::new();
+/// assert_eq!(memo.id_of(&tuple), FlowId::of_tuple(&tuple)); // hashed
+/// assert_eq!(memo.id_of(&tuple), FlowId::of_tuple(&tuple)); // remembered
+/// assert_eq!((memo.hits(), memo.misses()), (1, 1));
+/// ```
+#[derive(Clone, Default)]
+pub struct FlowIdMemo {
+    /// Empty until the first miss, [`SETS`](Self::SETS) long after it.
+    sets: Vec<MemoSet>,
+    hits: u64,
+    misses: u64,
+}
+
+impl FlowIdMemo {
+    /// Ways per set. Four, because round-robin over a fixed flow
+    /// population — `steady_hit`, and LRU's worst order — misses on
+    /// every packet of a set holding more flows than ways: at 2,048
+    /// flows spread at random that is 9 % of packets with 2 ways ×
+    /// 4,096 sets and 2 % with 4 × 2,048, the same number of entries.
+    pub const WAYS: usize = 4;
+    /// Number of sets (a power of two).
+    pub const SETS: usize = 2048;
+    /// Heap held once the first miss has allocated the sets: 304 KiB.
+    pub const BYTES: usize = Self::SETS * std::mem::size_of::<MemoSet>();
+
+    /// An empty memo; it allocates on its first miss.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// `tuple`'s flow ID — [`FlowId::of_tuple`], computed only if the
+    /// memo does not hold it.
+    #[inline]
+    pub fn id_of(&mut self, tuple: &FiveTuple) -> FlowId {
+        let key = memo_key(&tuple.as_bytes());
+        match self.probe(&key) {
+            Some(id) => id,
+            None => self.hash_and_fill(tuple, key),
+        }
+    }
+
+    /// The hit half of [`id_of`](Self::id_of): `tuple`'s flow ID if the
+    /// memo holds it. Split out for the caller that times the hash it
+    /// runs (the serve reactor) and so must not time the hash it skips.
+    #[inline]
+    pub fn get(&mut self, tuple: &FiveTuple) -> Option<FlowId> {
+        self.probe(&memo_key(&tuple.as_bytes()))
+    }
+
+    /// The miss half of [`id_of`](Self::id_of): hashes `tuple` and
+    /// remembers the digest in place of its set's least-recently-used
+    /// way.
+    pub fn fill(&mut self, tuple: &FiveTuple) -> FlowId {
+        self.hash_and_fill(tuple, memo_key(&tuple.as_bytes()))
+    }
+
+    #[inline]
+    fn probe(&mut self, key: &MemoKey) -> Option<FlowId> {
+        let set = self.sets.get_mut(set_index(key))?;
+        let way = set.keys.iter().position(|held| held == key)?;
+        let id = *set.ids.get(way)?;
+        set.touch(way);
+        self.hits += 1;
+        Some(id)
+    }
+
+    /// Hashes `tuple` and stores the digest beside `key`, which is
+    /// `tuple`'s. Out of line: the probe inlines into its callers, the
+    /// hash need not.
+    #[inline(never)]
+    fn hash_and_fill(&mut self, tuple: &FiveTuple, key: MemoKey) -> FlowId {
+        let id = FlowId::of_tuple(tuple);
+        self.misses += 1;
+        if self.sets.is_empty() {
+            let unused = [0u8; 13];
+            let set = MemoSet {
+                keys: [memo_key(&unused); Self::WAYS],
+                ranks: [0, 1, 2, 3],
+                ids: [FlowId(sha1_13(&unused)); Self::WAYS],
+            };
+            // lint: allow(L009) — the first miss of this memo's life; every later call finds the sets in place
+            self.sets = vec![set; Self::SETS];
+        }
+        if let Some(set) = self.sets.get_mut(set_index(&key)) {
+            let oldest = set.ranks.iter().position(|&rank| usize::from(rank) == Self::WAYS - 1);
+            let way = oldest.unwrap_or(0);
+            if let (Some(held), Some(held_id)) = (set.keys.get_mut(way), set.ids.get_mut(way)) {
+                *held = key;
+                *held_id = id;
+            }
+            set.touch(way);
+        }
+        id
+    }
+
+    /// Calls answered without hashing.
+    pub fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// Calls that ran SHA-1 (each also replaced one way).
+    pub fn misses(&self) -> u64 {
+        self.misses
+    }
+}
+
+impl fmt::Debug for FlowIdMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FlowIdMemo")
+            .field("allocated", &!self.sets.is_empty())
+            .field("hits", &self.hits)
+            .field("misses", &self.misses)
+            .finish()
+    }
+}
+
+const _: () = assert!(FlowIdMemo::SETS.is_power_of_two() && FlowIdMemo::BYTES <= 512 << 10);
 
 /// One CDB record (194 bits in the paper's layout).
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -269,7 +613,7 @@ pub struct CdbStats {
 #[derive(Debug, Clone)]
 pub struct ClassificationDatabase {
     config: CdbConfig,
-    slots: HashMap<FlowId, Slot>,
+    slots: FlowMap<Slot>,
     /// How many slots are [`Slot::Classified`].
     records: usize,
     inserts_since_sweep: usize,
@@ -281,7 +625,7 @@ impl ClassificationDatabase {
     pub fn new(config: CdbConfig) -> Self {
         ClassificationDatabase {
             config,
-            slots: HashMap::new(),
+            slots: FlowMap::default(),
             records: 0,
             inserts_since_sweep: 0,
             stats: CdbStats::default(),
@@ -673,6 +1017,271 @@ mod tests {
                 prop_assert_eq!(pipeline.resident_feature_bytes(), 0);
                 prop_assert_eq!(pipeline.cdb().slots.len(), pipeline.cdb().len());
             }
+        }
+    }
+
+    /// The memo in front of SHA-1: whatever it is asked, in whatever
+    /// order, it answers `FlowId::of_tuple`.
+    mod flow_id_memo {
+        use super::super::*;
+        use proptest::prelude::*;
+        use std::net::Ipv4Addr;
+        use std::sync::LazyLock;
+
+        fn tuple(n: u32, udp: bool) -> FiveTuple {
+            let src = Ipv4Addr::from(0x0A00_0000 | (n >> 16));
+            let dst = Ipv4Addr::new(192, 168, 1, 1);
+            if udp {
+                FiveTuple::udp(src, n as u16, dst, 53)
+            } else {
+                FiveTuple::tcp(src, n as u16, dst, 443)
+            }
+        }
+
+        /// Twice as many tuples as a set has ways, all of one set, the
+        /// protocols alternating.
+        static ONE_SET: LazyLock<Vec<FiveTuple>> = LazyLock::new(|| {
+            let target = set_index(&memo_key(&tuple(0, false).as_bytes()));
+            let both = (0u32..).flat_map(|n| [tuple(n, false), tuple(n, true)]);
+            let found: Vec<FiveTuple> = both
+                .filter(|t| set_index(&memo_key(&t.as_bytes())) == target)
+                .take(2 * FlowIdMemo::WAYS)
+                .collect();
+            assert!(found.iter().any(|t| t.as_bytes()[12] == 17), "both protocols");
+            found
+        });
+
+        #[derive(Debug, Clone)]
+        enum Step {
+            /// Some tuple of a space small enough to repeat.
+            Any(u32, bool),
+            /// `rounds` round-robin passes over the first `flows` tuples
+            /// of [`ONE_SET`]: every call but the first `flows` repeats
+            /// at reuse distance `flows`.
+            RoundRobin { flows: usize, rounds: usize },
+            /// More distinct tuples than the memo has ways: every set
+            /// is overwritten.
+            Wrap,
+            /// Carry on with a clone, keeping the original too.
+            Fork,
+        }
+
+        fn arb_step() -> impl Strategy<Value = Step> {
+            (0u8..14, 0u32..600, any::<bool>(), 1..=2 * FlowIdMemo::WAYS, 1usize..4).prop_map(
+                |(pick, n, udp, flows, rounds)| match pick {
+                    0..=7 => Step::Any(n, udp),
+                    8..=11 => Step::RoundRobin { flows, rounds },
+                    12 => Step::Wrap,
+                    _ => Step::Fork,
+                },
+            )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            #[test]
+            fn memo_equals_of_tuple(steps in proptest::collection::vec(arb_step(), 1..40)) {
+                // Each memo with the number of calls it has answered.
+                let mut memos = vec![(FlowIdMemo::new(), 0u64)];
+                let mut wrapped = 0u32;
+                for step in steps {
+                    let asked: Vec<FiveTuple> = match step {
+                        Step::Any(n, udp) => vec![tuple(n, udp)],
+                        Step::RoundRobin { flows, rounds } => {
+                            ONE_SET.iter().take(flows).cycle().take(flows * rounds).copied().collect()
+                        }
+                        Step::Wrap => {
+                            if wrapped == 2 {
+                                continue;
+                            }
+                            wrapped += 1;
+                            let n = (FlowIdMemo::SETS * FlowIdMemo::WAYS * 5 / 4) as u32;
+                            (0..n).map(|i| tuple(wrapped * n + i, i % 3 == 0)).collect()
+                        }
+                        Step::Fork => {
+                            if memos.len() < 3 {
+                                memos.extend(memos.last().cloned());
+                            }
+                            continue;
+                        }
+                    };
+                    // The newest clone takes every step, the ones it was
+                    // forked from only the short ones.
+                    let takers = if asked.len() > 100 { 1 } else { memos.len() };
+                    for (memo, count) in memos.iter_mut().rev().take(takers) {
+                        for t in &asked {
+                            prop_assert_eq!(memo.id_of(t), FlowId::of_tuple(t));
+                        }
+                        *count += asked.len() as u64;
+                        prop_assert_eq!(memo.hits() + memo.misses(), *count);
+                    }
+                }
+            }
+        }
+
+        /// The cost bound, in counts: a miss is one SHA-1 and one fill,
+        /// and a tuple the memo holds is never hashed again.
+        #[test]
+        fn a_miss_hashes_once_and_a_held_tuple_never() {
+            let mut memo = FlowIdMemo::new();
+            for n in 0..20_000 {
+                memo.id_of(&tuple(n, n % 2 == 0));
+            }
+            assert_eq!((memo.hits(), memo.misses()), (0, 20_000), "all-distinct stream");
+
+            let mut memo = FlowIdMemo::new();
+            for n in 0..1_000 {
+                memo.id_of(&tuple(n % 2, false));
+            }
+            assert_eq!((memo.hits(), memo.misses()), (998, 2), "two-flow ping-pong");
+        }
+
+        /// Round-robin is LRU's worst order: a set asked for one tuple
+        /// more than it has ways misses every time, one fewer and it
+        /// never misses again — the replacement is least-recently-used,
+        /// not arbitrary.
+        #[test]
+        fn replacement_within_a_set_is_lru() {
+            for (flows, want_hits) in [(FlowIdMemo::WAYS, true), (FlowIdMemo::WAYS + 1, false)] {
+                let mut memo = FlowIdMemo::new();
+                for t in ONE_SET.iter().take(flows).cycle().take(flows * 10) {
+                    memo.id_of(t);
+                }
+                let hits = if want_hits { (flows * 9) as u64 } else { 0 };
+                assert_eq!(memo.hits(), hits, "{flows} flows round-robin in one set");
+            }
+            // Touching a tuple saves it from the next replacement.
+            let mut memo = FlowIdMemo::new();
+            let (held, newcomer) = ONE_SET.split_at(FlowIdMemo::WAYS);
+            for t in held {
+                memo.id_of(t);
+            }
+            memo.id_of(&held[0]);
+            memo.id_of(&newcomer[0]);
+            assert!(memo.get(&held[0]).is_some(), "the re-used way survives");
+            assert!(memo.get(&held[1]).is_none(), "the oldest way was replaced");
+        }
+
+        #[test]
+        fn set_index_spreads_flows_that_differ_in_one_field() {
+            // 4,096 client ports to one server, then 4,096 clients: no
+            // set may be asked to hold a crowd.
+            for by_port in [true, false] {
+                let mut load = vec![0u32; FlowIdMemo::SETS];
+                for n in 0..4096u32 {
+                    let t = if by_port { tuple(n, false) } else { tuple(n << 16, false) };
+                    load[set_index(&memo_key(&t.as_bytes()))] += 1;
+                }
+                let worst = load.iter().max().copied().unwrap_or(0);
+                assert!(worst <= 12, "a set drew {worst} of 4,096 flows (mean 2)");
+            }
+        }
+    }
+
+    /// The digest-indexed table against a `BTreeMap`, on exactly the
+    /// IDs a weaker hasher would file together.
+    mod digest_hasher {
+        use super::super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        /// Family 0 shares `lead()` outright (the IDs differ only past
+        /// it), family 1 shares `lead() % 4` (one shard of four), family
+        /// 2 shares the low 20 bits of `lead()`.
+        fn hard_id(family: u8, n: u8) -> FlowId {
+            let mut bytes = [0u8; 20];
+            let lead: u64 = match family {
+                0 => 0x0123_4567_89AB_CDEF,
+                1 => u64::from(n) * 4 + 1,
+                _ => (u64::from(n) << 20) | 0xA_BCDE,
+            };
+            bytes[..8].copy_from_slice(&lead.to_be_bytes());
+            bytes[19] = n;
+            FlowId(bytes)
+        }
+
+        proptest! {
+            #[test]
+            fn table_matches_a_btreemap_on_colliding_ids(
+                ops in proptest::collection::vec((0u8..3, 0u8..3, 0u8..40, 0usize..4), 1..400),
+            ) {
+                let config = CdbConfig { n: None, ..CdbConfig::default() };
+                let mut cdb = ClassificationDatabase::new(config);
+                let mut model: BTreeMap<FlowId, FileClass> = BTreeMap::new();
+                for (step, (op, family, n, class)) in ops.into_iter().enumerate() {
+                    let id = hard_id(family, n);
+                    let now = step as f64;
+                    match op {
+                        0 => {
+                            let label = FileClass::ALL[class];
+                            cdb.insert(id, label, now);
+                            model.insert(id, label);
+                        }
+                        1 => prop_assert_eq!(cdb.lookup(&id, now), model.get(&id).copied()),
+                        _ => prop_assert_eq!(cdb.remove_on_close(&id), model.remove(&id).is_some()),
+                    }
+                    prop_assert_eq!(cdb.len(), model.len());
+                }
+                for (id, label) in &model {
+                    prop_assert_eq!(cdb.lookup(id, 1e6), Some(*label));
+                }
+            }
+        }
+
+        /// One shard's view of real traffic: 100,000 SHA-1 flow IDs
+        /// with `lead() % 4 == 1`. hashbrown indexes by the low bits of
+        /// the hash, so the low 12 must come out near-uniform whatever
+        /// this process's keys are — χ² over 4,096 cells (mean 4,095,
+        /// σ ≈ 90.5) stays under mean + 8σ.
+        #[test]
+        fn low_bits_stay_uniform_within_one_shard() {
+            let state = DigestState::default();
+            let mut cells = vec![0u32; 4096];
+            let mut taken = 0u32;
+            for n in 0u32.. {
+                let id = FlowId(sha1_13(&[
+                    n as u8,
+                    (n >> 8) as u8,
+                    (n >> 16) as u8,
+                    1,
+                    2,
+                    3,
+                    4,
+                    5,
+                    6,
+                    7,
+                    8,
+                    9,
+                    6,
+                ]));
+                if shard_index(&id, 4) != 1 {
+                    continue;
+                }
+                cells[(state.hash_one(id) & 4095) as usize] += 1;
+                taken += 1;
+                if taken == 100_000 {
+                    break;
+                }
+            }
+            let mean = f64::from(taken) / 4096.0;
+            let chi2: f64 = cells.iter().map(|&c| (f64::from(c) - mean).powi(2) / mean).sum();
+            assert!(chi2 < 4095.0 + 8.0 * 90.5, "χ² = {chi2:.0} over 4,096 cells");
+            // And the identity hash this replaces the need for would
+            // have left three cells in four empty.
+            assert!(cells.iter().all(|&c| c > 0), "an empty cell among 4,096 at mean {mean:.1}");
+        }
+
+        #[test]
+        fn equal_leads_hash_alike_and_still_resolve() {
+            let state = DigestState::default();
+            let (a, b) = (hard_id(0, 1), hard_id(0, 2));
+            assert_ne!(a, b);
+            assert_eq!(state.hash_one(a), state.hash_one(b), "the hash reads lead() only");
+            let mut map: FlowMap<u8> = FlowMap::default();
+            map.insert(a, 1);
+            map.insert(b, 2);
+            assert_eq!((map.get(&a), map.get(&b)), (Some(&1), Some(&2)));
         }
     }
 

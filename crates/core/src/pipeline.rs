@@ -28,7 +28,7 @@ use rand::{Rng, SeedableRng};
 use iustitia_corpus::{scan_application_header, strip_application_header, FileClass, HeaderScan};
 use iustitia_netsim::{Packet, TcpFlags};
 
-use crate::cdb::{CdbConfig, ClassificationDatabase, FlowId, PendingFlow, Slot};
+use crate::cdb::{CdbConfig, ClassificationDatabase, FlowId, FlowIdMemo, PendingFlow, Slot};
 use crate::features::{FeatureExtractor, FeatureMode};
 use crate::model::{AnytimeModel, CompiledNatureModel, NatureModel};
 use iustitia_entropy::FeatureWidths;
@@ -315,6 +315,9 @@ pub struct Iustitia {
     compiled: CompiledNatureModel,
     /// The flow table: pending flows and CDB records, one slot each.
     cdb: ClassificationDatabase,
+    /// Flow IDs [`process_packet`](Self::process_packet) has already
+    /// hashed; empty in a pipeline fed only precomputed IDs.
+    flow_memo: FlowIdMemo,
     extractor: FeatureExtractor,
     rng: StdRng,
     queues: QueueCounters,
@@ -385,6 +388,7 @@ impl Iustitia {
             model,
             compiled,
             cdb,
+            flow_memo: FlowIdMemo::new(),
             extractor,
             rng,
             queues: QueueCounters::default(),
@@ -504,6 +508,19 @@ impl Iustitia {
         self.pool.len()
     }
 
+    /// Packets whose flow ID [`process_packet`](Self::process_packet)
+    /// took from its [`FlowIdMemo`] instead of hashing.
+    pub fn flow_memo_hits(&self) -> u64 {
+        self.flow_memo.hits()
+    }
+
+    /// Packets [`process_packet`](Self::process_packet) ran SHA-1 for.
+    /// Both counts stay 0 in a pipeline driven through
+    /// [`process_batch`](Self::process_batch), which is handed its IDs.
+    pub fn flow_memo_misses(&self) -> u64 {
+        self.flow_memo.misses()
+    }
+
     /// Number of verdicts emitted by anytime probes before the
     /// fixed-`b` buffer filled (0 whenever anytime is off).
     pub fn early_exit_verdicts(&self) -> u64 {
@@ -524,10 +541,13 @@ impl Iustitia {
 
     /// Processes one packet, returning what happened to it: a batch of
     /// one through [`process_batch`](Self::process_batch), so there is
-    /// one packet state machine and single packets exercise it.
+    /// one packet state machine and single packets exercise it. The
+    /// flow ID comes from the pipeline's [`FlowIdMemo`]: SHA-1 runs for
+    /// the first packet of a flow, not for each.
     pub fn process_packet(&mut self, packet: &Packet) -> Verdict {
+        let flow = self.flow_memo.id_of(&packet.tuple);
         let mut verdicts = std::mem::take(&mut self.verdict_scratch);
-        self.process_batch(&[BatchPacket::new(packet)], &mut verdicts);
+        self.process_batch(&[BatchPacket { flow, packet }], &mut verdicts);
         // `process_batch` pushes exactly one verdict per input packet;
         // the `unwrap_or` fallback is unreachable and exists only to
         // keep this hot path free of a panicking branch.
@@ -824,10 +844,7 @@ impl Iustitia {
                 if payload.is_empty() {
                     return None;
                 }
-                let vector = self.extractor.extract(payload);
-                self.feature_scratch.clear();
-                // lint: allow(L006, L009) — finished f64 features (one per width) into reused scratch, not payload
-                self.feature_scratch.extend_from_slice(&vector);
+                self.feature_scratch = self.extractor.extract(payload);
             } else if flow.fed == 0 {
                 // All observed bytes were header/skip: nothing to
                 // classify on.
@@ -1385,7 +1402,7 @@ mod tests {
         // consecutive agreeing probe renders the verdict. A constant
         // payload keeps both probes' labels stable (its feature vector
         // is degenerate at any prefix length).
-        let payload = vec![0x7f; 64];
+        let payload = [0x7f; 64];
         let first = ius.process_packet(&data_packet(1, 0.0, &payload[..32]));
         assert_eq!(first, Verdict::Buffering, "one probe never fires alone");
         let verdict = ius.process_packet(&data_packet(1, 0.01, &payload[32..]));

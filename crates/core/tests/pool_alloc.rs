@@ -20,9 +20,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use iustitia::cdb::FlowIdMemo;
 use iustitia::features::{FeatureExtractor, FeatureMode, TrainingMethod};
-use iustitia::model::{train_anytime_from_corpus, train_from_corpus_battery, ModelKind};
-use iustitia::pipeline::{AnytimeConfig, Iustitia, PipelineConfig, Verdict};
+use iustitia::model::{
+    train_anytime_from_corpus, train_from_corpus, train_from_corpus_battery, ModelKind,
+};
+use iustitia::pipeline::{AnytimeConfig, BatchPacket, Iustitia, PipelineConfig, Verdict};
 use iustitia_entropy::FeatureWidths;
 use iustitia_netsim::{FiveTuple, Packet, TcpFlags};
 use std::net::Ipv4Addr;
@@ -97,6 +100,56 @@ fn recycled_flow_packets_allocate_nothing_through_classification() {
 
     let corpus =
         iustitia_corpus::CorpusBuilder::new(33).files_per_class(20).size_range(1024, 4096).build();
+
+    // ── Flow-ID memo ─────────────────────────────────────────────────
+    // Only `process_packet` hashes, so only it may own a memo's heap: a
+    // pipeline handed precomputed IDs through `process_batch` — every
+    // serve shard — classifies flows without ever requesting as much
+    // as the memo takes, and the first `process_packet` call requests
+    // all of it at once.
+    {
+        let model = train_from_corpus(
+            &corpus,
+            &FeatureWidths::svm_selected(),
+            TrainingMethod::Prefix { b: 32 },
+            FeatureMode::Exact,
+            &ModelKind::paper_cart(),
+            33,
+        )
+        .expect("balanced corpus");
+        let mut pipeline = Iustitia::new(model, PipelineConfig::headline(33));
+        let packets: Vec<Packet> = (0..64u16)
+            .map(|i| data_packet(1 + i % 8, f64::from(i) * 0.001, &[i as u8; 48]))
+            .collect();
+        let batch: Vec<BatchPacket<'_>> = packets.iter().map(BatchPacket::new).collect();
+        let mut verdicts = Vec::new();
+        let before = alloc_bytes();
+        pipeline.process_batch(&batch, &mut verdicts);
+        let batch_only = alloc_bytes() - before;
+        assert_eq!(pipeline.cdb().len(), 8, "the batch classified its flows");
+        assert!(
+            batch_only < FlowIdMemo::BYTES as u64 / 4,
+            "a pipeline fed only through process_batch requested {batch_only} bytes: \
+             it must not carry a {}-byte flow-ID memo",
+            FlowIdMemo::BYTES
+        );
+        assert_eq!((pipeline.flow_memo_hits(), pipeline.flow_memo_misses()), (0, 0));
+
+        let before = alloc_bytes();
+        pipeline.process_packet(&packets[0]);
+        let first = alloc_bytes() - before;
+        assert!(
+            (FlowIdMemo::BYTES as u64..FlowIdMemo::BYTES as u64 + 4096).contains(&first),
+            "the first process_packet call allocates the memo ({} bytes), saw {first}",
+            FlowIdMemo::BYTES
+        );
+        let calls = alloc_calls();
+        pipeline.process_packet(&packets[1]);
+        pipeline.process_packet(&packets[0]);
+        assert_eq!((pipeline.flow_memo_hits(), pipeline.flow_memo_misses()), (1, 2));
+        assert_eq!(alloc_calls() - calls, 0, "later calls, miss or hit, allocate nothing");
+    }
+
     // Battery on: the randomness battery must hold the zero-alloc
     // guarantee too (its state is fixed-size integer accumulators).
     let model = train_from_corpus_battery(

@@ -254,6 +254,65 @@ fn run_slab_backed(pipeline: &mut Iustitia, packets: &[Packet], cuts: &[usize]) 
     got
 }
 
+/// The past-capacity case of `process_batch_is_bit_identical_to_per_packet`:
+/// `process_packet` resolves flow IDs through its memo, `process_batch`
+/// is handed `BatchPacket::new`'s pure SHA-1, and the trace has more
+/// flows than the memo has ways — so IDs are served from the memo,
+/// evicted from it and hashed again — yet nothing observable differs.
+#[test]
+fn process_packet_through_the_memo_matches_process_batch_past_capacity() {
+    use iustitia::cdb::FlowIdMemo;
+
+    let flows = (FlowIdMemo::SETS * FlowIdMemo::WAYS + 900) as u32;
+    let packet = |flow: u32, round: u32, flags: TcpFlags, payload: &[u8]| Packet {
+        timestamp: f64::from(round) + f64::from(flow) * 1e-5,
+        tuple: if flow.is_multiple_of(5) {
+            FiveTuple::udp(Ipv4Addr::from(0x0A00_0000 + flow), 53, Ipv4Addr::new(8, 8, 8, 8), 53)
+        } else {
+            FiveTuple::tcp(Ipv4Addr::from(0x0A00_0000 + flow), 999, Ipv4Addr::new(8, 8, 8, 8), 443)
+        },
+        flags,
+        payload: payload.to_vec(),
+    };
+    let body: Vec<u8> = (0..48u8).map(|i| i.wrapping_mul(37)).collect();
+    let mut packets = Vec::new();
+    for round in 0..3u32 {
+        for flow in 0..flows {
+            // Half a window, then the half that classifies, then a hit
+            // — each a whole pass over the flows apart, so every repeat
+            // of a tuple comes back after > capacity others. A hundred
+            // hot flows also repeat back to back, and some flows close.
+            packets.push(packet(flow, round, TcpFlags::ACK, &body[..16 + (flow % 3) as usize]));
+            if flow < 100 {
+                packets.push(packet(flow, round, TcpFlags::ACK, &body[..8]));
+            }
+            if round == 1 && flow.is_multiple_of(7) && !flow.is_multiple_of(5) {
+                packets.push(packet(flow, round, TcpFlags::ACK | TcpFlags::FIN, &[]));
+            }
+        }
+    }
+    let config = PipelineConfig { idle_timeout: 50.0, ..PipelineConfig::headline(21) };
+    let mut per_packet = Iustitia::new(any_model(), config.clone());
+    let mut batched = Iustitia::new(any_model(), config);
+
+    let expected: Vec<Verdict> = packets.iter().map(|p| per_packet.process_packet(p)).collect();
+    let got = run_batched(&mut batched, &packets, &[64]);
+    assert!(got == expected, "verdict sequences must be bit-identical");
+    assert_eq!(batched.queues(), per_packet.queues());
+    assert_eq!(batched.pending_flows(), per_packet.pending_flows());
+    assert_eq!(batched.cdb().len(), per_packet.cdb().len());
+    assert_eq!(batched.cdb().stats(), per_packet.cdb().stats());
+    assert_eq!(batched.state_pool_hits(), per_packet.state_pool_hits());
+    assert!(batched.take_log() == per_packet.take_log(), "classification logs must be equal");
+
+    // The memo did all three things, and only where packets are hashed.
+    let (hits, misses) = (per_packet.flow_memo_hits(), per_packet.flow_memo_misses());
+    assert_eq!(hits + misses, packets.len() as u64);
+    assert!(misses > u64::from(flows), "{misses} misses: evicted tuples must be hashed again");
+    assert!(hits >= 300, "{hits} hits: back-to-back repeats must be served from the memo");
+    assert_eq!((batched.flow_memo_hits(), batched.flow_memo_misses()), (0, 0));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 

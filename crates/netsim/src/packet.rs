@@ -124,6 +124,7 @@ impl FiveTuple {
 
     /// Canonical 13-byte encoding (src ip, dst ip, src port, dst port,
     /// protocol) used as the flow-hash input.
+    #[inline]
     pub fn as_bytes(&self) -> [u8; 13] {
         let mut b = [0u8; 13];
         b[0..4].copy_from_slice(&self.src_ip.octets());

@@ -11,6 +11,9 @@
 //! iustitia bench-client --addr HOST:PORT [--flows N] [--seed S]
 //! ```
 //!
+//! `--shards` defaults to one per hardware thread available to the
+//! process ([`ServerConfig::new`]'s default).
+//!
 //! `train` synthesizes a labeled corpus and fits a model on `H_b`
 //! prefix vectors; `classify` labels on-disk files from their first `B`
 //! bytes; `entropy` prints the full `h1..h10` entropy vector of each
@@ -47,6 +50,8 @@ usage:
   iustitia bench-client --addr HOST:PORT [--flows N] [--seed S]
 
   iustitia --help | -h  print this message
+
+  serve --shards defaults to one shard per available hardware thread
 ";
 
 /// Per-command flag allowlists, so a typo is named instead of silently
@@ -288,7 +293,6 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let model_path = args.get("model").ok_or("serve requires --model PATH")?;
     let listen = args.get("listen").unwrap_or("127.0.0.1:7009");
-    let shards: usize = args.get_parsed("shards", 4)?;
     let queue: usize = args.get_parsed("queue", 1024)?;
     let b: usize = args.get_parsed("buffer", 32)?;
     let seed: u64 = args.get_parsed("seed", 7u64)?;
@@ -306,6 +310,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         battery,
         ..PipelineConfig::headline(seed)
     });
+    let shards: usize = args.get_parsed("shards", config.shards)?;
     config.shards = shards;
     config.queue_capacity = queue;
     config.admission = admission;
@@ -325,7 +330,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             "packets={} hits={} flows={} busy={} dropped={} conns={} open={} udp={} \
              classify_p50={}ns accept_to_verdict_p50={}ns pending={} resident={}B \
              reassembly={}B pool_hits={} pool_size={} batch_p50={} queue_locks={} \
-             early_exit={} verdict_bytes_p50={}B",
+             early_exit={} verdict_bytes_p50={}B flow_memo_hit_rate={:.4}",
             s.packets,
             s.hits,
             s.flows_classified,
@@ -345,6 +350,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             s.queue_lock_acquisitions,
             s.early_exit_verdicts(),
             s.bytes_at_verdict.p50().unwrap_or(0),
+            s.flow_memo_hit_rate().unwrap_or(0.0),
         );
     }
 }
@@ -391,6 +397,12 @@ fn cmd_bench_client(args: &Args) -> Result<(), String> {
     println!("verdicts:         {verdicts}");
     println!("busy rejects:     {busy}");
     println!("server packets:   {} (hits {})", stats.packets, stats.hits);
+    println!(
+        "flow-id memo:     {} hits, {} hashed (hit rate {:.4})",
+        stats.flow_memo_hits,
+        stats.flow_memo_misses,
+        stats.flow_memo_hit_rate().unwrap_or(0.0),
+    );
     println!(
         "pending flows:    {} ({} B resident feature state across {} shards)",
         stats.pending_flows(),

@@ -20,11 +20,13 @@ pub const BUCKETS: usize = 64;
 /// The packet path attributes each packet's processing time to the
 /// stage that *terminated* it: a CDB hit never reaches the buffer, a
 /// buffered packet never reaches the classifier. `Hash` is measured
-/// separately on the reader thread, where the flow ID is computed for
-/// shard routing.
+/// separately on the reactor thread, where the flow ID is resolved for
+/// shard routing — and only when a hash runs: its sample count is
+/// [`flow_memo_misses`](ServeMetrics::flow_memo_misses), not packets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// SHA-1 flow-ID computation (reader thread, every data packet).
+    /// SHA-1 flow-ID computation (reactor thread, once per packet whose
+    /// tuple the flow-ID memo does not hold).
     Hash = 0,
     /// CDB lookup resolving to a hit (worker thread).
     CdbLookup = 1,
@@ -202,6 +204,14 @@ pub struct ServeMetrics {
     /// Gauge: bytes parked in per-connection reassembly buffers
     /// (partial frames awaiting more reads), summed over connections.
     pub reassembly_buffer_bytes: AtomicU64,
+    /// Submitted packets whose flow ID the reactor's `FlowIdMemo` held
+    /// (no SHA-1 ran). Stored by the reactor at every dispatch; with
+    /// [`flow_memo_misses`](Self::flow_memo_misses) it sums to the
+    /// packets offered, accepted or refused.
+    pub flow_memo_hits: AtomicU64,
+    /// Submitted packets the reactor hashed: one SHA-1, one
+    /// [`Stage::Hash`] sample and one memo fill each.
+    pub flow_memo_misses: AtomicU64,
     /// Per-stage latency histograms, indexed by [`Stage`].
     pub stages: [LatencyHistogram; 4],
     /// Accept-to-verdict latency: time from a connection's accept (or
@@ -265,6 +275,8 @@ impl ServeMetrics {
             udp_datagrams: self.udp_datagrams.load(Ordering::Relaxed),
             open_connections: self.open_connections.load(Ordering::Relaxed),
             reassembly_buffer_bytes: self.reassembly_buffer_bytes.load(Ordering::Relaxed),
+            flow_memo_hits: self.flow_memo_hits.load(Ordering::Relaxed),
+            flow_memo_misses: self.flow_memo_misses.load(Ordering::Relaxed),
             queue_lock_acquisitions: 0,
             stages: std::array::from_fn(|i| self.stages[i].snapshot()),
             accept_to_verdict: self.accept_to_verdict.snapshot(),
@@ -331,6 +343,10 @@ pub struct StatsSnapshot {
     pub open_connections: u64,
     /// Gauge: bytes parked in per-connection reassembly buffers.
     pub reassembly_buffer_bytes: u64,
+    /// Submitted packets whose flow ID came from the reactor's memo.
+    pub flow_memo_hits: u64,
+    /// Submitted packets the reactor ran SHA-1 for.
+    pub flow_memo_misses: u64,
     /// Shard-queue mutex acquisitions, summed over all shard queues.
     /// Compare against `packets` to see the batch amortization: the
     /// ratio stays far below one acquisition per packet.
@@ -361,7 +377,8 @@ const MAX_WIRE_SHARDS: u64 = 65_536;
 /// `udp_datagrams`/`open_connections`/`reassembly_buffer_bytes`
 /// gauges and the accept-to-verdict histogram. Version 3 added the
 /// bytes-at-verdict histogram and the per-shard early-exit gauge.
-const STATS_WIRE_VERSION: u64 = 3;
+/// Version 4 added the `flow_memo_hits`/`flow_memo_misses` counters.
+const STATS_WIRE_VERSION: u64 = 4;
 
 impl StatsSnapshot {
     /// Histogram for one stage.
@@ -408,7 +425,15 @@ impl StatsSnapshot {
         self.shards.iter().map(|s| s.early_exit_verdicts).sum()
     }
 
-    /// Wire encoding: the [`STATS_WIRE_VERSION`] word, the twelve
+    /// Share of submitted packets whose flow ID the reactor's memo
+    /// held, so no SHA-1 ran; `None` before the first packet.
+    #[must_use]
+    pub fn flow_memo_hit_rate(&self) -> Option<f64> {
+        let asked = self.flow_memo_hits + self.flow_memo_misses;
+        (asked > 0).then(|| self.flow_memo_hits as f64 / asked as f64)
+    }
+
+    /// Wire encoding: the [`STATS_WIRE_VERSION`] word, the fourteen
     /// counters/gauges, the four stage histograms, the
     /// accept-to-verdict histogram, the two batch-shape histograms,
     /// the bytes-at-verdict histogram, then the shard-gauge section
@@ -428,6 +453,8 @@ impl StatsSnapshot {
             self.udp_datagrams,
             self.open_connections,
             self.reassembly_buffer_bytes,
+            self.flow_memo_hits,
+            self.flow_memo_misses,
             self.queue_lock_acquisitions,
         ] {
             out.extend_from_slice(&v.to_be_bytes());
@@ -478,6 +505,8 @@ impl StatsSnapshot {
             udp_datagrams: r.u64()?,
             open_connections: r.u64()?,
             reassembly_buffer_bytes: r.u64()?,
+            flow_memo_hits: r.u64()?,
+            flow_memo_misses: r.u64()?,
             queue_lock_acquisitions: r.u64()?,
             stages: Default::default(),
             accept_to_verdict: HistogramSnapshot::default(),
@@ -571,6 +600,8 @@ mod tests {
         ServeMetrics::add(&m.packets, 12345);
         ServeMetrics::add(&m.dropped_oldest, 7);
         ServeMetrics::add(&m.udp_datagrams, 31);
+        m.flow_memo_hits.store(12000, Ordering::Relaxed);
+        m.flow_memo_misses.store(345, Ordering::Relaxed);
         m.open_connections.store(1000, Ordering::Relaxed);
         m.reassembly_buffer_bytes.store(4096, Ordering::Relaxed);
         m.record(Stage::Hash, 250);
@@ -594,6 +625,7 @@ mod tests {
         assert_eq!(back.udp_datagrams, 31);
         assert_eq!(back.open_connections, 1000);
         assert_eq!(back.reassembly_buffer_bytes, 4096);
+        assert_eq!((back.flow_memo_hits, back.flow_memo_misses), (12000, 345));
         assert_eq!(back.accept_to_verdict.count(), 1);
         assert_eq!(back.batch_size.count(), 2);
         assert_eq!(back.flows_per_batch.count(), 1);
@@ -622,11 +654,14 @@ mod tests {
         let mut body = Vec::new();
         StatsSnapshot::default().encode_into(&mut body);
         // A peer from the other side of a format change: same payload,
-        // different leading version word.
-        body[..8].copy_from_slice(&(STATS_WIRE_VERSION + 1).to_be_bytes());
-        let mut reader = crate::proto::FieldReader::new(&body);
-        let err = StatsSnapshot::decode(&mut reader).unwrap_err();
-        assert!(err.to_string().contains("version"), "got: {err}");
+        // different leading version word — the next format, and the
+        // one before the flow-memo counters shifted every later word.
+        for version in [STATS_WIRE_VERSION + 1, STATS_WIRE_VERSION - 1] {
+            body[..8].copy_from_slice(&version.to_be_bytes());
+            let mut reader = crate::proto::FieldReader::new(&body);
+            let err = StatsSnapshot::decode(&mut reader).unwrap_err();
+            assert!(err.to_string().contains(&format!("version {version}")), "got: {err}");
+        }
     }
 
     #[test]

@@ -20,9 +20,11 @@
 //! it where they lie ([`RequestRef`] borrows a `SubmitPacket`'s payload
 //! from the scratch), and only an incomplete frame at the end of the
 //! read is banked on the connection — one whose frames arrive whole
-//! never owns a buffer. A packet is hashed, then *staged*: a fixed-size record plus
-//! its payload bytes appended to its shard's [`PacketSlab`] — the one
-//! copy the payload gets. Every [`ServerConfig::batch_limit`] frames,
+//! never owns a buffer. A packet's flow ID is looked up in the
+//! reactor's [`FlowIdMemo`] (SHA-1 runs only for a tuple it does not
+//! hold), then the packet is *staged*: a fixed-size record plus its
+//! payload bytes appended to its shard's [`PacketSlab`] — the one copy
+//! the payload gets. Every [`ServerConfig::batch_limit`] frames,
 //! and before anything that must stay ordered after them, the staged
 //! slabs are dispatched: one [`push_packets`](crate::queue::BoundedQueue::push_packets)
 //! per shard that has any, which applies admission per packet and
@@ -72,8 +74,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use iustitia::cdb::shard_index;
-use iustitia::cdb::FlowId;
+use iustitia::cdb::{shard_index, FlowIdMemo};
 use iustitia::features::FeatureExtractor;
 
 use crate::conn::{split_frame, truncation, FrameAssembler, FrontFrame, WriteBuffer};
@@ -304,6 +305,9 @@ pub(crate) struct Reactor {
     /// Serves one-shot `ClassifyBuffer` requests on the reactor thread
     /// (stateless per call; shared across connections).
     extractor: FeatureExtractor,
+    /// Flow IDs already hashed on this thread; its hit and miss counts
+    /// are the reactor-local source of the `flow_memo_*` metrics.
+    flow_memo: FlowIdMemo,
     /// Packets decoded since the last dispatch, one slab per shard.
     staged: Vec<PacketSlab>,
     pending_frames: usize,
@@ -351,6 +355,7 @@ impl Reactor {
             udp_out: VecDeque::new(),
             udp_interest: EPOLLIN,
             extractor,
+            flow_memo: FlowIdMemo::new(),
             staged: (0..shards).map(|_| PacketSlab::default()).collect(),
             pending_frames: 0,
             dirty: Vec::new(),
@@ -707,12 +712,21 @@ impl Reactor {
         }
     }
 
-    /// Hashes a packet's flow and stages it for its shard: the record,
-    /// and the one copy its payload gets.
+    /// Resolves a packet's flow ID and stages it for its shard: the
+    /// record, and the one copy its payload gets. [`Stage::Hash`] times
+    /// the SHA-1 of a memo miss; a packet whose ID the memo holds reads
+    /// no clock and touches no shared counter for it.
     fn stage_packet(&mut self, conn_id: u64, packet: &PacketRef<'_>) {
-        let t0 = Instant::now();
-        let flow = FlowId::of_tuple(&packet.tuple);
-        ServeMetrics::record(&self.shared.metrics, Stage::Hash, t0.elapsed().as_nanos() as u64);
+        let flow = match self.flow_memo.get(&packet.tuple) {
+            Some(flow) => flow,
+            None => {
+                let t0 = Instant::now();
+                let flow = self.flow_memo.fill(&packet.tuple);
+                let nanos = t0.elapsed().as_nanos() as u64;
+                ServeMetrics::record(&self.shared.metrics, Stage::Hash, nanos);
+                flow
+            }
+        };
         let shard = shard_index(&flow, self.shared.config.shards);
         if let Some(staged) = self.staged.get_mut(shard) {
             let record =
@@ -765,6 +779,11 @@ impl Reactor {
     /// reactor's event-dispatch entry point into the shard fan-in.
     pub(crate) fn dispatch_pending(&mut self) {
         self.pending_frames = 0;
+        // This thread is the counts' only writer, so publishing them is
+        // two plain stores per dispatch, not an atomic add per packet.
+        let metrics = &self.shared.metrics;
+        metrics.flow_memo_hits.store(self.flow_memo.hits(), Ordering::Relaxed);
+        metrics.flow_memo_misses.store(self.flow_memo.misses(), Ordering::Relaxed);
         for (staged, queue) in self.staged.iter_mut().zip(&self.shared.queues) {
             if staged.is_empty() {
                 continue;

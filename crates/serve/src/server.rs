@@ -45,14 +45,13 @@
 //! still-connected clients before the reactor exits. The `Drain`
 //! request offers the same barrier per connection at runtime.
 
-use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use iustitia::cdb::FlowId;
+use iustitia::cdb::FlowMap;
 use iustitia::model::AnytimeModel;
 use iustitia::model::NatureModel;
 use iustitia::pipeline::{ClassifiedFlow, Iustitia, PipelineConfig, Verdict};
@@ -94,12 +93,14 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// Defaults: 4 shards, 1024-packet queues, `RejectBusy`, 64-frame
-    /// batches, UDP enabled with a 65 536-peer table.
+    /// Defaults: one shard per hardware thread the process may use
+    /// ([`std::thread::available_parallelism`]; 1 if that is unknown),
+    /// 1024-packet queues, `RejectBusy`, 64-frame batches, UDP enabled
+    /// with a 65 536-peer table.
     #[must_use]
     pub fn new(pipeline: PipelineConfig) -> Self {
         ServerConfig {
-            shards: 4,
+            shards: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
             queue_capacity: 1024,
             admission: AdmissionPolicy::default(),
             batch_limit: 64,
@@ -325,7 +326,7 @@ const VIEW_CHUNK: usize = 64;
 struct Shard<'a> {
     shared: &'a Shared,
     pipeline: Iustitia,
-    routes: HashMap<FlowId, Route>,
+    routes: FlowMap<Route>,
     /// Latest packet timestamp seen: the clock of drains and shutdown.
     last_t: f64,
     /// Scratch: a segment's record positions, each behind the leading
@@ -356,7 +357,7 @@ fn shard_worker(shared: &Arc<Shared>, shard: usize) {
     let mut worker = Shard {
         shared,
         pipeline,
-        routes: HashMap::new(),
+        routes: FlowMap::default(),
         last_t: 0.0,
         order: Vec::new(),
         verdicts: Vec::new(),
@@ -564,7 +565,7 @@ impl Shard<'_> {
         }
         if last.record.flags.closes_flow() {
             // The flow's state is gone; so is any verdict it was owed.
-            HashMap::remove(routes, &flow);
+            FlowMap::remove(routes, &flow);
         }
     }
 
@@ -592,8 +593,8 @@ impl Shard<'_> {
 
 /// Sends one classification to the connection that owns the flow,
 /// consuming its route (each route delivers exactly one verdict).
-fn deliver(routes: &mut HashMap<FlowId, Route>, outbox: &Outbox, flow: &ClassifiedFlow) {
-    if let Some(route) = HashMap::remove(routes, &flow.id) {
+fn deliver(routes: &mut FlowMap<Route>, outbox: &Outbox, flow: &ClassifiedFlow) {
+    if let Some(route) = FlowMap::remove(routes, &flow.id) {
         outbox.reply(
             route.conn_id,
             Response::FlowVerdict(FlowVerdict {

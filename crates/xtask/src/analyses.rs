@@ -73,6 +73,7 @@ const KB_QUALIFIED: &[(&str, Effect)] = &[
     ("String::from", ALLOCS),
     ("Box::new", ALLOCS),
     ("HashMap::remove", CLEAN), // keyed: returns Option; the bare name stays conservative for Vec::remove
+    ("FlowMap::remove", CLEAN), // core::cdb's alias of HashMap
     ("BinaryHeap::new", ALLOCS),
     ("BinaryHeap::with_capacity", ALLOCS),
     ("VecDeque::new", ALLOCS),
@@ -176,6 +177,7 @@ const KB: &[(&str, Effect)] = &[
     ("truncate", CLEAN),  // no-op when longer than len
     ("pop_front", CLEAN), // VecDeque::pop_front returns Option
     ("fetch_add", CLEAN), // atomic RMW wraps, never panics
+    ("store", CLEAN),     // atomic store
     ("cast", CLEAN),      // pointer type cast, pure
     ("retain", CLEAN),
     ("entry", CLEAN), // the Entry itself; inserting through it is or_insert/or_default

@@ -553,9 +553,13 @@ fn l005_metrics_drift(rel_path: &str, lexed: &Lexed) -> Vec<Violation> {
     // between fields that still exist, so the two early-exit metrics
     // are additionally pinned by name — deleting or renaming either
     // side fails here instead of silently dropping the telemetry.
+    // So are the flow-ID memo's two counts: `Stage::Hash` is sampled
+    // once per miss, so without them its histogram cannot be read.
     for (name, pairs) in [
         ("bytes_at_verdict", [("ServeMetrics", &counters), ("StatsSnapshot", &snapshot)]),
         ("early_exit_verdicts", [("ShardGauges", &gauges), ("ShardStats", &shard_stats)]),
+        ("flow_memo_hits", [("ServeMetrics", &counters), ("StatsSnapshot", &snapshot)]),
+        ("flow_memo_misses", [("ServeMetrics", &counters), ("StatsSnapshot", &snapshot)]),
     ] {
         for (struct_name, fields) in pairs {
             if !fields.is_empty() && !fields.iter().any(|f| f.name == name) {
@@ -564,8 +568,8 @@ fn l005_metrics_drift(rel_path: &str, lexed: &Lexed) -> Vec<Violation> {
                     line: 1,
                     lint: "L005",
                     message: format!(
-                        "anytime early-exit metric `{name}` must stay declared in \
-                         {struct_name}; it is pinned by the stats wire contract"
+                        "metric `{name}` must stay declared in {struct_name}; it is \
+                         pinned by the stats wire contract"
                     ),
                 });
             }
@@ -890,11 +894,15 @@ pub struct ServeMetrics {
     pub orphan_counter: AtomicU64,
     pub stages: [LatencyHistogram; 4],
     pub bytes_at_verdict: LatencyHistogram,
+    pub flow_memo_hits: AtomicU64,
+    pub flow_memo_misses: AtomicU64,
 }
 pub struct StatsSnapshot {
     pub packets: u64,
     pub stages: [HistogramSnapshot; 4],
     pub bytes_at_verdict: HistogramSnapshot,
+    pub flow_memo_hits: u64,
+    pub flow_memo_misses: u64,
 }
 "#;
         let v = check_file(METRICS, src);
@@ -911,11 +919,15 @@ pub struct ServeMetrics {
     pub packets: AtomicU64,
     pub hits: AtomicU64,
     pub bytes_at_verdict: LatencyHistogram,
+    pub flow_memo_hits: AtomicU64,
+    pub flow_memo_misses: AtomicU64,
 }
 pub struct StatsSnapshot {
     pub packets: u64,
     pub hits: u64,
     pub bytes_at_verdict: HistogramSnapshot,
+    pub flow_memo_hits: u64,
+    pub flow_memo_misses: u64,
 }
 "#;
         assert!(check_file(METRICS, src).is_empty());
@@ -930,8 +942,8 @@ pub struct StatsSnapshot {
     #[test]
     fn l005_shard_gauges_must_mirror_shard_stats() {
         let src = r#"
-pub struct ServeMetrics { pub packets: AtomicU64, pub bytes_at_verdict: LatencyHistogram }
-pub struct StatsSnapshot { pub packets: u64, pub bytes_at_verdict: HistogramSnapshot }
+pub struct ServeMetrics { pub packets: AtomicU64, pub bytes_at_verdict: LatencyHistogram, pub flow_memo_hits: AtomicU64, pub flow_memo_misses: AtomicU64 }
+pub struct StatsSnapshot { pub packets: u64, pub bytes_at_verdict: HistogramSnapshot, pub flow_memo_hits: u64, pub flow_memo_misses: u64 }
 pub struct ShardGauges {
     pub pending_flows: AtomicU64,
     pub orphan_gauge: AtomicU64,
@@ -950,8 +962,8 @@ pub struct ShardStats {
     #[test]
     fn l005_lone_shard_struct_is_flagged() {
         let src = r#"
-pub struct ServeMetrics { pub packets: AtomicU64, pub bytes_at_verdict: LatencyHistogram }
-pub struct StatsSnapshot { pub packets: u64, pub bytes_at_verdict: HistogramSnapshot }
+pub struct ServeMetrics { pub packets: AtomicU64, pub bytes_at_verdict: LatencyHistogram, pub flow_memo_hits: AtomicU64, pub flow_memo_misses: AtomicU64 }
+pub struct StatsSnapshot { pub packets: u64, pub bytes_at_verdict: HistogramSnapshot, pub flow_memo_hits: u64, pub flow_memo_misses: u64 }
 pub struct ShardGauges { pub pending_flows: AtomicU64, pub early_exit_verdicts: AtomicU64 }
 "#;
         let v = check_file(METRICS, src);
@@ -962,8 +974,8 @@ pub struct ShardGauges { pub pending_flows: AtomicU64, pub early_exit_verdicts: 
     #[test]
     fn l005_absent_shard_pair_is_fine() {
         let src = r#"
-pub struct ServeMetrics { pub packets: AtomicU64, pub bytes_at_verdict: LatencyHistogram }
-pub struct StatsSnapshot { pub packets: u64, pub bytes_at_verdict: HistogramSnapshot }
+pub struct ServeMetrics { pub packets: AtomicU64, pub bytes_at_verdict: LatencyHistogram, pub flow_memo_hits: AtomicU64, pub flow_memo_misses: AtomicU64 }
+pub struct StatsSnapshot { pub packets: u64, pub bytes_at_verdict: HistogramSnapshot, pub flow_memo_hits: u64, pub flow_memo_misses: u64 }
 "#;
         assert!(check_file(METRICS, src).is_empty());
     }
@@ -994,8 +1006,8 @@ mod tests {
     fn l005_covers_pool_gauges() {
         // The flow-state pool gauges drift like any other gauge pair.
         let src = r#"
-pub struct ServeMetrics { pub packets: AtomicU64, pub bytes_at_verdict: LatencyHistogram }
-pub struct StatsSnapshot { pub packets: u64, pub bytes_at_verdict: HistogramSnapshot }
+pub struct ServeMetrics { pub packets: AtomicU64, pub bytes_at_verdict: LatencyHistogram, pub flow_memo_hits: AtomicU64, pub flow_memo_misses: AtomicU64 }
+pub struct StatsSnapshot { pub packets: u64, pub bytes_at_verdict: HistogramSnapshot, pub flow_memo_hits: u64, pub flow_memo_misses: u64 }
 pub struct ShardGauges {
     pub pending_flows: AtomicU64,
     pub state_pool_hits: AtomicU64,
@@ -1014,9 +1026,9 @@ pub struct ShardStats {
     }
 
     #[test]
-    fn l005_pins_anytime_early_exit_metrics() {
-        // Removing both sides of an anytime metric would pass the
-        // mirror checks; the pin-by-name catches it.
+    fn l005_pins_anytime_and_flow_memo_metrics() {
+        // Removing both sides of a pinned metric would pass the mirror
+        // checks; the pin-by-name catches it.
         let src = r#"
 pub struct ServeMetrics { pub packets: AtomicU64 }
 pub struct StatsSnapshot { pub packets: u64 }
@@ -1024,9 +1036,15 @@ pub struct ShardGauges { pub pending_flows: AtomicU64 }
 pub struct ShardStats { pub pending_flows: u64 }
 "#;
         let v = check_file(METRICS, src);
-        assert_eq!(lints_of(&v), vec!["L005", "L005", "L005", "L005"]);
-        assert!(v[0].message.contains("bytes_at_verdict"));
-        assert!(v[2].message.contains("early_exit_verdicts"));
+        assert_eq!(lints_of(&v), vec!["L005"; 8]);
+        for (pair, name) in
+            ["bytes_at_verdict", "early_exit_verdicts", "flow_memo_hits", "flow_memo_misses"]
+                .iter()
+                .enumerate()
+        {
+            assert!(v[2 * pair].message.contains(name), "{}", v[2 * pair].message);
+            assert!(v[2 * pair + 1].message.contains(name), "{}", v[2 * pair + 1].message);
+        }
     }
 
     #[test]
@@ -1035,9 +1053,13 @@ pub struct ShardStats { pub pending_flows: u64 }
 pub struct ServeMetrics {
     pub packets: AtomicU64,
     pub bytes_at_verdict: LatencyHistogram,
+    pub flow_memo_hits: AtomicU64,
+    pub flow_memo_misses: AtomicU64,
 }
 pub struct StatsSnapshot {
     pub packets: u64,
+    pub flow_memo_hits: u64,
+    pub flow_memo_misses: u64,
 }
 "#;
         let v = check_file(METRICS, src);
