@@ -60,7 +60,8 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut stream_rows = Vec::new();
-    let mut remembered: Vec<(String, f64, usize)> = Vec::new();
+    // (config, time ratio, space saving) of each estimated row.
+    let mut ratios: Vec<(&str, f64, f64)> = Vec::new();
     for (label, widths, cfg, data, reps) in [
         ("b=1024 SVM", FeatureWidths::svm_selected(), svm_cfg, &data_1k, 200),
         ("b=1024 CART", FeatureWidths::cart_selected(), cart_cfg, &data_1k, 200),
@@ -76,7 +77,9 @@ fn main() {
         } else {
             measure(&widths, FeatureMode::Estimated(cfg), data, reps / 4)
         };
-        remembered.push((label.to_string(), t_exact, s_exact));
+        if !is_small {
+            ratios.push((label, t_est / t_exact, s_exact as f64 / s_est as f64));
+        }
         rows.push(vec![
             label.to_string(),
             format!("{t_exact:.1}µs"),
@@ -133,9 +136,17 @@ fn main() {
         &stream_rows,
     );
 
+    let measured: Vec<String> = ratios
+        .iter()
+        .map(|(label, time, space)| {
+            format!("×{time:.2} slower for ×{space:.2} less space ({label})")
+        })
+        .collect();
     println!(
         "\nnotes: the paper's absolute numbers (5428 µs calc at b=1024, 326 µs at b=32) come \
-         from 2009 hardware; compare ratios. Estimation trades ≈3× time for ≈3× space, and \
-         b=32 is exact-only, matching the paper's deployment guidance."
+         from 2009 hardware; compare ratios. Estimation measured {} against the paper's ≈×3 \
+         slower for ≈×3 less space; b=32 is exact-only, matching the paper's deployment \
+         guidance.",
+        measured.join(", ")
     );
 }

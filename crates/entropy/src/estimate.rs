@@ -623,7 +623,6 @@ impl IncrementalEstimator {
     pub fn finish(&self) -> Vec<f64> {
         // lint: allow(L009) — owned-result convenience API; the pipeline uses finish_into with pooled scratch
         let mut out = Vec::with_capacity(self.slots.len());
-        // lint: allow(L009) — owned-result convenience API; the pipeline uses finish_into with pooled scratch
         let mut counts = Vec::new();
         self.finish_into(&mut out, &mut counts);
         out

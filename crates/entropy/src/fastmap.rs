@@ -24,6 +24,8 @@
 //! tables are bounded by the classification window `b`, so the worst
 //! case degrades to a short linear scan, never unbounded growth.
 
+#![cfg_attr(not(test), warn(clippy::arithmetic_side_effects))]
+
 use std::hash::{BuildHasher, Hasher};
 
 /// The Fx multiply constant (an odd 64-bit number with good bit
@@ -261,7 +263,7 @@ impl<K: GramKey> CounterTable<K> {
         let (keys, counts) = (vec![K::default(); new_cap], vec![0u32; new_cap]);
         let old_keys = std::mem::replace(&mut self.keys, keys);
         let old_counts = std::mem::replace(&mut self.counts, counts);
-        self.shift = 64 - new_cap.trailing_zeros();
+        self.shift = 64u32.saturating_sub(new_cap.trailing_zeros());
         for (key, count) in old_keys.into_iter().zip(old_counts) {
             if count == 0 {
                 continue;
@@ -392,7 +394,7 @@ impl BuildHasher for FxBuildHasher {
 
 /// A `HashMap` keyed by the Fx hash — the drop-in replacement for
 /// `std`'s SipHash default inside this crate's hot paths.
-// lint: allow(L007) — this alias IS the sanctioned fast-hashed HashMap
+#[expect(clippy::disallowed_types, reason = "this alias IS the sanctioned fast-hashed HashMap")]
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 #[cfg(test)]

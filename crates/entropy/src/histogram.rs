@@ -146,7 +146,6 @@ fn count_windows<K: GramKey>(
 /// Panics if `gram.len() > 16`.
 #[inline]
 pub(crate) fn pack_gram(gram: &[u8]) -> u128 {
-    // lint: allow(L008) — k <= 16 is a GramHistogram construction invariant; every gram is a k-byte window
     assert!(gram.len() <= 16, "grams longer than 16 bytes are unsupported");
     let mut key: u128 = 0;
     for &b in gram {

@@ -38,6 +38,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::print_stdout, clippy::print_stderr)
+)]
+#![cfg_attr(test, allow(clippy::disallowed_types))]
 
 pub mod divergence;
 pub mod estimate;

@@ -33,10 +33,8 @@ impl FeatureWidths {
     /// Panics if `widths` is empty or contains a width outside `1..=16`.
     pub fn new(widths: impl Into<Vec<usize>>) -> Self {
         let widths = widths.into();
-        // lint: allow(L008) — constructor contract: widths are validated once at configuration time, not per packet
         assert!(!widths.is_empty(), "feature width set must be non-empty");
         for &k in &widths {
-            // lint: allow(L008) — constructor contract: widths are validated once at configuration time, not per packet
             assert!((1..=16).contains(&k), "feature width {k} outside 1..=16");
         }
         FeatureWidths(widths)
@@ -82,7 +80,6 @@ impl FeatureWidths {
 
 impl From<&[usize]> for FeatureWidths {
     fn from(widths: &[usize]) -> Self {
-        // lint: allow(L009) — configuration-time conversion; on the packet path only via `from` name fan-out
         FeatureWidths::new(widths.to_vec())
     }
 }

@@ -1,5 +1,8 @@
 //! Property-based tests for the information-theory substrate.
 
+// The reference models count with `std`'s HashMap; the kernel may not.
+#![allow(clippy::disallowed_types)]
+
 use iustitia_entropy::{
     entropy, entropy_vector, jensen_shannon_divergence, kl_divergence, prefix_jsd,
     ByteDistribution, EstimatorConfig, FeatureWidths, GramHistogram, IncrementalVector,

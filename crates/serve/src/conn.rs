@@ -39,7 +39,7 @@
 
 use std::io::{Read, Write};
 
-use crate::proto::{write_frame, ProtoError, MAX_FRAME};
+use crate::proto::{frame_header, ProtoError, MAX_FRAME};
 
 /// Compact the bank once this many consumed bytes accumulate at its
 /// front (keeps the buffer from creeping while avoiding a memmove per
@@ -312,7 +312,10 @@ impl WriteBuffer {
     /// [`ProtoError::FrameTooLarge`] if the frame exceeds the protocol
     /// cap (nothing is appended in that case).
     pub fn push_frame(&mut self, type_byte: u8, body: &[u8]) -> Result<(), ProtoError> {
-        write_frame(&mut self.buf, type_byte, body)
+        let header = frame_header(type_byte, body.len())?;
+        self.buf.extend_from_slice(&header);
+        self.buf.extend_from_slice(body);
+        Ok(())
     }
 
     /// Bytes still awaiting the wire.
@@ -360,7 +363,7 @@ impl WriteBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{read_frame, Request};
+    use crate::proto::{read_frame, write_frame, Request};
 
     fn frame_bytes(frames: &[(u8, Vec<u8>)]) -> Vec<u8> {
         let mut out = Vec::new();

@@ -47,6 +47,15 @@
 //! `DrainComplete` reports how many flows this drain flushed for the
 //! requesting connection.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::cast_possible_truncation,
+        clippy::wildcard_enum_match_arm,
+        clippy::arithmetic_side_effects
+    )
+)]
+
 use std::io::{BufReader, Read, Write};
 use std::net::Ipv4Addr;
 
@@ -195,19 +204,29 @@ pub struct FlowVerdict {
 
 // ------------------------------------------------------------ framing
 
+/// The five bytes that open a frame: its length prefix and `type_byte`.
+///
+/// # Errors
+///
+/// [`ProtoError::FrameTooLarge`] if a `body_len`-byte body would exceed
+/// [`MAX_FRAME`].
+pub(crate) fn frame_header(type_byte: u8, body_len: usize) -> Result<[u8; 5], ProtoError> {
+    let frame_len = body_len.saturating_add(1);
+    if frame_len > MAX_FRAME {
+        return Err(ProtoError::FrameTooLarge { len: frame_len });
+    }
+    let len = u32::try_from(frame_len).map_err(|_| ProtoError::FrameTooLarge { len: frame_len })?;
+    let [a, b, c, d] = len.to_be_bytes();
+    Ok([a, b, c, d, type_byte])
+}
+
 /// Writes one frame (`type_byte` + `body`).
 ///
 /// # Errors
 ///
 /// Returns any transport error from the writer.
 pub fn write_frame<W: Write>(w: &mut W, type_byte: u8, body: &[u8]) -> Result<(), ProtoError> {
-    let frame_len = body.len().saturating_add(1);
-    if frame_len > MAX_FRAME {
-        return Err(ProtoError::FrameTooLarge { len: frame_len });
-    }
-    let len = u32::try_from(frame_len).map_err(|_| ProtoError::FrameTooLarge { len: frame_len })?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(&[type_byte])?;
+    w.write_all(&frame_header(type_byte, body.len())?)?;
     w.write_all(body)?;
     Ok(())
 }

@@ -398,10 +398,14 @@ impl Reactor {
                 // back off, and if it keeps failing (EBADF/EINVAL —
                 // the epoll fd itself is broken) the reactor is
                 // unrecoverable, so exit instead of spinning forever.
+                #[expect(
+                    clippy::print_stderr,
+                    reason = "the reactor thread is dying and can no longer serve Stats; \
+                              stderr is the only channel left"
+                )]
                 Err(e) => {
                     wait_errors += 1;
                     if wait_errors >= MAX_WAIT_ERRORS {
-                        // lint: allow(L004) — the reactor thread is dying and can no longer serve Stats; stderr is the only channel left
                         eprintln!(
                             "iustitia-reactor: epoll_wait failed {wait_errors} times, exiting: {e}"
                         );
@@ -812,7 +816,7 @@ impl Reactor {
             Err(e) => Response::Error(format!("unencodable response: {e}")).encode(),
         };
         let Ok((type_byte, body)) = encoded else { return };
-        let Some(conn) = self.conns[idx].as_mut() else { return };
+        let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else { return };
         if conn.out.push_frame(type_byte, &body).is_err() {
             return;
         }

@@ -45,6 +45,8 @@
 //! still-connected clients before the reactor exits. The `Drain`
 //! request offers the same barrier per connection at runtime.
 
+#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
+
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

@@ -1,4 +1,4 @@
-//! The interprocedural analyses L008–L011, built on [`crate::parser`]
+//! The interprocedural analyses L008–L010, built on [`crate::parser`]
 //! and [`crate::callgraph`].
 //!
 //! Soundness stance — **conservative over-approximation**:
@@ -18,18 +18,18 @@
 //!   closure bodies are scanned as events of the enclosing function,
 //!   and `debug_assert!` is excluded (compiled out of release builds).
 //!
-//! False positives are burned down with the same
-//! `// lint: allow(Lxxx) — reason` suppressions as the token lints;
-//! the suppression must sit at the reported *sink* line.
+//! [`analyze`] reports raw findings; [`crate::lints::check`] applies the
+//! `// lint: allow(Lxxx) — reason` waivers to them, which must sit at
+//! the reported *sink* line.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::path::Path;
 
 use crate::callgraph::{is_primitive, CallGraph};
-use crate::config::{self, RootsConfig};
-use crate::lexer::lex;
-use crate::lints::{collect_rs_files, parse_suppressions, Suppressions, Violation};
+use crate::lexer::{lex, Lexed};
+use crate::lints::{collect_rs_files, Violation};
 use crate::parser::{parse_file, Callee, Event, FnItem};
+use crate::roots::RootsConfig;
 
 /// Macros whose expansion can panic (`debug_assert!` deliberately
 /// excluded: it is compiled out of release builds).
@@ -38,10 +38,6 @@ const PANIC_MACROS: &[&str] =
 
 /// Macros whose expansion allocates.
 const ALLOC_MACROS: &[&str] = &["format", "vec"];
-
-/// Files L011 applies to: the wire codec and the counter table, where
-/// every integer is a length, offset, or counter.
-const L011_FILES: &[&str] = &["crates/serve/src/proto.rs", "crates/entropy/src/fastmap.rs"];
 
 /// What an unresolved callee may do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -322,48 +318,59 @@ pub fn effect_of(callee: &Callee) -> Effect {
 
 // ------------------------------------------------------------ workspace
 
-/// The parsed workspace: call graph plus per-file suppressions.
+/// The parsed workspace: the call graph, and every source file lexed.
 pub struct Workspace {
     pub graph: CallGraph,
-    supp: HashMap<String, Suppressions>,
+    /// `(workspace-relative path, lexed source)` of every
+    /// `crates/*/src/**.rs` file, `src/bin/` included: bins add no
+    /// function to the graph, but their waivers are checked like any
+    /// other.
+    pub(crate) files: Vec<(String, Lexed)>,
 }
 
-/// Lexes and parses every `crates/*/src/**.rs` library file under
-/// `root`. `src/bin/` harnesses are excluded from the graph entirely:
-/// they are not reachable from library roots, but their look-alike
-/// types (e.g. the benchmark's baseline kernels) would otherwise be
-/// pulled into method-call fan-out.
+impl Workspace {
+    /// A workspace of in-memory `(rel_path, src)` files, without the
+    /// crate dependency bound.
+    #[cfg(test)]
+    pub(crate) fn from_sources(sources: &[(&str, &str)]) -> Workspace {
+        let files: Vec<(String, Lexed)> =
+            sources.iter().map(|(rel, src)| (rel.to_string(), lex(src))).collect();
+        let items = files.iter().flat_map(|(rel, lexed)| parse_file(rel, lexed)).collect();
+        Workspace { graph: CallGraph::build(items), files }
+    }
+}
+
+/// Lexes every `crates/*/src/**.rs` file under `root` and parses its
+/// library files into the call graph. `src/bin/` harnesses are excluded
+/// from the graph: they are not reachable from library roots, but their
+/// look-alike types (e.g. the benchmark's baseline kernels) would
+/// otherwise be pulled into method-call fan-out.
 pub fn parse_workspace(root: &Path) -> std::io::Result<Workspace> {
-    let mut files = Vec::new();
+    let mut paths = Vec::new();
     for entry in std::fs::read_dir(root.join("crates"))? {
         let src_dir = entry?.path().join("src");
         if src_dir.is_dir() {
-            collect_rs_files(&src_dir, &mut files)?;
+            collect_rs_files(&src_dir, &mut paths)?;
         }
     }
-    files.sort();
+    paths.sort();
     let mut items = Vec::new();
-    let mut supp = HashMap::new();
-    for file in files {
-        let rel = file
+    let mut files = Vec::new();
+    for path in paths {
+        let rel = path
             .strip_prefix(root)
-            .unwrap_or(&file)
+            .unwrap_or(&path)
             .to_string_lossy()
             .replace(std::path::MAIN_SEPARATOR, "/");
-        if rel.contains("/bin/") {
-            continue;
+        let lexed = lex(&std::fs::read_to_string(&path)?);
+        if !rel.contains("/bin/") {
+            items.extend(parse_file(&rel, &lexed));
         }
-        let src = std::fs::read_to_string(&file)?;
-        let lexed = lex(&src);
-        // E000 diagnostics for malformed suppressions are lints::run's
-        // job; here only the valid entries matter.
-        let (suppressions, _bad) = parse_suppressions(&rel, &lexed.comments);
-        supp.insert(rel.clone(), suppressions);
-        items.extend(parse_file(&rel, &lexed));
+        files.push((rel, lexed));
     }
     let mut graph = CallGraph::build(items);
     graph.set_deps(workspace_deps(root)?);
-    Ok(Workspace { graph, supp })
+    Ok(Workspace { graph, files })
 }
 
 /// Reads every `crates/*/Cargo.toml` and returns, per crate directory,
@@ -419,29 +426,11 @@ fn workspace_deps(root: &Path) -> std::io::Result<HashMap<String, HashSet<String
     Ok(out)
 }
 
-/// Runs L008–L011 over the workspace at `root`, reading the roots and
-/// lock order from `crates/xtask/roots.toml`.
-pub fn run(root: &Path) -> std::io::Result<Vec<Violation>> {
-    let cfg_path = root.join("crates").join("xtask").join("roots.toml");
-    let text = std::fs::read_to_string(&cfg_path)?;
-    let cfg = config::parse(&text)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    let ws = parse_workspace(root)?;
-    Ok(analyze(&ws, &cfg))
-}
-
-/// Runs all four analyses and applies suppressions.
-pub fn analyze(ws: &Workspace, cfg: &RootsConfig) -> Vec<Violation> {
-    let mut raw = Vec::new();
-    raw.extend(l008_panic_reachability(ws, cfg));
-    raw.extend(l009_alloc_reachability(ws, cfg));
-    raw.extend(l010_lock_discipline(ws, cfg));
-    raw.extend(l011_unchecked_arithmetic(ws));
-    let mut out: Vec<Violation> = raw
-        .into_iter()
-        .filter(|v| !ws.supp.get(&v.file).is_some_and(|s| s.covers(v.lint, v.line)))
-        .collect();
-    out.sort_by(|a, b| (&a.file, a.line, a.lint).cmp(&(&b.file, b.line, b.lint)));
+/// Runs L008–L010 over a parsed workspace; waivers are not applied.
+pub(crate) fn analyze(ws: &Workspace, roots: &RootsConfig) -> Vec<Violation> {
+    let mut out = l008_panic_reachability(ws, roots);
+    out.extend(l009_alloc_reachability(ws, roots));
+    out.extend(l010_lock_discipline(ws, roots));
     out
 }
 
@@ -449,7 +438,7 @@ pub fn analyze(ws: &Workspace, cfg: &RootsConfig) -> Vec<Violation> {
 /// rename can never silently disable an analysis.
 fn resolve_roots(
     graph: &CallGraph,
-    specs: &[String],
+    specs: &[&str],
     lint: &'static str,
 ) -> (Vec<usize>, Vec<Violation>) {
     let mut roots = Vec::new();
@@ -458,7 +447,7 @@ fn resolve_roots(
         let found = graph.find(spec);
         if found.is_empty() {
             missing.push(Violation {
-                file: "crates/xtask/roots.toml".to_string(),
+                file: "crates/xtask/src/roots.rs".to_string(),
                 line: 1,
                 lint,
                 message: format!("root `{spec}` matches no workspace function (rename drift?)"),
@@ -472,7 +461,7 @@ fn resolve_roots(
 // ----------------------------------------------------------------- L008
 
 fn l008_panic_reachability(ws: &Workspace, cfg: &RootsConfig) -> Vec<Violation> {
-    let (roots, mut out) = resolve_roots(&ws.graph, &cfg.panic_roots, "L008");
+    let (roots, mut out) = resolve_roots(&ws.graph, cfg.panic_roots, "L008");
     let parents = ws.graph.reachable(&roots);
     let mut reached: Vec<usize> = parents.keys().copied().collect();
     reached.sort_unstable();
@@ -512,7 +501,7 @@ fn l008_panic_reachability(ws: &Workspace, cfg: &RootsConfig) -> Vec<Violation> 
 // ----------------------------------------------------------------- L009
 
 fn l009_alloc_reachability(ws: &Workspace, cfg: &RootsConfig) -> Vec<Violation> {
-    let (roots, mut out) = resolve_roots(&ws.graph, &cfg.alloc_roots, "L009");
+    let (roots, mut out) = resolve_roots(&ws.graph, cfg.alloc_roots, "L009");
     let parents = ws.graph.reachable(&roots);
     let mut reached: Vec<usize> = parents.keys().copied().collect();
     reached.sort_unstable();
@@ -673,7 +662,7 @@ fn l010_lock_discipline(ws: &Workspace, cfg: &RootsConfig) -> Vec<Violation> {
                                 *line,
                                 format!(
                                     "lock `{lock}` acquired in {} is not in the declared \
-                                     lock order of roots.toml",
+                                     lock order",
                                     f.qualified()
                                 ),
                                 &mut out,
@@ -784,61 +773,23 @@ fn l010_lock_discipline(ws: &Workspace, cfg: &RootsConfig) -> Vec<Violation> {
     out
 }
 
-// ----------------------------------------------------------------- L011
-
-fn l011_unchecked_arithmetic(ws: &Workspace) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for f in &ws.graph.fns {
-        if f.is_test || !L011_FILES.contains(&f.file.as_str()) {
-            continue;
-        }
-        for event in &f.events {
-            let Event::Arith { op, lhs, rhs, line } = event else { continue };
-            out.push(Violation {
-                file: f.file.clone(),
-                line: *line,
-                lint: "L011",
-                message: format!(
-                    "bare `{op}` on `{lhs} {op} {rhs}` in {}: lengths and counters here \
-                     must use checked_/wrapping_/saturating_ arithmetic",
-                    f.qualified()
-                ),
-            });
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse_file;
+    use crate::lints::check;
 
-    /// Builds a workspace from `(rel_path, src)` pairs.
-    fn workspace(files: &[(&str, &str)]) -> Workspace {
-        let mut items = Vec::new();
-        let mut supp = HashMap::new();
-        for (rel, src) in files {
-            let lexed = lex(src);
-            let (s, _) = parse_suppressions(rel, &lexed.comments);
-            supp.insert(rel.to_string(), s);
-            items.extend(parse_file(rel, &lexed));
-        }
-        Workspace { graph: CallGraph::build(items), supp }
-    }
-
-    fn cfg_with_roots(roots: &[&str]) -> RootsConfig {
+    fn cfg_with_roots(roots: &'static [&'static str]) -> RootsConfig {
         RootsConfig {
-            panic_roots: roots.iter().map(|s| s.to_string()).collect(),
-            alloc_roots: roots.iter().map(|s| s.to_string()).collect(),
-            lock_order: vec!["outer".into(), "inner".into()],
-            guard_fns: vec![],
+            panic_roots: roots,
+            alloc_roots: roots,
+            lock_order: &["outer", "inner"],
+            guard_fns: &[],
         }
     }
 
     #[test]
     fn l008_reports_transitive_panics_with_chains() {
-        let ws = workspace(&[(
+        let ws = Workspace::from_sources(&[(
             "crates/core/src/demo.rs",
             r#"
 pub fn hot() { warm(); }
@@ -847,7 +798,7 @@ fn deep(xs: &[u8]) -> u8 { xs[0] }
 fn cold() { panic!("not reachable"); }
 "#,
         )]);
-        let v = analyze(&ws, &cfg_with_roots(&["hot"]));
+        let v = check(&ws, &cfg_with_roots(&["hot"]));
         let l008: Vec<&Violation> = v.iter().filter(|v| v.lint == "L008").collect();
         assert_eq!(l008.len(), 1, "only the reachable index, not cold's panic: {v:?}");
         assert!(l008[0].message.contains("hot → warm → deep"), "{}", l008[0].message);
@@ -856,7 +807,7 @@ fn cold() { panic!("not reachable"); }
 
     #[test]
     fn l008_flags_unknown_callees_and_honors_suppressions() {
-        let ws = workspace(&[(
+        let ws = Workspace::from_sources(&[(
             "crates/core/src/demo.rs",
             r#"
 pub fn hot() {
@@ -866,7 +817,7 @@ pub fn hot() {
 "#,
         )]);
         let cfg = cfg_with_roots(&["hot"]);
-        let v = analyze(&ws, &cfg);
+        let v = check(&ws, &cfg);
         let l008: Vec<&Violation> = v.iter().filter(|v| v.lint == "L008").collect();
         assert_eq!(l008.len(), 1);
         assert!(l008[0].message.contains("mystery_extern"));
@@ -874,7 +825,7 @@ pub fn hot() {
 
     #[test]
     fn l009_static_pool_alloc_twin() {
-        let ws = workspace(&[(
+        let ws = Workspace::from_sources(&[(
             "crates/core/src/demo.rs",
             r#"
 pub fn hot(out: &mut Vec<u8>) { grow(out); math(); }
@@ -882,7 +833,7 @@ fn grow(out: &mut Vec<u8>) { out.push(1); }
 fn math() -> u64 { 2u64.saturating_add(3) }
 "#,
         )]);
-        let v = analyze(&ws, &cfg_with_roots(&["hot"]));
+        let v = check(&ws, &cfg_with_roots(&["hot"]));
         let l009: Vec<&Violation> = v.iter().filter(|v| v.lint == "L009").collect();
         assert_eq!(l009.len(), 1, "{v:?}");
         assert!(l009[0].message.contains(".push()"));
@@ -891,15 +842,15 @@ fn math() -> u64 { 2u64.saturating_add(3) }
 
     #[test]
     fn missing_roots_fail_loudly() {
-        let ws = workspace(&[("crates/core/src/demo.rs", "pub fn present() {}")]);
-        let v = analyze(&ws, &cfg_with_roots(&["Vanished::gone"]));
+        let ws = Workspace::from_sources(&[("crates/core/src/demo.rs", "pub fn present() {}")]);
+        let v = check(&ws, &cfg_with_roots(&["Vanished::gone"]));
         assert!(v.iter().any(|v| v.lint == "L008" && v.message.contains("Vanished::gone")));
         assert!(v.iter().any(|v| v.lint == "L009" && v.message.contains("Vanished::gone")));
     }
 
     #[test]
     fn l010_flags_order_violation_and_send_under_lock() {
-        let ws = workspace(&[(
+        let ws = Workspace::from_sources(&[(
             "crates/serve/src/demo.rs",
             r#"
 struct S;
@@ -927,7 +878,7 @@ impl S {
 }
 "#,
         )]);
-        let v = analyze(&ws, &cfg_with_roots(&[]));
+        let v = check(&ws, &cfg_with_roots(&[]));
         let l010: Vec<&Violation> = v.iter().filter(|v| v.lint == "L010").collect();
         assert_eq!(l010.len(), 2, "{l010:?}");
         assert!(l010[0].message.contains("violates the declared order"));
@@ -936,7 +887,7 @@ impl S {
 
     #[test]
     fn l010_sees_through_guard_fns_and_callee_summaries() {
-        let ws = workspace(&[(
+        let ws = Workspace::from_sources(&[(
             "crates/serve/src/demo.rs",
             r#"
 struct Q;
@@ -952,8 +903,8 @@ impl Q {
 "#,
         )]);
         let mut cfg = cfg_with_roots(&[]);
-        cfg.guard_fns = vec![("lock_state".to_string(), "inner".to_string())];
-        let v = analyze(&ws, &cfg);
+        cfg.guard_fns = &[("lock_state", "inner")];
+        let v = check(&ws, &cfg);
         let l010: Vec<&Violation> = v.iter().filter(|v| v.lint == "L010").collect();
         assert_eq!(l010.len(), 1, "{l010:?}");
         assert!(l010[0].message.contains("Q::notifies"));
@@ -962,7 +913,7 @@ impl Q {
 
     #[test]
     fn l010_unbound_guard_dies_with_its_statement() {
-        let ws = workspace(&[(
+        let ws = Workspace::from_sources(&[(
             "crates/serve/src/demo.rs",
             r#"
 struct S;
@@ -974,22 +925,7 @@ impl S {
 }
 "#,
         )]);
-        let v = analyze(&ws, &cfg_with_roots(&[]));
+        let v = check(&ws, &cfg_with_roots(&[]));
         assert!(v.iter().all(|v| v.lint != "L010"), "{v:?}");
-    }
-
-    #[test]
-    fn l011_flags_bare_arith_in_scoped_files_only() {
-        let src = r#"
-fn frame_len(body: &[u8]) -> usize { body.len() + 1 }
-fn ok_len(body: &[u8]) -> usize { body.len().saturating_add(1) }
-"#;
-        let ws =
-            workspace(&[("crates/serve/src/proto.rs", src), ("crates/core/src/pipeline.rs", src)]);
-        let v = analyze(&ws, &cfg_with_roots(&[]));
-        let l011: Vec<&Violation> = v.iter().filter(|v| v.lint == "L011").collect();
-        assert_eq!(l011.len(), 1, "{l011:?}");
-        assert_eq!(l011[0].file, "crates/serve/src/proto.rs");
-        assert!(l011[0].message.contains("bare `+`"));
     }
 }

@@ -1,15 +1,16 @@
-//! Workspace-native static analysis for the Iustitia repo.
+//! Workspace-native static analysis for the Iustitia repo: the checks a
+//! compiler cannot make.
 //!
-//! Two tiers run under `cargo run -p xtask -- lint`: the per-token
-//! lints L001–L007 (see [`lints`]) and the interprocedural analyses
-//! L008–L011 built on a hand-rolled parser and call graph (see
-//! [`parser`], [`callgraph`], [`analyses`]). The library target exists
-//! so the fixture integration tests can drive the parser and analyses
-//! directly; the `xtask` binary is the CLI front end.
+//! `cargo run -p xtask -- lint` runs the project-specific token lints
+//! L005–L006 (see [`lints`]) and the interprocedural analyses L008–L010
+//! built on a hand-rolled parser and call graph (see [`parser`],
+//! [`callgraph`], [`analyses`]) from the roots in [`roots`]. The library
+//! target exists so the fixture integration tests can drive the parser
+//! and analyses directly; the `xtask` binary is the CLI front end.
 
 pub mod analyses;
 pub mod callgraph;
-pub mod config;
 pub mod lexer;
 pub mod lints;
 pub mod parser;
+pub mod roots;

@@ -8,9 +8,8 @@
 //!   take `self`;
 //! * per-body **events**: call expressions (method, bare, and path
 //!   calls), macro invocations, index expressions (`x[i]` in expression
-//!   position), binary `+`/`*` arithmetic, and block-scope closings —
-//!   enough to drive panic-, allocation-, lock- and overflow-analyses
-//!   without a full AST;
+//!   position), and block-scope closings — enough to drive panic-,
+//!   allocation- and lock-analyses without a full AST;
 //! * just enough generics handling to not get lost: angle-bracket lists
 //!   are skipped with `>>`/`<<` counting ±2, so the single `>>` token
 //!   the lexer emits for `Vec<Vec<u8>>` closes both lists.
@@ -79,8 +78,6 @@ pub enum Event {
     Macro { name: String, line: u32 },
     /// A slice/array index expression `expr[...]`.
     Index { line: u32 },
-    /// A binary `+`/`*` (or `+=`/`*=`) between two value operands.
-    Arith { op: &'static str, lhs: String, rhs: String, line: u32 },
     /// A `}` closed, dropping back to `depth` — ends guard scopes.
     ScopeEnd { depth: u32 },
     /// A `;` at `depth` ended a statement — ends unbound temporaries.
@@ -438,11 +435,6 @@ impl Parser<'_> {
                 "[" if t.kind == TokKind::Punct && self.is_index_position(j) => {
                     events.push(Event::Index { line: t.line });
                 }
-                "+" | "*" if t.kind == TokKind::Punct => {
-                    if let Some(event) = self.arith(j) {
-                        events.push(event);
-                    }
-                }
                 _ if t.kind == TokKind::Ident && !is_keyword(&t.text) => {
                     let prev = j.checked_sub(1).and_then(|p| self.tok(p));
                     let after_sep = prev.is_some_and(|p| p.is_punct(".") || p.is_punct("::"));
@@ -596,33 +588,6 @@ impl Parser<'_> {
             TokKind::Literal => false,
         }
     }
-
-    /// Binary `+`/`*` (or `+=`/`*=`) at `i`, with operand snippets.
-    fn arith(&self, i: usize) -> Option<Event> {
-        let prev = i.checked_sub(1).and_then(|p| self.tok(p))?;
-        let value_left = match prev.kind {
-            TokKind::Ident => !is_keyword(&prev.text),
-            TokKind::Literal => true,
-            TokKind::Punct => prev.text == ")" || prev.text == "]",
-        };
-        if !value_left {
-            return None;
-        }
-        let next = self.tok(i + 1)?;
-        // `impl Trait + 'a` / `dyn Read + Send` are type sums, not sums.
-        if next.text.starts_with('\'') || next.is_ident("dyn") {
-            return None;
-        }
-        let (op, rhs_at): (&'static str, usize) = match (self.tokens[i].text.as_str(), next) {
-            ("+", n) if n.is_punct("=") => ("+=", i + 2),
-            ("*", n) if n.is_punct("=") => ("*=", i + 2),
-            ("+", _) => ("+", i + 1),
-            ("*", _) => ("*", i + 1),
-            _ => return None,
-        };
-        let rhs = self.tok(rhs_at).map(|t| t.text.clone()).unwrap_or_default();
-        Some(Event::Arith { op, lhs: prev.text.clone(), rhs, line: self.tokens[i].line })
-    }
 }
 
 #[cfg(test)]
@@ -744,41 +709,6 @@ fn f(xs: &[u8], m: &mut [u64; 256]) -> u8 {
         let src = "fn f(a: u8, b: u8) -> bool { a != b }";
         let items = parse(src);
         assert!(items[0].events.iter().all(|e| !matches!(e, Event::Macro { .. })));
-    }
-
-    #[test]
-    fn arith_events_capture_binary_ops_only() {
-        let src = r#"
-fn f(len: usize, n: usize, c: &mut u64) -> usize {
-    *c += 1;
-    let x = len + 1;
-    let y = len * n;
-    x + y
-}
-"#;
-        let items = parse(src);
-        let ops: Vec<(&str, &str)> = items[0]
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                Event::Arith { op, lhs, .. } => Some((*op, lhs.as_str())),
-                _ => None,
-            })
-            .collect();
-        // `*c += 1` is a deref-assign: the `*` is unary, the `+=` has a
-        // punct (`c`? no — prev of `+` is ident c) — it IS counted as c += 1.
-        assert!(ops.contains(&("+=", "c")));
-        assert!(ops.contains(&("+", "len")));
-        assert!(ops.contains(&("*", "len")));
-        assert!(ops.contains(&("+", "x")));
-        assert!(!ops.iter().any(|(op, lhs)| *op == "*" && *lhs == ";"), "deref is not arith");
-    }
-
-    #[test]
-    fn trait_bound_plus_is_not_arith() {
-        let src = "fn f<'a>(x: Box<dyn Iterator<Item = u8> + 'a>) -> impl Read + Send { g(x) }";
-        let items = parse(src);
-        assert!(items[0].events.iter().all(|e| !matches!(e, Event::Arith { .. })));
     }
 
     #[test]

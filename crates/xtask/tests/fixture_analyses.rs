@@ -1,13 +1,25 @@
 //! Integration tests over the fixture mini-workspace in
 //! `tests/fixtures/mini`: every interprocedural analysis has a seeded
-//! positive with a pinned call chain and a clean negative, the call
-//! graph is snapshot against a golden edge list, and the real
-//! workspace is gated clean.
+//! positive with a pinned call chain and a clean negative, stale waivers
+//! are reported, the call graph is snapshot against a golden edge list,
+//! and the real workspace is gated clean.
 
 use std::path::{Path, PathBuf};
 
 use xtask::analyses;
-use xtask::lints::Violation;
+use xtask::lints::{self, Violation};
+use xtask::roots::{RootsConfig, ROOTS};
+
+/// The fixture's roots. Its layout mirrors the real repo: L010 is
+/// scoped to `crates/serve/src`, so the lock seeds live there.
+const FIXTURE_ROOTS: RootsConfig = RootsConfig {
+    panic_roots: &["Engine::process", "Engine::reset"],
+    alloc_roots: &["Engine::process"],
+    lock_order: &["inner", "results"],
+    guard_fns: &[],
+};
+
+const HOT: &str = "crates/hot/src/lib.rs";
 
 fn fixture_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests").join("fixtures").join("mini")
@@ -18,7 +30,7 @@ fn repo_root() -> PathBuf {
 }
 
 fn fixture_violations() -> Vec<Violation> {
-    analyses::run(&fixture_root()).expect("analyses over the fixture workspace")
+    lints::run(&fixture_root(), &FIXTURE_ROOTS).expect("lints over the fixture workspace")
 }
 
 #[track_caller]
@@ -33,6 +45,11 @@ fn assert_finding(violations: &[Violation], file: &str, lint: &str, needles: &[&
     );
 }
 
+/// The findings reported at `line` of the hot fixture.
+fn hot_line(violations: &[Violation], line: u32) -> Vec<&Violation> {
+    violations.iter().filter(|v| v.file == HOT && v.line == line).collect()
+}
+
 fn render(violations: &[Violation]) -> String {
     violations.iter().map(|v| format!("{v}\n")).collect()
 }
@@ -41,7 +58,7 @@ fn render(violations: &[Violation]) -> String {
 fn l008_seed_reports_the_call_chain() {
     assert_finding(
         &fixture_violations(),
-        "crates/hot/src/lib.rs",
+        HOT,
         "L008",
         &["slice/array index", "Engine::process → Engine::bump"],
     );
@@ -52,16 +69,39 @@ fn l008_suppression_at_the_sink_is_honored() {
     let violations = fixture_violations();
     assert!(
         !violations.iter().any(|v| v.message.contains("Engine::reset")),
-        "the suppressed index in Engine::reset must not be reported:\n{}",
+        "the waived index in Engine::reset must not be reported:\n{}",
         render(&violations)
     );
+    assert!(
+        hot_line(&violations, 32).is_empty() && hot_line(&violations, 33).is_empty(),
+        "the waiver the index consumes stays silent:\n{}",
+        render(&violations)
+    );
+}
+
+#[test]
+fn a_waiver_no_finding_uses_is_reported() {
+    let violations = fixture_violations();
+    let stale = hot_line(&violations, 42);
+    assert_eq!(stale.len(), 1, "{}", render(&violations));
+    assert_eq!(stale[0].lint, "E000");
+    assert!(stale[0].message.contains("waiver of L009 is used by no finding"), "{}", stale[0]);
+}
+
+#[test]
+fn a_shared_waiver_reports_only_its_unused_id() {
+    let violations = fixture_violations();
+    let shared = hot_line(&violations, 34);
+    assert_eq!(shared.len(), 1, "L008 is used, L009 is not:\n{}", render(&violations));
+    assert_eq!(shared[0].lint, "E000");
+    assert!(shared[0].message.contains("waiver of L009"), "{}", shared[0]);
 }
 
 #[test]
 fn l009_seed_reports_the_call_chain() {
     assert_finding(
         &fixture_violations(),
-        "crates/hot/src/lib.rs",
+        HOT,
         "L009",
         &["push", "Engine::process → Engine::flush"],
     );
@@ -92,17 +132,6 @@ fn l010_seeds_report_order_reacquire_and_send() {
 }
 
 #[test]
-fn l011_seed_reports_bare_arithmetic() {
-    let violations = fixture_violations();
-    assert_finding(&violations, "crates/serve/src/proto.rs", "L011", &["bare `+`"]);
-    assert!(
-        !violations.iter().any(|v| v.message.contains("frame_len_checked")),
-        "saturating arithmetic is clean:\n{}",
-        render(&violations)
-    );
-}
-
-#[test]
 fn call_graph_matches_the_golden_edge_list() {
     let ws = analyses::parse_workspace(&fixture_root()).expect("parse fixture workspace");
     let rendered = ws.graph.edges_rendered().join("\n");
@@ -117,9 +146,9 @@ fn call_graph_matches_the_golden_edge_list() {
 }
 
 /// The static twin of the tier-1 suite: the real workspace must be
-/// clean under L008–L011 (with its committed roots and suppressions).
+/// clean under every project lint, with the committed roots and waivers.
 #[test]
 fn real_workspace_is_clean_under_interprocedural_lints() {
-    let violations = analyses::run(&repo_root()).expect("analyses over the real workspace");
+    let violations = lints::run(&repo_root(), &ROOTS).expect("lints over the real workspace");
     assert!(violations.is_empty(), "workspace regressions:\n{}", render(&violations));
 }
