@@ -60,15 +60,14 @@
 //!   allocated by the first miss: a pipeline that is only ever handed
 //!   precomputed IDs (every serve shard) carries an empty `Vec`.
 //!
-//! # The tables are indexed by the digest
+//! # The table is indexed by the digest
 //!
-//! [`FlowMap`] — the flow table here and the serve shards' verdict
-//! routes — does not run SipHash over a key that is already a uniform
-//! 160-bit digest. `FlowId`'s `Hash` feeds the hasher [`FlowId::lead`]
-//! alone, and [`DigestState`] turns that word into the table hash with
-//! one folded multiply under a per-process random key:
-//! `fold((lead ^ k₀) · k₁)`, `fold` being the high half of the 128-bit
-//! product XOR the low half.
+//! [`FlowMap`], the flow table's map, does not run SipHash over a key
+//! that is already a uniform 160-bit digest. `FlowId`'s `Hash` feeds
+//! the hasher [`FlowId::lead`] alone, and [`DigestState`] turns that
+//! word into the table hash with one folded multiply under a
+//! per-process random key: `fold((lead ^ k₀) · k₁)`, `fold` being the
+//! high half of the 128-bit product XOR the low half.
 //!
 //! The key and the fold are both load-bearing, because the tuple — and
 //! so, at 2ᵏ offline SHA-1s per k chosen bits, the digest — is the
@@ -483,6 +482,10 @@ pub(crate) struct PendingFlow {
     /// Label the previous anytime probe predicted, if any: the patience
     /// rule only emits a verdict when two consecutive probes agree.
     pub(crate) last_probe: Option<FileClass>,
+    /// The flow's 5-tuple, from its first data packet.
+    pub(crate) tuple: FiveTuple,
+    /// Who sent its latest data packet (`PacketView::owner`).
+    pub(crate) owner: u64,
     /// Timestamp of the flow's first data packet.
     pub(crate) first_ts: f64,
     /// Timestamp of its latest one.
@@ -495,9 +498,9 @@ pub(crate) struct PendingFlow {
 }
 
 impl PendingFlow {
-    /// A boxed flow around a fresh feature session;
+    /// A boxed flow of `tuple` around a fresh feature session;
     /// [`restart`](Self::restart) it before use.
-    pub(crate) fn boxed(features: FlowFeatureState) -> Box<Self> {
+    pub(crate) fn boxed(features: FlowFeatureState, tuple: FiveTuple) -> Box<Self> {
         // lint: allow(L009) — the pool is still warming: a recycled flow reuses its box
         Box::new(PendingFlow {
             streaming: true,
@@ -507,6 +510,8 @@ impl PendingFlow {
             skip_remaining: 0,
             probed: 0,
             last_probe: None,
+            tuple,
+            owner: 0,
             first_ts: 0.0,
             last_ts: 0.0,
             packets: 0,
@@ -514,9 +519,17 @@ impl PendingFlow {
         })
     }
 
-    /// Resets everything but the (already reset) feature session for a
-    /// flow whose first data packet arrives at `now`.
-    pub(crate) fn restart(&mut self, streaming: bool, skip_remaining: usize, now: f64) {
+    /// Resets everything but the (already reset) feature session and
+    /// `owner`, which every data packet sets, for a flow of `tuple`
+    /// whose first data packet arrives at `now`.
+    pub(crate) fn restart(
+        &mut self,
+        tuple: FiveTuple,
+        streaming: bool,
+        skip_remaining: usize,
+        now: f64,
+    ) {
+        self.tuple = tuple;
         self.streaming = streaming;
         self.staging.clear();
         self.fed = 0;

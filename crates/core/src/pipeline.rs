@@ -26,7 +26,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use iustitia_corpus::{scan_application_header, strip_application_header, FileClass, HeaderScan};
-use iustitia_netsim::{Packet, TcpFlags};
+use iustitia_netsim::{FiveTuple, Packet, TcpFlags};
 
 use crate::cdb::{CdbConfig, ClassificationDatabase, FlowId, FlowIdMemo, PendingFlow, Slot};
 use crate::features::{FeatureExtractor, FeatureMode};
@@ -181,14 +181,21 @@ impl<'a> BatchPacket<'a> {
     }
 }
 
-/// What the packet state machine reads of a packet: its flow ID, its
-/// capture time, its flags and its payload bytes. [`BatchPacket`] is
-/// the view over an owned [`Packet`]; the serve layer's shard workers
-/// implement it over payloads that stay in the byte slab the reactor
-/// wrote them to, so a served packet is never rebuilt as a `Packet`.
+/// What the packet state machine reads of a packet: its flow ID and
+/// 5-tuple, who sent it, its capture time, its flags and its payload
+/// bytes. [`BatchPacket`] is the view over an owned [`Packet`]; the
+/// serve layer's shard workers implement it over payloads that stay in
+/// the byte slab the reactor wrote them to, so a served packet is never
+/// rebuilt as a `Packet`.
 pub trait PacketView {
     /// The packet's flow ID ([`FlowId::of_tuple`] of its 5-tuple).
     fn flow(&self) -> FlowId;
+    /// The packet's 5-tuple.
+    fn tuple(&self) -> FiveTuple;
+    /// Who sent the packet — for the serve layer, its connection. A
+    /// flow's verdict is owed to the owner of its latest data packet
+    /// ([`ClassifiedFlow::owner`]).
+    fn owner(&self) -> u64;
     /// Capture time in seconds from trace start.
     fn timestamp(&self) -> f64;
     /// TCP flags (empty for UDP).
@@ -200,6 +207,15 @@ pub trait PacketView {
 impl PacketView for BatchPacket<'_> {
     fn flow(&self) -> FlowId {
         self.flow
+    }
+
+    fn tuple(&self) -> FiveTuple {
+        self.packet.tuple
+    }
+
+    /// An owned packet has no sender to answer: 0.
+    fn owner(&self) -> u64 {
+        0
     }
 
     fn timestamp(&self) -> f64 {
@@ -235,6 +251,11 @@ pub enum Verdict {
 pub struct ClassifiedFlow {
     /// Flow ID.
     pub id: FlowId,
+    /// The flow's 5-tuple, as its first data packet carried it.
+    pub tuple: FiveTuple,
+    /// [`PacketView::owner`] of the flow's latest data packet: who the
+    /// verdict is owed to.
+    pub owner: u64,
     /// Assigned label.
     pub label: FileClass,
     /// Number of data packets needed to fill the buffer (`c`).
@@ -634,7 +655,7 @@ impl Iustitia {
                             self.pool_hits += 1;
                             state
                         }
-                        None => PendingFlow::boxed(self.extractor.begin_flow(b)),
+                        None => PendingFlow::boxed(self.extractor.begin_flow(b), first.tuple()),
                     };
                     // Every policy except StripKnown knows its skip up
                     // front, so those flows stream from the first byte
@@ -645,7 +666,8 @@ impl Iustitia {
                         // lint: allow(L008) — 0..=t_max is an inclusive range, never empty
                         HeaderPolicy::RandomSkip { t_max } => self.rng.gen_range(0..=t_max),
                     };
-                    state.restart(!matches!(policy, HeaderPolicy::StripKnown { .. }), skip, now);
+                    let streaming = !matches!(policy, HeaderPolicy::StripKnown { .. });
+                    state.restart(first.tuple(), streaming, skip, now);
                     entry.insert(Slot::Pending(state))
                 }
             };
@@ -681,6 +703,7 @@ impl Iustitia {
                         let t = p.timestamp();
                         state.packets += 1;
                         state.last_ts = t;
+                        state.owner = p.owner();
                         self.queues.buffered += 1;
                         // A fresh estimated-mode flow allocates its
                         // sketch trackers up front, so a new flow
@@ -868,6 +891,8 @@ impl Iustitia {
             self.early_exits += u64::from(early.is_some());
             self.log.push(ClassifiedFlow {
                 id,
+                tuple: state.tuple,
+                owner: state.owner,
                 label,
                 packets: state.packets,
                 fill_time: state.last_ts - state.first_ts,
@@ -1179,6 +1204,56 @@ mod tests {
         assert_eq!(log.len(), 1);
         assert_eq!(log[0].id, FlowId::of_tuple(&tuple(1)));
         assert_eq!(log[0].buffered_bytes, 8);
+    }
+
+    /// A packet view that names its sender.
+    #[derive(Clone, Copy)]
+    struct Sent<'a> {
+        packet: BatchPacket<'a>,
+        owner: u64,
+    }
+
+    impl PacketView for Sent<'_> {
+        fn flow(&self) -> FlowId {
+            self.packet.flow
+        }
+        fn tuple(&self) -> FiveTuple {
+            self.packet.tuple()
+        }
+        fn owner(&self) -> u64 {
+            self.owner
+        }
+        fn timestamp(&self) -> f64 {
+            self.packet.timestamp()
+        }
+        fn flags(&self) -> TcpFlags {
+            self.packet.flags()
+        }
+        fn payload(&self) -> &[u8] {
+            self.packet.payload()
+        }
+    }
+
+    /// A logged flow carries its tuple and the owner of its latest data
+    /// packet — not of its first, and not of the close that ended it —
+    /// and `process_packet`, which has no sender, logs owner 0.
+    #[test]
+    fn classified_flow_carries_tuple_and_latest_data_owner() {
+        let mut ius = Iustitia::new(toy_model(), PipelineConfig::headline(16));
+        let head = data_packet(1, 0.0, &text_payload(8));
+        let tail = data_packet(1, 0.1, &text_payload(8));
+        let fin = Packet { flags: TcpFlags::FIN | TcpFlags::ACK, payload: vec![], ..tail.clone() };
+        let sent = |packet, owner| Sent { packet: BatchPacket::new(packet), owner };
+        let mut verdicts = Vec::new();
+        ius.process_batch(&[sent(&head, 7), sent(&tail, 9), sent(&fin, 11)], &mut verdicts);
+        let log = ius.take_log();
+        assert_eq!(log.len(), 1, "the close classifies the partial flow");
+        assert_eq!((log[0].tuple, log[0].owner), (tuple(1), 9));
+
+        ius.process_packet(&data_packet(2, 0.2, &text_payload(64)));
+        let log = ius.take_log();
+        assert_eq!(log.len(), 1);
+        assert_eq!((log[0].tuple, log[0].owner), (tuple(2), 0));
     }
 
     /// Flow-state pooling: a classified flow's feature state must be

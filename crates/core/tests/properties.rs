@@ -193,6 +193,7 @@ fn run_batched(batched: &mut Iustitia, packets: &[Packet], cuts: &[usize]) -> Ve
 /// pipeline — instead of in a `Packet` of its own.
 struct SlabBacked<'a> {
     flow: FlowId,
+    tuple: FiveTuple,
     timestamp: f64,
     flags: TcpFlags,
     payload: &'a [u8],
@@ -201,6 +202,15 @@ struct SlabBacked<'a> {
 impl PacketView for SlabBacked<'_> {
     fn flow(&self) -> FlowId {
         self.flow
+    }
+
+    fn tuple(&self) -> FiveTuple {
+        self.tuple
+    }
+
+    /// The owner `BatchPacket` reports, so the logs compare equal.
+    fn owner(&self) -> u64 {
+        0
     }
 
     fn timestamp(&self) -> f64 {
@@ -241,6 +251,7 @@ fn run_slab_backed(pipeline: &mut Iustitia, packets: &[Packet], cuts: &[usize]) 
             .zip(spans)
             .map(|(p, span)| SlabBacked {
                 flow: FlowId::of_tuple(&p.tuple),
+                tuple: p.tuple,
                 timestamp: p.timestamp,
                 flags: p.flags,
                 payload: &slab[span],

@@ -119,6 +119,14 @@ impl PacketView for SlabPacket<'_> {
         self.record.flow
     }
 
+    fn tuple(&self) -> FiveTuple {
+        self.record.tuple
+    }
+
+    fn owner(&self) -> u64 {
+        self.record.conn_id
+    }
+
     fn timestamp(&self) -> f64 {
         self.record.timestamp
     }

@@ -61,10 +61,16 @@
 //! ```
 //!
 //! A connection that stops sending is not torn down until every shard
-//! worker has processed its `Disconnect` job — packets it submitted
+//! worker has processed its `Disconnect` barrier — packets it submitted
 //! before EOF still classify, and their verdicts still flush to the
 //! socket — the same guarantee the blocking frontend provided by
 //! joining the writer thread after the reader saw EOF.
+//!
+//! A verdict is addressed to the connection that sent its flow's latest
+//! data packet. Shards keep no per-connection state, so a connection
+//! that goes away (closed, reset, or an evicted UDP peer) tells them
+//! nothing: connection IDs are never reused, and a reply whose ID is no
+//! longer registered is dropped here.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read};
@@ -668,9 +674,9 @@ impl Reactor {
         self.begin_disconnect(idx);
     }
 
-    /// Pushes this connection's `Disconnect` through every shard, so
-    /// in-flight packets classify and routes are forgotten before the
-    /// socket closes.
+    /// Pushes this connection's `Disconnect` barrier through every
+    /// shard, so the verdicts its packets earned before EOF are flushed
+    /// before the socket closes.
     fn begin_disconnect(&mut self, idx: usize) {
         let conn_id = {
             let Some(conn) = self.conns[idx].as_mut() else { return };
@@ -681,15 +687,15 @@ impl Reactor {
             conn.conn_id
         };
         // Packets this connection submitted must reach the shards
-        // before the disconnect that forgets their routes.
+        // before the barrier behind them.
         self.dispatch_pending();
         let gate =
             FanInGate::disconnect(conn_id, self.shared.queues.len(), Arc::clone(&self.outbox));
         for queue in &self.shared.queues {
-            if !queue.push_control(Job::Disconnect { conn_id, gate: Arc::clone(&gate) }) {
+            if !queue.push_control(Job::Disconnect { gate: Arc::clone(&gate) }) {
                 // Queue already closed (server shutting down): the
-                // workers will drop routes wholesale; count the shard
-                // as acked so the close still completes.
+                // workers flush every verdict on their way out; count
+                // the shard as acked so the close still completes.
                 gate.ack(0);
             }
         }
@@ -880,23 +886,8 @@ impl Reactor {
         self.reassembly_bytes =
             self.reassembly_bytes.wrapping_sub(conn.asm.buffered_bytes() as u64);
         self.free_slots.push(idx);
-        if !conn.disconnect_sent {
-            // Dropped without EOF (reset, write failure): the shards
-            // must still forget its routes.
-            let gate = FanInGate::disconnect(
-                conn.conn_id,
-                self.shared.queues.len(),
-                Arc::clone(&self.outbox),
-            );
-            for queue in &self.shared.queues {
-                if !queue.push_control(Job::Disconnect {
-                    conn_id: conn.conn_id,
-                    gate: Arc::clone(&gate),
-                }) {
-                    gate.ack(0);
-                }
-            }
-        }
+        // Verdicts still owed to the connection find no `by_id` entry
+        // and are dropped; connection IDs are never reused.
     }
 
     // ---- outbox ---------------------------------------------------
@@ -1059,19 +1050,13 @@ impl Reactor {
         }
     }
 
-    /// Removes one UDP pseudo-connection and pushes its `Disconnect`
-    /// through the shards, so verdict routes it still holds are
-    /// forgotten exactly as a closed TCP connection's are.
+    /// Removes one UDP pseudo-connection. Verdicts still owed to it are
+    /// dropped on arrival, exactly as a closed TCP connection's are; a
+    /// returning peer gets a fresh ID, and its next data packet makes
+    /// it the flow's owner again.
     fn forget_udp_peer(&mut self, conn_id: u64) {
         let Some(peer) = self.udp_by_id.remove(&conn_id) else { return };
         self.udp_peers.remove(&peer.addr);
-        let gate =
-            FanInGate::disconnect(conn_id, self.shared.queues.len(), Arc::clone(&self.outbox));
-        for queue in &self.shared.queues {
-            if !queue.push_control(Job::Disconnect { conn_id, gate: Arc::clone(&gate) }) {
-                gate.ack(0);
-            }
-        }
     }
 
     /// Encodes a response as a single datagram; on `EWOULDBLOCK` the

@@ -29,9 +29,12 @@
 //! buffers in. A worker has one dispatcher, `process_segment`: it sorts
 //! an index of what it drained by flow, runs each flow's stretch
 //! through [`Iustitia::process_batch`] on the payloads where they lie,
-//! and settles verdict routes in one walk. Workers push responses into
-//! the reactor's outbox and wake its eventfd; the reactor serializes
-//! them onto the owning socket.
+//! and delivers the pipeline's classification log. Each logged flow
+//! names its owner — the connection that sent its latest data packet —
+//! so the shard keeps no flow table of its own. Workers push responses
+//! into the reactor's outbox and wake its eventfd; the reactor
+//! serializes them onto the owning socket, and drops those whose
+//! connection has closed.
 //!
 //! Backpressure is per shard: bounded ingress queues with a
 //! configurable [`AdmissionPolicy`], applied packet by packet. The
@@ -53,11 +56,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use iustitia::cdb::FlowMap;
 use iustitia::model::AnytimeModel;
 use iustitia::model::NatureModel;
-use iustitia::pipeline::{ClassifiedFlow, Iustitia, PipelineConfig, Verdict};
-use iustitia_netsim::FiveTuple;
+use iustitia::pipeline::{Iustitia, PipelineConfig, Verdict};
 
 use crate::metrics::{LatencyHistogram, ServeMetrics, Stage};
 use crate::proto::{FlowVerdict, Response};
@@ -79,10 +80,11 @@ pub struct ServerConfig {
     /// Also bind a UDP socket on the same port and serve one-frame
     /// datagrams through the reactor.
     pub udp: bool,
-    /// Cap on distinct UDP peers holding verdict routes at once. Under
-    /// cap pressure the reactor evicts idle peers (least-recently-seen
-    /// first) rather than rejecting new ones, so a burst of spoofed
-    /// source addresses cannot permanently wedge the datagram adapter.
+    /// Cap on distinct UDP peers (each a pseudo-connection verdicts are
+    /// addressed to) tracked at once. Under cap pressure the reactor
+    /// evicts idle peers (least-recently-seen first) rather than
+    /// rejecting new ones, so a burst of spoofed source addresses
+    /// cannot permanently wedge the datagram adapter.
     pub max_udp_peers: usize,
     /// Pipeline configuration replicated into every shard (each shard
     /// gets a decorrelated RNG seed).
@@ -125,20 +127,13 @@ pub(crate) enum Job {
         /// Fan-in gate counting one ack per shard.
         gate: Arc<FanInGate>,
     },
-    /// The connection went away: forget its verdict routes. The last
-    /// shard's ack lets the reactor close the socket.
+    /// Barrier: the connection sent EOF, and every packet it submitted
+    /// before has been processed. The last shard's ack lets the reactor
+    /// close the socket once the verdicts ahead of it are flushed.
     Disconnect {
-        /// The departed connection.
-        conn_id: u64,
         /// Fan-in gate counting one ack per shard.
         gate: Arc<FanInGate>,
     },
-}
-
-/// Where a pending flow's verdict must be delivered.
-struct Route {
-    tuple: FiveTuple,
-    conn_id: u64,
 }
 
 /// State shared by every thread of one server.
@@ -328,7 +323,6 @@ const VIEW_CHUNK: usize = 64;
 struct Shard<'a> {
     shared: &'a Shared,
     pipeline: Iustitia,
-    routes: FlowMap<Route>,
     /// Latest packet timestamp seen: the clock of drains and shutdown.
     last_t: f64,
     /// Scratch: a segment's record positions, each behind the leading
@@ -356,14 +350,8 @@ fn shard_worker(shared: &Arc<Shared>, shard: usize) {
     if let Some(anytime) = &shared.config.anytime {
         pipeline = pipeline.with_anytime(anytime.clone());
     }
-    let mut worker = Shard {
-        shared,
-        pipeline,
-        routes: FlowMap::default(),
-        last_t: 0.0,
-        order: Vec::new(),
-        verdicts: Vec::new(),
-    };
+    let mut worker =
+        Shard { shared, pipeline, last_t: 0.0, order: Vec::new(), verdicts: Vec::new() };
     let gauges = &shared.metrics.shards[shard];
     let mut drained: Drained<Job> = Drained::default();
 
@@ -384,13 +372,7 @@ fn shard_worker(shared: &Arc<Shared>, shard: usize) {
                     worker.publish(gauges);
                     gate.ack(flushed);
                 }
-                Job::Disconnect { conn_id, gate } => {
-                    // Packets this connection submitted before going
-                    // away were processed above, so their routes exist
-                    // to be forgotten here.
-                    worker.routes.retain(|_, route| route.conn_id != conn_id);
-                    gate.ack(0);
-                }
+                Job::Disconnect { gate } => gate.ack(0),
             }
         }
         worker.process_segment(&drained.packets, done..drained.packets.len());
@@ -488,124 +470,64 @@ impl Shard<'_> {
         self.order = order;
     }
 
-    /// Runs one stretch through [`Iustitia::process_batch`], then walks its
-    /// verdicts and the classification log once, under a single route rule:
-    /// **a flow has a route exactly while a verdict is owed to it** — from
-    /// the packet that makes it pending until the log entry that classifies
-    /// it is delivered (or the flow closes, or its connection goes away).
-    /// CDB hits never touch the route table.
-    ///
-    /// Log entries of *other* flows (an idle sweep fell due mid-stretch)
-    /// are delivered first: this stretch leaves their routes alone. The
-    /// stretch's own entries are delivered where the walk shows them: at a
-    /// `Classified` verdict; at a `Hit` on a flow still owed a verdict (its
-    /// own packet made the idle sweep due, and the sweep classified it
-    /// first); and, for whatever the trailing control or close packet
-    /// caused, at the end.
+    /// Runs one stretch through [`Iustitia::process_batch`], records each
+    /// packet's stage, and delivers whatever the stretch classified.
     fn process_stretch(&mut self, stretch: &[SlabPacket<'_>]) {
-        let Some(last) = stretch.last() else {
+        if stretch.is_empty() {
             return;
-        };
-        let Shard { shared, pipeline, routes, verdicts, .. } = self;
-        let outbox = &shared.outbox;
-        let flow = last.record.flow;
+        }
         let t0 = Instant::now();
-        pipeline.process_batch(stretch, verdicts);
+        self.pipeline.process_batch(stretch, &mut self.verdicts);
         // Attribute the mean per-packet cost to the stage that terminated
         // each packet.
         let per_packet = t0.elapsed().as_nanos() as u64 / stretch.len() as u64;
-
-        let log = pipeline.take_log();
-        if !log.is_empty() {
-            ServeMetrics::add(&shared.metrics.flows_classified, log.len() as u64);
-        }
-        for entry in &log {
-            LatencyHistogram::record(&shared.metrics.bytes_at_verdict, entry.buffered_bytes as u64);
-            if entry.id != flow {
-                deliver(routes, outbox, entry);
-            }
-        }
-        let mut own = log.iter().filter(|entry| entry.id == flow).peekable();
-
-        // Whether the flow is owed a verdict at this point of the walk;
-        // `None` until the stretch itself has shown it, while the route
-        // table still tells.
-        let mut owed: Option<bool> = None;
+        let metrics = &self.shared.metrics;
         let mut hits = 0;
-        for (packet, verdict) in stretch.iter().zip(verdicts.iter()) {
-            let (stage, entry_due) = match verdict {
+        for verdict in &self.verdicts {
+            let stage = match verdict {
                 Verdict::Ignored => continue,
                 Verdict::Hit(_) => {
                     hits += 1;
-                    let swept_by_own_packet =
-                        owed.unwrap_or_else(|| own.peek().is_some() && routes.contains_key(&flow));
-                    (Stage::CdbLookup, swept_by_own_packet)
+                    Stage::CdbLookup
                 }
-                Verdict::Buffering => (Stage::BufferFill, false),
-                Verdict::Classified(_) => (Stage::Classify, true),
+                Verdict::Buffering => Stage::BufferFill,
+                Verdict::Classified(_) => Stage::Classify,
             };
-            ServeMetrics::record(&shared.metrics, stage, per_packet);
-            if stage != Stage::CdbLookup && owed != Some(true) {
-                // lint: allow(L009) — once per flow that becomes pending, into a table that keeps its capacity
-                routes.entry(flow).or_insert(Route {
-                    tuple: packet.record.tuple,
-                    conn_id: packet.record.conn_id,
-                });
-            }
-            if entry_due {
-                if let Some(entry) = own.next() {
-                    deliver(routes, outbox, entry);
-                }
-            }
-            owed = Some(stage == Stage::BufferFill);
+            ServeMetrics::record(metrics, stage, per_packet);
         }
         if hits > 0 {
-            ServeMetrics::add(&shared.metrics.hits, hits);
+            ServeMetrics::add(&metrics.hits, hits);
         }
-        for entry in own {
-            deliver(routes, outbox, entry);
-        }
-        if last.record.flags.closes_flow() {
-            // The flow's state is gone; so is any verdict it was owed.
-            FlowMap::remove(routes, &flow);
-        }
+        self.emit_verdicts(None);
     }
 
-    /// Delivers every newly logged classification to the connection that
-    /// owns the flow. Returns how many belonged to `count_conn`.
+    /// Delivers every newly logged classification, in log order, to the
+    /// flow's owner: the connection that sent its latest data packet.
+    /// Returns how many were owed to `count_conn`.
     fn emit_verdicts(&mut self, count_conn: Option<u64>) -> u32 {
         let log = self.pipeline.take_log();
         if log.is_empty() {
             return 0;
         }
+        let metrics = &self.shared.metrics;
+        ServeMetrics::add(&metrics.flows_classified, log.len() as u64);
         let mut matched = 0u32;
-        ServeMetrics::add(&self.shared.metrics.flows_classified, log.len() as u64);
         for flow in log {
-            self.shared.metrics.bytes_at_verdict.record(flow.buffered_bytes as u64);
-            if let Some(route) = self.routes.get(&flow.id) {
-                if count_conn == Some(route.conn_id) {
-                    matched += 1;
-                }
+            LatencyHistogram::record(&metrics.bytes_at_verdict, flow.buffered_bytes as u64);
+            if count_conn == Some(flow.owner) {
+                matched += 1;
             }
-            deliver(&mut self.routes, &self.shared.outbox, &flow);
+            self.shared.outbox.reply(
+                flow.owner,
+                Response::FlowVerdict(FlowVerdict {
+                    tuple: flow.tuple,
+                    label: flow.label,
+                    packets: flow.packets,
+                    buffered_bytes: flow.buffered_bytes as u32,
+                    fill_time: flow.fill_time,
+                }),
+            );
         }
         matched
-    }
-}
-
-/// Sends one classification to the connection that owns the flow,
-/// consuming its route (each route delivers exactly one verdict).
-fn deliver(routes: &mut FlowMap<Route>, outbox: &Outbox, flow: &ClassifiedFlow) {
-    if let Some(route) = FlowMap::remove(routes, &flow.id) {
-        outbox.reply(
-            route.conn_id,
-            Response::FlowVerdict(FlowVerdict {
-                tuple: route.tuple,
-                label: flow.label,
-                packets: flow.packets,
-                buffered_bytes: flow.buffered_bytes as u32,
-                fill_time: flow.fill_time,
-            }),
-        );
     }
 }

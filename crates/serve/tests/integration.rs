@@ -7,11 +7,13 @@ use std::time::Duration;
 
 use iustitia::features::{FeatureExtractor, FeatureMode, TrainingMethod};
 use iustitia::model::{train_from_corpus, ModelKind, NatureModel};
-use iustitia::pipeline::PipelineConfig;
+use iustitia::pipeline::{HeaderPolicy, PipelineConfig};
 use iustitia_entropy::FeatureWidths;
 use iustitia_netsim::trace::{ContentMode, TraceConfig, TraceGenerator};
 use iustitia_netsim::{FiveTuple, Packet, Protocol, TcpFlags};
-use iustitia_serve::{AdmissionPolicy, Client, ClientEvent, Server, ServerConfig, Stage};
+use iustitia_serve::{
+    AdmissionPolicy, Client, ClientEvent, FlowVerdict, Server, ServerConfig, Stage,
+};
 
 fn trained_model() -> NatureModel {
     let corpus =
@@ -189,9 +191,20 @@ fn shutdown_drains_in_flight_flows() {
     }
 }
 
+/// The verdicts among `events`.
+fn verdicts_in(events: Vec<ClientEvent>) -> Vec<FlowVerdict> {
+    events
+        .into_iter()
+        .filter_map(|event| match event {
+            ClientEvent::Verdict(v) => Some(v),
+            ClientEvent::Busy(_) => None,
+        })
+        .collect()
+}
+
 /// One shard, one connection, the given packets in one write, then a
 /// drain: the verdicts that came back.
-fn verdicts_after_drain(packets: &[Packet]) -> Vec<iustitia_serve::FlowVerdict> {
+fn verdicts_after_drain(packets: &[Packet]) -> Vec<FlowVerdict> {
     let mut config = server_config();
     config.shards = 1;
     let server = Server::start("127.0.0.1:0", trained_model(), config).unwrap();
@@ -200,14 +213,7 @@ fn verdicts_after_drain(packets: &[Packet]) -> Vec<iustitia_serve::FlowVerdict> 
         client.submit_packet(packet).unwrap();
     }
     client.drain().unwrap();
-    let verdicts = client
-        .poll_events()
-        .into_iter()
-        .filter_map(|event| match event {
-            ClientEvent::Verdict(v) => Some(v),
-            ClientEvent::Busy(_) => None,
-        })
-        .collect();
+    let verdicts = verdicts_in(client.poll_events());
     client.close().unwrap();
     server.shutdown();
     verdicts
@@ -291,6 +297,105 @@ fn drain_flushes_and_counts_own_flows() {
     assert_eq!(client.drain().unwrap(), 0);
 
     client.close().unwrap();
+    server.shutdown();
+}
+
+/// Sixteen bytes of `tuple`'s data, a data packet's worth of half a
+/// `b = 32` window.
+fn half_window(tuple: FiveTuple, timestamp: f64, byte: u8) -> Packet {
+    Packet { timestamp, tuple, flags: TcpFlags::ACK, payload: vec![byte; 16] }
+}
+
+/// Waits for `client`'s next event, which must be a verdict.
+fn next_verdict(client: &mut Client) -> FlowVerdict {
+    match client.recv_event_timeout(Duration::from_secs(10)) {
+        Some(ClientEvent::Verdict(v)) => v,
+        other => panic!("expected a verdict, got {other:?}"),
+    }
+}
+
+/// A flow that leaves the table without a verdict (every byte it sent
+/// was header skip, so the drain's sweep drops it) keeps no claim on
+/// its tuple: the tuple's next life answers the connection that sends
+/// it, and that connection's drain counts it.
+#[test]
+fn a_flow_that_leaves_without_a_verdict_does_not_claim_the_tuples_next_life() {
+    let mut config = server_config();
+    config.pipeline.header_policy = HeaderPolicy::SkipThreshold { t: 64 };
+    let server = Server::start("127.0.0.1:0", trained_model(), config).unwrap();
+    let tuple = FiveTuple::udp(Ipv4Addr::new(10, 0, 0, 1), 40003, Ipv4Addr::new(10, 0, 0, 2), 53);
+    let packet = |timestamp, len| Packet {
+        timestamp,
+        tuple,
+        flags: TcpFlags::empty(),
+        payload: vec![b'h'; len],
+    };
+
+    let mut a = Client::connect(server.local_addr()).unwrap();
+    a.submit_packet(&packet(0.0, 16)).unwrap();
+    assert_eq!(a.drain().unwrap(), 0, "16 bytes of a 64-byte skip: nothing to classify");
+
+    let mut b = Client::connect(server.local_addr()).unwrap();
+    b.submit_packet(&packet(1.0, 80)).unwrap(); // 64 skipped, 16 of 32 fed
+    assert_eq!(b.drain().unwrap(), 1, "the drain classifies B's flow, for B");
+    let verdicts = verdicts_in(b.poll_events());
+    assert_eq!(verdicts.len(), 1, "B's verdict reaches B: {verdicts:?}");
+    assert_eq!(
+        (verdicts[0].tuple, verdicts[0].packets, verdicts[0].buffered_bytes),
+        (tuple, 1, 80)
+    );
+
+    assert_eq!(a.drain().unwrap(), 0);
+    assert!(a.poll_events().is_empty(), "A is owed nothing");
+    a.close().unwrap();
+    b.close().unwrap();
+    server.shutdown();
+}
+
+/// A client that disconnects mid-flow and finishes the flow on a new
+/// connection gets the verdict there.
+#[test]
+fn a_reconnected_client_finishing_a_flow_gets_its_verdict() {
+    let server = Server::start("127.0.0.1:0", trained_model(), server_config()).unwrap();
+    let tuple = FiveTuple::tcp(Ipv4Addr::new(10, 0, 0, 1), 40004, Ipv4Addr::new(10, 0, 0, 2), 443);
+
+    let mut a = Client::connect(server.local_addr()).unwrap();
+    a.submit_packet(&half_window(tuple, 0.0, b'a')).unwrap();
+    // `close` returns once the server has closed the socket, after
+    // every shard passed A's disconnect barrier.
+    assert!(verdicts_in(a.close().unwrap()).is_empty(), "half a window: no verdict yet");
+
+    let mut b = Client::connect(server.local_addr()).unwrap();
+    b.submit_packet(&half_window(tuple, 0.1, b'b')).unwrap();
+    b.flush().unwrap();
+    let v = next_verdict(&mut b);
+    assert_eq!((v.tuple, v.packets, v.buffered_bytes), (tuple, 2, 32));
+    b.close().unwrap();
+    server.shutdown();
+}
+
+/// Two live connections interleaving one tuple: the verdict answers the
+/// one that sent the flow's latest data packet, not the first sender.
+#[test]
+fn interleaved_connections_answer_the_latest_sender() {
+    let server = Server::start("127.0.0.1:0", trained_model(), server_config()).unwrap();
+    let tuple = FiveTuple::tcp(Ipv4Addr::new(10, 0, 0, 1), 40005, Ipv4Addr::new(10, 0, 0, 2), 443);
+
+    let mut a = Client::connect(server.local_addr()).unwrap();
+    let mut b = Client::connect(server.local_addr()).unwrap();
+    a.submit_packet(&half_window(tuple, 0.0, b'a')).unwrap();
+    // The reactor dispatches a connection's earlier submits before it
+    // answers `Stats`, so A's packet is queued ahead of B's.
+    a.stats().unwrap();
+    b.submit_packet(&half_window(tuple, 0.1, b'b')).unwrap();
+    b.flush().unwrap();
+    let v = next_verdict(&mut b);
+    assert_eq!((v.tuple, v.packets, v.buffered_bytes), (tuple, 2, 32));
+
+    assert_eq!(a.drain().unwrap(), 0);
+    assert!(a.poll_events().is_empty(), "the first sender is owed nothing");
+    a.close().unwrap();
+    b.close().unwrap();
     server.shutdown();
 }
 

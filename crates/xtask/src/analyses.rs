@@ -69,7 +69,6 @@ const KB_QUALIFIED: &[(&str, Effect)] = &[
     ("String::from", ALLOCS),
     ("Box::new", ALLOCS),
     ("HashMap::remove", CLEAN), // keyed: returns Option; the bare name stays conservative for Vec::remove
-    ("FlowMap::remove", CLEAN), // core::cdb's alias of HashMap
     ("BinaryHeap::new", ALLOCS),
     ("BinaryHeap::with_capacity", ALLOCS),
     ("VecDeque::new", ALLOCS),

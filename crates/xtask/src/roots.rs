@@ -58,7 +58,7 @@ pub const ROOTS: RootsConfig = RootsConfig {
         // Per-packet admission (staged slab -> queue) and the worker's swap.
         "BoundedQueue::push_packets",
         "BoundedQueue::pop_into",
-        // The shard worker's dispatcher: sort, stretches, routes, replies.
+        // The shard worker's dispatcher: sort, stretches, replies.
         "Shard::process_segment",
         // A reply: encoded, then framed into its connection's write buffer.
         "Reactor::queue_response",
