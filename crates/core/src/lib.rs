@@ -70,6 +70,9 @@
     not(test),
     warn(clippy::unwrap_used, clippy::expect_used, clippy::print_stdout, clippy::print_stderr)
 )]
+// `crates/core/clippy.toml` bans `Vec::extend_from_slice` for the
+// pipeline's per-flow state; `pipeline.rs` turns the lint back on.
+#![allow(clippy::disallowed_methods)]
 
 pub mod analysis;
 pub mod cdb;

@@ -20,6 +20,8 @@
 //! feature state alone — O(distinct grams) in exact mode, the fixed
 //! `g·z` sketch in estimated mode — independent of `b`.
 
+#![warn(clippy::disallowed_methods)]
+
 use std::collections::hash_map::Entry;
 
 use rand::rngs::StdRng;
@@ -795,7 +797,11 @@ impl Iustitia {
     /// scan resolves, replays the prefix into the feature state and
     /// leaves the flow streaming.
     fn stage(state: &mut PendingFlow, intake: &[u8], policy: HeaderPolicy, b: usize) {
-        // lint: allow(L009) — staging buffers only the bounded pre-resolution prefix (see L006), once per flow
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "staging holds only the bounded pre-resolution prefix, then streams"
+        )]
+        // lint: allow(L009) — staging buffers only the bounded pre-resolution prefix, once per flow
         state.staging.extend_from_slice(intake);
         state.skip_remaining = match scan_application_header(&state.staging) {
             HeaderScan::Resolved(_, offset) => offset,
@@ -944,6 +950,7 @@ fn next_in_phase<'a, P: PacketView>(
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use iustitia_netsim::{FiveTuple, TcpFlags};

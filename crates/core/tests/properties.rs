@@ -1,5 +1,7 @@
 //! Property-based tests for the core pipeline and SHA-1.
 
+#![allow(clippy::disallowed_methods)]
+
 use iustitia::cdb::{CdbConfig, ClassificationDatabase, FlowId};
 use iustitia::features::{FeatureExtractor, FeatureMode};
 use iustitia::model::{

@@ -136,6 +136,166 @@ impl HistogramSnapshot {
     }
 }
 
+/// Counter and gauge words of [`Metrics`] (every `C` field).
+const COUNTERS: usize = 14;
+
+/// Histograms of [`Metrics`]: the four stages, then the other four.
+const HISTOGRAMS: usize = 8;
+
+/// Gauges per shard (every field of [`ShardMetrics`]).
+const SHARD_GAUGES: usize = 5;
+
+/// Every serve metric, declared once. `C` is the cell of a counter or
+/// gauge and `H` a histogram: [`ServeMetrics`] is the live block the
+/// server updates, [`StatsSnapshot`] the copy a `Stats` request returns.
+///
+/// Field order is wire order. [`snapshot`](ServeMetrics::snapshot),
+/// [`encode_into`](StatsSnapshot::encode_into) and the decoder loop
+/// over the wire-order field lists of `fields` and `from_fields`; a
+/// field those lists leave out does not build.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Metrics<C, H> {
+    /// Packets accepted into shard queues.
+    pub packets: C,
+    /// CDB hits on the packet path.
+    pub hits: C,
+    /// Flows classified (one verdict each).
+    pub flows_classified: C,
+    /// Packets rejected with `Busy` (RejectBusy admission).
+    pub busy_rejects: C,
+    /// Packets evicted from full queues (DropOldest admission).
+    pub dropped_oldest: C,
+    /// One-shot `ClassifyBuffer` requests served.
+    pub classify_requests: C,
+    /// `Drain` barriers completed.
+    pub drains: C,
+    /// Connections accepted since start.
+    pub connections: C,
+    /// UDP datagrams ingested by the reactor's datagram adapter.
+    pub udp_datagrams: C,
+    /// Gauge: connections currently registered with the reactor
+    /// (TCP sockets plus live UDP pseudo-peers).
+    pub open_connections: C,
+    /// Gauge: bytes parked in per-connection reassembly buffers
+    /// (partial frames awaiting more reads), summed over connections.
+    pub reassembly_buffer_bytes: C,
+    /// Submitted packets whose flow ID the reactor's `FlowIdMemo` held
+    /// (no SHA-1 ran). Stored by the reactor at every dispatch; with
+    /// [`flow_memo_misses`](Self::flow_memo_misses) it sums to the
+    /// packets offered, accepted or refused.
+    pub flow_memo_hits: C,
+    /// Submitted packets the reactor hashed: one SHA-1, one
+    /// [`Stage::Hash`] sample and one memo fill each.
+    pub flow_memo_misses: C,
+    /// Shard-queue mutex acquisitions, summed over all shard queues.
+    /// The counts live on the queues; the server stores their sum here
+    /// just before each snapshot. Compare against `packets` to see the
+    /// batch amortization: the ratio stays far below one acquisition
+    /// per packet.
+    pub queue_lock_acquisitions: C,
+    /// Per-stage latency histograms, indexed by [`Stage`].
+    pub stages: [H; 4],
+    /// Accept-to-verdict latency: time from a connection's accept (or
+    /// a UDP peer's first datagram) to each flow verdict written back
+    /// on it, in nanoseconds.
+    pub accept_to_verdict: H,
+    /// Packets per batch dispatched into a shard pipeline (the
+    /// power-of-two buckets hold batch sizes, not nanoseconds). A
+    /// healthy batching path shows mass well above bucket 0.
+    pub batch_size: H,
+    /// Distinct flows per dispatched batch. Together with
+    /// [`batch_size`](Self::batch_size) this shows the amortization
+    /// ratio: packets-per-flow-group per batch.
+    pub flows_per_batch: H,
+    /// Buffered bytes at the moment each flow got its verdict (the
+    /// power-of-two buckets hold byte counts, not nanoseconds). With
+    /// anytime early exit enabled the mass sits below `b`; without it
+    /// every full-buffer verdict lands at `b` and only idle/close
+    /// leftovers fall short.
+    pub bytes_at_verdict: H,
+    /// Per-shard gauges, indexed by shard id (empty until
+    /// [`with_shards`](ServeMetrics::with_shards)).
+    pub shards: Vec<ShardMetrics<C>>,
+}
+
+/// Live counters and histograms for a running server.
+pub type ServeMetrics = Metrics<AtomicU64, LatencyHistogram>;
+
+/// Point-in-time copy of all server metrics, as returned by the
+/// `Stats` request.
+pub type StatsSnapshot = Metrics<u64, HistogramSnapshot>;
+
+impl<C, H> Metrics<C, H> {
+    /// Every field, by kind, in wire order: the counters, the histograms
+    /// (stages first), the shards.
+    fn fields(&self) -> ([&C; COUNTERS], [&H; HISTOGRAMS], &[ShardMetrics<C>]) {
+        let [hash, cdb_lookup, buffer_fill, classify] = &self.stages;
+        let counters = [
+            &self.packets,
+            &self.hits,
+            &self.flows_classified,
+            &self.busy_rejects,
+            &self.dropped_oldest,
+            &self.classify_requests,
+            &self.drains,
+            &self.connections,
+            &self.udp_datagrams,
+            &self.open_connections,
+            &self.reassembly_buffer_bytes,
+            &self.flow_memo_hits,
+            &self.flow_memo_misses,
+            &self.queue_lock_acquisitions,
+        ];
+        let histograms = [
+            hash,
+            cdb_lookup,
+            buffer_fill,
+            classify,
+            &self.accept_to_verdict,
+            &self.batch_size,
+            &self.flows_per_batch,
+            &self.bytes_at_verdict,
+        ];
+        (counters, histograms, &self.shards)
+    }
+
+    /// Inverse of [`fields`](Self::fields). The struct literal names
+    /// every field and the array lengths tie it to `fields`, so a field
+    /// the wire lists leave out does not build.
+    fn from_fields(
+        counters: [C; COUNTERS],
+        histograms: [H; HISTOGRAMS],
+        shards: Vec<ShardMetrics<C>>,
+    ) -> Self {
+        let [packets, hits, flows_classified, busy_rejects, dropped_oldest, classify_requests, drains, connections, udp_datagrams, open_connections, reassembly_buffer_bytes, flow_memo_hits, flow_memo_misses, queue_lock_acquisitions] =
+            counters;
+        let [hash, cdb_lookup, buffer_fill, classify, accept_to_verdict, batch_size, flows_per_batch, bytes_at_verdict] =
+            histograms;
+        Metrics {
+            packets,
+            hits,
+            flows_classified,
+            busy_rejects,
+            dropped_oldest,
+            classify_requests,
+            drains,
+            connections,
+            udp_datagrams,
+            open_connections,
+            reassembly_buffer_bytes,
+            flow_memo_hits,
+            flow_memo_misses,
+            queue_lock_acquisitions,
+            stages: [hash, cdb_lookup, buffer_fill, classify],
+            accept_to_verdict,
+            batch_size,
+            flows_per_batch,
+            bytes_at_verdict,
+            shards,
+        }
+    }
+}
+
 /// Per-shard gauges, refreshed by each shard worker after every batch
 /// it drains.
 ///
@@ -143,105 +303,77 @@ impl HistogramSnapshot {
 /// mirrors [`Iustitia::pending_flows`] and `resident_feature_bytes`
 /// mirrors [`Iustitia::resident_feature_bytes`] for the shard's
 /// pipeline, so an operator can watch the streaming pipeline's
-/// per-flow memory instead of inferring it from `b × pending`.
+/// per-flow memory instead of inferring it from `b × pending`. Field
+/// order is wire order.
 ///
 /// [`Iustitia::pending_flows`]: iustitia::Iustitia::pending_flows
 /// [`Iustitia::resident_feature_bytes`]: iustitia::Iustitia::resident_feature_bytes
-#[derive(Debug, Default)]
-pub struct ShardGauges {
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ShardMetrics<C> {
     /// Flows currently buffered in this shard, awaiting a verdict.
-    pub pending_flows: AtomicU64,
+    pub pending_flows: C,
     /// Estimated heap bytes resident across this shard's pending
     /// flows (feature counters + header staging).
-    pub resident_feature_bytes: AtomicU64,
+    pub resident_feature_bytes: C,
     /// Flows whose feature state was recycled from the shard
     /// pipeline's free list instead of freshly allocated.
-    pub state_pool_hits: AtomicU64,
+    pub state_pool_hits: C,
     /// Feature states currently parked on the shard pipeline's free
     /// list.
-    pub state_pool_size: AtomicU64,
+    pub state_pool_size: C,
     /// Verdicts this shard's pipeline emitted from an anytime probe
     /// before the fixed-`b` buffer filled (mirrors
     /// `Iustitia::early_exit_verdicts`; stays 0 with anytime off).
-    pub early_exit_verdicts: AtomicU64,
+    pub early_exit_verdicts: C,
+}
+
+/// One shard's live gauges.
+pub type ShardGauges = ShardMetrics<AtomicU64>;
+
+/// Point-in-time copy of one shard's gauges.
+pub type ShardStats = ShardMetrics<u64>;
+
+impl<C> ShardMetrics<C> {
+    /// Every gauge, in wire order.
+    fn cells(&self) -> [&C; SHARD_GAUGES] {
+        [
+            &self.pending_flows,
+            &self.resident_feature_bytes,
+            &self.state_pool_hits,
+            &self.state_pool_size,
+            &self.early_exit_verdicts,
+        ]
+    }
+
+    /// Inverse of [`cells`](Self::cells); as with
+    /// [`Metrics::from_fields`], a gauge left out does not build.
+    fn from_cells(cells: [C; SHARD_GAUGES]) -> Self {
+        let [pending_flows, resident_feature_bytes, state_pool_hits, state_pool_size, early_exit_verdicts] =
+            cells;
+        ShardMetrics {
+            pending_flows,
+            resident_feature_bytes,
+            state_pool_hits,
+            state_pool_size,
+            early_exit_verdicts,
+        }
+    }
 }
 
 impl ShardGauges {
     /// Stores all gauge levels (Relaxed; the values are advisory).
-    pub fn set(&self, pending: u64, resident: u64, pool_hits: u64, pool_size: u64, early: u64) {
-        self.pending_flows.store(pending, Ordering::Relaxed);
-        self.resident_feature_bytes.store(resident, Ordering::Relaxed);
-        self.state_pool_hits.store(pool_hits, Ordering::Relaxed);
-        self.state_pool_size.store(pool_size, Ordering::Relaxed);
-        self.early_exit_verdicts.store(early, Ordering::Relaxed);
+    pub fn set(&self, levels: &ShardStats) {
+        for (gauge, &level) in self.cells().into_iter().zip(levels.cells()) {
+            gauge.store(level, Ordering::Relaxed);
+        }
     }
-}
-
-/// Live counters and histograms for a running server.
-#[derive(Debug, Default)]
-pub struct ServeMetrics {
-    /// Packets accepted into shard queues.
-    pub packets: AtomicU64,
-    /// CDB hits on the packet path.
-    pub hits: AtomicU64,
-    /// Flows classified (one verdict each).
-    pub flows_classified: AtomicU64,
-    /// Packets rejected with `Busy` (RejectBusy admission).
-    pub busy_rejects: AtomicU64,
-    /// Packets evicted from full queues (DropOldest admission).
-    pub dropped_oldest: AtomicU64,
-    /// One-shot `ClassifyBuffer` requests served.
-    pub classify_requests: AtomicU64,
-    /// `Drain` barriers completed.
-    pub drains: AtomicU64,
-    /// Connections accepted since start.
-    pub connections: AtomicU64,
-    /// UDP datagrams ingested by the reactor's datagram adapter.
-    pub udp_datagrams: AtomicU64,
-    /// Gauge: connections currently registered with the reactor
-    /// (TCP sockets plus live UDP pseudo-peers).
-    pub open_connections: AtomicU64,
-    /// Gauge: bytes parked in per-connection reassembly buffers
-    /// (partial frames awaiting more reads), summed over connections.
-    pub reassembly_buffer_bytes: AtomicU64,
-    /// Submitted packets whose flow ID the reactor's `FlowIdMemo` held
-    /// (no SHA-1 ran). Stored by the reactor at every dispatch; with
-    /// [`flow_memo_misses`](Self::flow_memo_misses) it sums to the
-    /// packets offered, accepted or refused.
-    pub flow_memo_hits: AtomicU64,
-    /// Submitted packets the reactor hashed: one SHA-1, one
-    /// [`Stage::Hash`] sample and one memo fill each.
-    pub flow_memo_misses: AtomicU64,
-    /// Per-stage latency histograms, indexed by [`Stage`].
-    pub stages: [LatencyHistogram; 4],
-    /// Accept-to-verdict latency: time from a connection's accept (or
-    /// a UDP peer's first datagram) to each flow verdict written back
-    /// on it, in nanoseconds.
-    pub accept_to_verdict: LatencyHistogram,
-    /// Packets per batch dispatched into a shard pipeline (the
-    /// power-of-two buckets hold batch sizes, not nanoseconds). A
-    /// healthy batching path shows mass well above bucket 0.
-    pub batch_size: LatencyHistogram,
-    /// Distinct flows per dispatched batch. Together with
-    /// [`batch_size`](Self::batch_size) this shows the amortization
-    /// ratio: packets-per-flow-group per batch.
-    pub flows_per_batch: LatencyHistogram,
-    /// Buffered bytes at the moment each flow got its verdict (the
-    /// power-of-two buckets hold byte counts, not nanoseconds). With
-    /// anytime early exit enabled the mass sits below `b`; without it
-    /// every full-buffer verdict lands at `b` and only idle/close
-    /// leftovers fall short.
-    pub bytes_at_verdict: LatencyHistogram,
-    /// Per-shard gauges, indexed by shard id (empty until
-    /// [`with_shards`](Self::with_shards)).
-    pub shards: Vec<ShardGauges>,
 }
 
 impl ServeMetrics {
     /// Metrics block with one gauge set per shard.
     #[must_use]
     pub fn with_shards(n: usize) -> Self {
-        ServeMetrics { shards: (0..n).map(|_| ShardGauges::default()).collect(), ..Self::default() }
+        Metrics { shards: (0..n).map(|_| ShardGauges::default()).collect(), ..Self::default() }
     }
 
     /// Adds `n` to a counter.
@@ -256,119 +388,21 @@ impl ServeMetrics {
         }
     }
 
-    /// Copies every counter and histogram.
-    ///
-    /// `queue_lock_acquisitions` lives on the shard queues, not in this
-    /// block; the server fills it in via
-    /// [`StatsSnapshot::with_queue_locks`].
+    /// Copies every counter, histogram and shard gauge.
     #[must_use]
     pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            packets: self.packets.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            flows_classified: self.flows_classified.load(Ordering::Relaxed),
-            busy_rejects: self.busy_rejects.load(Ordering::Relaxed),
-            dropped_oldest: self.dropped_oldest.load(Ordering::Relaxed),
-            classify_requests: self.classify_requests.load(Ordering::Relaxed),
-            drains: self.drains.load(Ordering::Relaxed),
-            connections: self.connections.load(Ordering::Relaxed),
-            udp_datagrams: self.udp_datagrams.load(Ordering::Relaxed),
-            open_connections: self.open_connections.load(Ordering::Relaxed),
-            reassembly_buffer_bytes: self.reassembly_buffer_bytes.load(Ordering::Relaxed),
-            flow_memo_hits: self.flow_memo_hits.load(Ordering::Relaxed),
-            flow_memo_misses: self.flow_memo_misses.load(Ordering::Relaxed),
-            queue_lock_acquisitions: 0,
-            stages: std::array::from_fn(|i| self.stages[i].snapshot()),
-            accept_to_verdict: self.accept_to_verdict.snapshot(),
-            batch_size: self.batch_size.snapshot(),
-            flows_per_batch: self.flows_per_batch.snapshot(),
-            bytes_at_verdict: self.bytes_at_verdict.snapshot(),
-            shards: self
-                .shards
+        let load = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
+        let (counters, histograms, shards) = self.fields();
+        Metrics::from_fields(
+            counters.map(load),
+            histograms.map(LatencyHistogram::snapshot),
+            shards
                 .iter()
-                .map(|g| ShardStats {
-                    pending_flows: g.pending_flows.load(Ordering::Relaxed),
-                    resident_feature_bytes: g.resident_feature_bytes.load(Ordering::Relaxed),
-                    state_pool_hits: g.state_pool_hits.load(Ordering::Relaxed),
-                    state_pool_size: g.state_pool_size.load(Ordering::Relaxed),
-                    early_exit_verdicts: g.early_exit_verdicts.load(Ordering::Relaxed),
-                })
+                .map(|gauges| ShardMetrics::from_cells(gauges.cells().map(load)))
                 .collect(),
-        }
+        )
     }
 }
-
-/// Point-in-time copy of one shard's gauges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardStats {
-    /// Flows currently buffered in this shard, awaiting a verdict.
-    pub pending_flows: u64,
-    /// Estimated heap bytes resident across this shard's pending
-    /// flows (feature counters + header staging).
-    pub resident_feature_bytes: u64,
-    /// Flows whose feature state was recycled from the shard
-    /// pipeline's free list instead of freshly allocated.
-    pub state_pool_hits: u64,
-    /// Feature states currently parked on the shard pipeline's free
-    /// list.
-    pub state_pool_size: u64,
-    /// Verdicts this shard emitted from an anytime probe before the
-    /// fixed-`b` buffer filled.
-    pub early_exit_verdicts: u64,
-}
-
-/// Point-in-time copy of all server metrics, as returned by the
-/// `Stats` request.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct StatsSnapshot {
-    /// Packets accepted into shard queues.
-    pub packets: u64,
-    /// CDB hits on the packet path.
-    pub hits: u64,
-    /// Flows classified (one verdict each).
-    pub flows_classified: u64,
-    /// Packets rejected with `Busy`.
-    pub busy_rejects: u64,
-    /// Packets evicted from full queues.
-    pub dropped_oldest: u64,
-    /// One-shot classification requests served.
-    pub classify_requests: u64,
-    /// Drain barriers completed.
-    pub drains: u64,
-    /// Connections accepted since start.
-    pub connections: u64,
-    /// UDP datagrams ingested by the reactor's datagram adapter.
-    pub udp_datagrams: u64,
-    /// Gauge: connections currently registered with the reactor.
-    pub open_connections: u64,
-    /// Gauge: bytes parked in per-connection reassembly buffers.
-    pub reassembly_buffer_bytes: u64,
-    /// Submitted packets whose flow ID came from the reactor's memo.
-    pub flow_memo_hits: u64,
-    /// Submitted packets the reactor ran SHA-1 for.
-    pub flow_memo_misses: u64,
-    /// Shard-queue mutex acquisitions, summed over all shard queues.
-    /// Compare against `packets` to see the batch amortization: the
-    /// ratio stays far below one acquisition per packet.
-    pub queue_lock_acquisitions: u64,
-    /// Per-stage histograms, indexed by [`Stage`].
-    pub stages: [HistogramSnapshot; 4],
-    /// Accept-to-verdict latency per flow verdict, in nanoseconds.
-    pub accept_to_verdict: HistogramSnapshot,
-    /// Packets per dispatched batch (bucket index is `log2(size)`).
-    pub batch_size: HistogramSnapshot,
-    /// Distinct flows per dispatched batch.
-    pub flows_per_batch: HistogramSnapshot,
-    /// Buffered bytes at the moment of each flow verdict (bucket index
-    /// is `log2(bytes)`).
-    pub bytes_at_verdict: HistogramSnapshot,
-    /// Per-shard gauges, indexed by shard id.
-    pub shards: Vec<ShardStats>,
-}
-
-/// Upper bound on the shard count accepted when decoding a snapshot
-/// (guards allocation against a corrupt length word).
-const MAX_WIRE_SHARDS: u64 = 65_536;
 
 /// Version word leading the stats wire encoding. Bumped whenever
 /// fields are added, removed, or reordered, so a client and server
@@ -385,14 +419,6 @@ impl StatsSnapshot {
     #[must_use]
     pub fn stage(&self, stage: Stage) -> &HistogramSnapshot {
         &self.stages[stage as usize]
-    }
-
-    /// Fills in the queue-lock counter (summed across shard queues by
-    /// the server, which owns the queues).
-    #[must_use]
-    pub fn with_queue_locks(mut self, acquisitions: u64) -> Self {
-        self.queue_lock_acquisitions = acquisitions;
-        self
     }
 
     /// Total pending flows across all shards.
@@ -433,49 +459,22 @@ impl StatsSnapshot {
         (asked > 0).then(|| self.flow_memo_hits as f64 / asked as f64)
     }
 
-    /// Wire encoding: the [`STATS_WIRE_VERSION`] word, the fourteen
-    /// counters/gauges, the four stage histograms, the
-    /// accept-to-verdict histogram, the two batch-shape histograms,
-    /// the bytes-at-verdict histogram, then the shard-gauge section
-    /// (shard count followed by five gauges per shard), all as
-    /// big-endian `u64`.
+    /// Wire encoding, all big-endian `u64`: the
+    /// [`STATS_WIRE_VERSION`] word, every field of [`Metrics`] in
+    /// declaration order — the fourteen counters/gauges, then each
+    /// histogram's buckets, stages first — and the shard count
+    /// followed by each shard's five gauges.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        for v in [
-            STATS_WIRE_VERSION,
-            self.packets,
-            self.hits,
-            self.flows_classified,
-            self.busy_rejects,
-            self.dropped_oldest,
-            self.classify_requests,
-            self.drains,
-            self.connections,
-            self.udp_datagrams,
-            self.open_connections,
-            self.reassembly_buffer_bytes,
-            self.flow_memo_hits,
-            self.flow_memo_misses,
-            self.queue_lock_acquisitions,
-        ] {
-            out.extend_from_slice(&v.to_be_bytes());
-        }
-        for hist in self.stages.iter().chain([
-            &self.accept_to_verdict,
-            &self.batch_size,
-            &self.flows_per_batch,
-            &self.bytes_at_verdict,
-        ]) {
-            for &bucket in &hist.buckets {
-                out.extend_from_slice(&bucket.to_be_bytes());
-            }
-        }
-        out.extend_from_slice(&(self.shards.len() as u64).to_be_bytes());
-        for shard in &self.shards {
-            out.extend_from_slice(&shard.pending_flows.to_be_bytes());
-            out.extend_from_slice(&shard.resident_feature_bytes.to_be_bytes());
-            out.extend_from_slice(&shard.state_pool_hits.to_be_bytes());
-            out.extend_from_slice(&shard.state_pool_size.to_be_bytes());
-            out.extend_from_slice(&shard.early_exit_verdicts.to_be_bytes());
+        let (counters, histograms, shards) = self.fields();
+        let shard_count = shards.len() as u64;
+        let words = [&STATS_WIRE_VERSION]
+            .into_iter()
+            .chain(counters)
+            .chain(histograms.into_iter().flat_map(|h| &h.buckets))
+            .chain([&shard_count])
+            .chain(shards.iter().flat_map(ShardMetrics::cells));
+        for word in words {
+            out.extend_from_slice(&word.to_be_bytes());
         }
     }
 
@@ -484,8 +483,8 @@ impl StatsSnapshot {
     /// # Errors
     ///
     /// Returns [`ProtoError::Malformed`] if the body is truncated,
-    /// carries an unknown format version, or declares an implausible
-    /// shard count.
+    /// carries an unknown format version, or declares more shards than
+    /// the rest of the body can hold.
     pub(crate) fn decode(r: &mut crate::proto::FieldReader<'_>) -> Result<Self, ProtoError> {
         let version = r.u64()?;
         if version != STATS_WIRE_VERSION {
@@ -493,53 +492,25 @@ impl StatsSnapshot {
                 "stats snapshot version {version}, this build speaks {STATS_WIRE_VERSION}"
             )));
         }
-        let mut snapshot = StatsSnapshot {
-            packets: r.u64()?,
-            hits: r.u64()?,
-            flows_classified: r.u64()?,
-            busy_rejects: r.u64()?,
-            dropped_oldest: r.u64()?,
-            classify_requests: r.u64()?,
-            drains: r.u64()?,
-            connections: r.u64()?,
-            udp_datagrams: r.u64()?,
-            open_connections: r.u64()?,
-            reassembly_buffer_bytes: r.u64()?,
-            flow_memo_hits: r.u64()?,
-            flow_memo_misses: r.u64()?,
-            queue_lock_acquisitions: r.u64()?,
-            stages: Default::default(),
-            accept_to_verdict: HistogramSnapshot::default(),
-            batch_size: HistogramSnapshot::default(),
-            flows_per_batch: HistogramSnapshot::default(),
-            bytes_at_verdict: HistogramSnapshot::default(),
-            shards: Vec::new(),
-        };
-        for hist in snapshot.stages.iter_mut().chain([
-            &mut snapshot.accept_to_verdict,
-            &mut snapshot.batch_size,
-            &mut snapshot.flows_per_batch,
-            &mut snapshot.bytes_at_verdict,
-        ]) {
-            for bucket in &mut hist.buckets {
-                *bucket = r.u64()?;
-            }
+        let counters = r.u64s()?;
+        let mut histograms: [HistogramSnapshot; HISTOGRAMS] = Default::default();
+        for bucket in histograms.iter_mut().flat_map(|h| &mut h.buckets) {
+            *bucket = r.u64()?;
         }
+        // Bounded by the body before anything is reserved: a corrupt
+        // count fails here, not after a large allocation.
         let shard_count = r.u64()?;
-        if shard_count > MAX_WIRE_SHARDS {
-            return Err(ProtoError::Malformed("implausible shard count".into()));
-        }
-        snapshot.shards.reserve(shard_count as usize);
-        for _ in 0..shard_count {
-            snapshot.shards.push(ShardStats {
-                pending_flows: r.u64()?,
-                resident_feature_bytes: r.u64()?,
-                state_pool_hits: r.u64()?,
-                state_pool_size: r.u64()?,
-                early_exit_verdicts: r.u64()?,
-            });
-        }
-        Ok(snapshot)
+        let room = r.remaining() / (SHARD_GAUGES * 8);
+        let shard_count =
+            usize::try_from(shard_count).ok().filter(|&n| n <= room).ok_or_else(|| {
+                ProtoError::Malformed(format!(
+                    "stats snapshot declares {shard_count} shards, the body holds {room}"
+                ))
+            })?;
+        let shards = (0..shard_count)
+            .map(|_| r.u64s().map(ShardMetrics::from_cells))
+            .collect::<Result<_, _>>()?;
+        Ok(Metrics::from_fields(counters, histograms, shards))
     }
 }
 
@@ -612,9 +583,22 @@ mod tests {
         m.flows_per_batch.record(5);
         m.bytes_at_verdict.record(512);
         m.bytes_at_verdict.record(32);
-        m.shards[0].set(4, 4 * 2240, 120, 9, 17);
-        m.shards[2].set(1, 96, 41, 2, 5);
-        let snapshot = m.snapshot().with_queue_locks(77);
+        m.shards[0].set(&ShardStats {
+            pending_flows: 4,
+            resident_feature_bytes: 4 * 2240,
+            state_pool_hits: 120,
+            state_pool_size: 9,
+            early_exit_verdicts: 17,
+        });
+        m.shards[2].set(&ShardStats {
+            pending_flows: 1,
+            resident_feature_bytes: 96,
+            state_pool_hits: 41,
+            state_pool_size: 2,
+            early_exit_verdicts: 5,
+        });
+        m.queue_lock_acquisitions.store(77, Ordering::Relaxed);
+        let snapshot = m.snapshot();
         let mut body = Vec::new();
         snapshot.encode_into(&mut body);
         let mut reader = crate::proto::FieldReader::new(&body);
@@ -674,5 +658,207 @@ mod tests {
         body[n - 8..].copy_from_slice(&u64::MAX.to_be_bytes());
         let mut reader = crate::proto::FieldReader::new(&body);
         assert!(StatsSnapshot::decode(&mut reader).is_err());
+
+        // A count the body cannot hold: two shards declared, one present.
+        let snapshot = StatsSnapshot { shards: vec![ShardStats::default()], ..Default::default() };
+        let mut body = Vec::new();
+        snapshot.encode_into(&mut body);
+        let count_at = body.len() - 8 * (SHARD_GAUGES + 1);
+        body[count_at..count_at + 8].copy_from_slice(&2u64.to_be_bytes());
+        let mut reader = crate::proto::FieldReader::new(&body);
+        let err = StatsSnapshot::decode(&mut reader).unwrap_err();
+        assert!(err.to_string().contains("declares 2 shards, the body holds 1"), "got: {err}");
+    }
+
+    fn histogram(h: u64) -> HistogramSnapshot {
+        HistogramSnapshot { buckets: std::array::from_fn(|b| 0x2000 + (h << 8) + b as u64) }
+    }
+
+    fn shard(s: u64) -> ShardStats {
+        ShardStats {
+            pending_flows: 0x3001 + (s << 4),
+            resident_feature_bytes: 0x3002 + (s << 4),
+            state_pool_hits: 0x3003 + (s << 4),
+            state_pool_size: 0x3004 + (s << 4),
+            early_exit_verdicts: 0x3005 + (s << 4),
+        }
+    }
+
+    /// The version-4 stats body of a snapshot with a distinct value in
+    /// every word (counters `0x10nn`, histogram `h` bucket `b` at
+    /// `0x2000 + h·0x100 + b`, shard `s` gauge `g` at `0x30sg`), frozen
+    /// as bytes: 4 words a line.
+    const STATS_V4: &str = "\
+        0000000000000004000000000000100100000000000010020000000000001003\
+        0000000000001004000000000000100500000000000010060000000000001007\
+        00000000000010080000000000001009000000000000100a000000000000100b\
+        000000000000100c000000000000100d000000000000100e0000000000002000\
+        0000000000002001000000000000200200000000000020030000000000002004\
+        0000000000002005000000000000200600000000000020070000000000002008\
+        0000000000002009000000000000200a000000000000200b000000000000200c\
+        000000000000200d000000000000200e000000000000200f0000000000002010\
+        0000000000002011000000000000201200000000000020130000000000002014\
+        0000000000002015000000000000201600000000000020170000000000002018\
+        0000000000002019000000000000201a000000000000201b000000000000201c\
+        000000000000201d000000000000201e000000000000201f0000000000002020\
+        0000000000002021000000000000202200000000000020230000000000002024\
+        0000000000002025000000000000202600000000000020270000000000002028\
+        0000000000002029000000000000202a000000000000202b000000000000202c\
+        000000000000202d000000000000202e000000000000202f0000000000002030\
+        0000000000002031000000000000203200000000000020330000000000002034\
+        0000000000002035000000000000203600000000000020370000000000002038\
+        0000000000002039000000000000203a000000000000203b000000000000203c\
+        000000000000203d000000000000203e000000000000203f0000000000002100\
+        0000000000002101000000000000210200000000000021030000000000002104\
+        0000000000002105000000000000210600000000000021070000000000002108\
+        0000000000002109000000000000210a000000000000210b000000000000210c\
+        000000000000210d000000000000210e000000000000210f0000000000002110\
+        0000000000002111000000000000211200000000000021130000000000002114\
+        0000000000002115000000000000211600000000000021170000000000002118\
+        0000000000002119000000000000211a000000000000211b000000000000211c\
+        000000000000211d000000000000211e000000000000211f0000000000002120\
+        0000000000002121000000000000212200000000000021230000000000002124\
+        0000000000002125000000000000212600000000000021270000000000002128\
+        0000000000002129000000000000212a000000000000212b000000000000212c\
+        000000000000212d000000000000212e000000000000212f0000000000002130\
+        0000000000002131000000000000213200000000000021330000000000002134\
+        0000000000002135000000000000213600000000000021370000000000002138\
+        0000000000002139000000000000213a000000000000213b000000000000213c\
+        000000000000213d000000000000213e000000000000213f0000000000002200\
+        0000000000002201000000000000220200000000000022030000000000002204\
+        0000000000002205000000000000220600000000000022070000000000002208\
+        0000000000002209000000000000220a000000000000220b000000000000220c\
+        000000000000220d000000000000220e000000000000220f0000000000002210\
+        0000000000002211000000000000221200000000000022130000000000002214\
+        0000000000002215000000000000221600000000000022170000000000002218\
+        0000000000002219000000000000221a000000000000221b000000000000221c\
+        000000000000221d000000000000221e000000000000221f0000000000002220\
+        0000000000002221000000000000222200000000000022230000000000002224\
+        0000000000002225000000000000222600000000000022270000000000002228\
+        0000000000002229000000000000222a000000000000222b000000000000222c\
+        000000000000222d000000000000222e000000000000222f0000000000002230\
+        0000000000002231000000000000223200000000000022330000000000002234\
+        0000000000002235000000000000223600000000000022370000000000002238\
+        0000000000002239000000000000223a000000000000223b000000000000223c\
+        000000000000223d000000000000223e000000000000223f0000000000002300\
+        0000000000002301000000000000230200000000000023030000000000002304\
+        0000000000002305000000000000230600000000000023070000000000002308\
+        0000000000002309000000000000230a000000000000230b000000000000230c\
+        000000000000230d000000000000230e000000000000230f0000000000002310\
+        0000000000002311000000000000231200000000000023130000000000002314\
+        0000000000002315000000000000231600000000000023170000000000002318\
+        0000000000002319000000000000231a000000000000231b000000000000231c\
+        000000000000231d000000000000231e000000000000231f0000000000002320\
+        0000000000002321000000000000232200000000000023230000000000002324\
+        0000000000002325000000000000232600000000000023270000000000002328\
+        0000000000002329000000000000232a000000000000232b000000000000232c\
+        000000000000232d000000000000232e000000000000232f0000000000002330\
+        0000000000002331000000000000233200000000000023330000000000002334\
+        0000000000002335000000000000233600000000000023370000000000002338\
+        0000000000002339000000000000233a000000000000233b000000000000233c\
+        000000000000233d000000000000233e000000000000233f0000000000002400\
+        0000000000002401000000000000240200000000000024030000000000002404\
+        0000000000002405000000000000240600000000000024070000000000002408\
+        0000000000002409000000000000240a000000000000240b000000000000240c\
+        000000000000240d000000000000240e000000000000240f0000000000002410\
+        0000000000002411000000000000241200000000000024130000000000002414\
+        0000000000002415000000000000241600000000000024170000000000002418\
+        0000000000002419000000000000241a000000000000241b000000000000241c\
+        000000000000241d000000000000241e000000000000241f0000000000002420\
+        0000000000002421000000000000242200000000000024230000000000002424\
+        0000000000002425000000000000242600000000000024270000000000002428\
+        0000000000002429000000000000242a000000000000242b000000000000242c\
+        000000000000242d000000000000242e000000000000242f0000000000002430\
+        0000000000002431000000000000243200000000000024330000000000002434\
+        0000000000002435000000000000243600000000000024370000000000002438\
+        0000000000002439000000000000243a000000000000243b000000000000243c\
+        000000000000243d000000000000243e000000000000243f0000000000002500\
+        0000000000002501000000000000250200000000000025030000000000002504\
+        0000000000002505000000000000250600000000000025070000000000002508\
+        0000000000002509000000000000250a000000000000250b000000000000250c\
+        000000000000250d000000000000250e000000000000250f0000000000002510\
+        0000000000002511000000000000251200000000000025130000000000002514\
+        0000000000002515000000000000251600000000000025170000000000002518\
+        0000000000002519000000000000251a000000000000251b000000000000251c\
+        000000000000251d000000000000251e000000000000251f0000000000002520\
+        0000000000002521000000000000252200000000000025230000000000002524\
+        0000000000002525000000000000252600000000000025270000000000002528\
+        0000000000002529000000000000252a000000000000252b000000000000252c\
+        000000000000252d000000000000252e000000000000252f0000000000002530\
+        0000000000002531000000000000253200000000000025330000000000002534\
+        0000000000002535000000000000253600000000000025370000000000002538\
+        0000000000002539000000000000253a000000000000253b000000000000253c\
+        000000000000253d000000000000253e000000000000253f0000000000002600\
+        0000000000002601000000000000260200000000000026030000000000002604\
+        0000000000002605000000000000260600000000000026070000000000002608\
+        0000000000002609000000000000260a000000000000260b000000000000260c\
+        000000000000260d000000000000260e000000000000260f0000000000002610\
+        0000000000002611000000000000261200000000000026130000000000002614\
+        0000000000002615000000000000261600000000000026170000000000002618\
+        0000000000002619000000000000261a000000000000261b000000000000261c\
+        000000000000261d000000000000261e000000000000261f0000000000002620\
+        0000000000002621000000000000262200000000000026230000000000002624\
+        0000000000002625000000000000262600000000000026270000000000002628\
+        0000000000002629000000000000262a000000000000262b000000000000262c\
+        000000000000262d000000000000262e000000000000262f0000000000002630\
+        0000000000002631000000000000263200000000000026330000000000002634\
+        0000000000002635000000000000263600000000000026370000000000002638\
+        0000000000002639000000000000263a000000000000263b000000000000263c\
+        000000000000263d000000000000263e000000000000263f0000000000002700\
+        0000000000002701000000000000270200000000000027030000000000002704\
+        0000000000002705000000000000270600000000000027070000000000002708\
+        0000000000002709000000000000270a000000000000270b000000000000270c\
+        000000000000270d000000000000270e000000000000270f0000000000002710\
+        0000000000002711000000000000271200000000000027130000000000002714\
+        0000000000002715000000000000271600000000000027170000000000002718\
+        0000000000002719000000000000271a000000000000271b000000000000271c\
+        000000000000271d000000000000271e000000000000271f0000000000002720\
+        0000000000002721000000000000272200000000000027230000000000002724\
+        0000000000002725000000000000272600000000000027270000000000002728\
+        0000000000002729000000000000272a000000000000272b000000000000272c\
+        000000000000272d000000000000272e000000000000272f0000000000002730\
+        0000000000002731000000000000273200000000000027330000000000002734\
+        0000000000002735000000000000273600000000000027370000000000002738\
+        0000000000002739000000000000273a000000000000273b000000000000273c\
+        000000000000273d000000000000273e000000000000273f0000000000000002\
+        0000000000003001000000000000300200000000000030030000000000003004\
+        0000000000003005000000000000301100000000000030120000000000003013\
+        00000000000030140000000000003015";
+
+    #[test]
+    fn stats_wire_v4_is_frozen() {
+        let probe = StatsSnapshot {
+            packets: 0x1001,
+            hits: 0x1002,
+            flows_classified: 0x1003,
+            busy_rejects: 0x1004,
+            dropped_oldest: 0x1005,
+            classify_requests: 0x1006,
+            drains: 0x1007,
+            connections: 0x1008,
+            udp_datagrams: 0x1009,
+            open_connections: 0x100A,
+            reassembly_buffer_bytes: 0x100B,
+            flow_memo_hits: 0x100C,
+            flow_memo_misses: 0x100D,
+            queue_lock_acquisitions: 0x100E,
+            stages: [histogram(0), histogram(1), histogram(2), histogram(3)],
+            accept_to_verdict: histogram(4),
+            batch_size: histogram(5),
+            flows_per_batch: histogram(6),
+            bytes_at_verdict: histogram(7),
+            shards: vec![shard(0), shard(1)],
+        };
+        let golden: Vec<u8> = (0..STATS_V4.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&STATS_V4[i..i + 2], 16).unwrap())
+            .collect();
+        let mut body = Vec::new();
+        probe.encode_into(&mut body);
+        assert_eq!(body.len(), 8 * (1 + 14 + 8 * BUCKETS + 1 + 2 * 5));
+        assert!(body == golden, "the stats wire changed; bump STATS_WIRE_VERSION");
+        let mut reader = crate::proto::FieldReader::new(&golden);
+        assert_eq!(StatsSnapshot::decode(&mut reader).unwrap(), probe);
+        reader.finish().unwrap();
     }
 }

@@ -56,7 +56,7 @@
     )
 )]
 
-use std::io::{BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::Ipv4Addr;
 
 use iustitia_corpus::FileClass;
@@ -281,13 +281,6 @@ fn fill<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize, ProtoError> {
     Ok(filled)
 }
 
-/// Whether more buffered input is immediately available (without
-/// touching the socket). Lets readers batch frames that already
-/// arrived.
-pub fn has_buffered_input<R: Read>(r: &BufReader<R>) -> bool {
-    !r.buffer().is_empty()
-}
-
 // ----------------------------------------------------- field encoding
 
 fn put_tuple(out: &mut Vec<u8>, tuple: &FiveTuple) {
@@ -345,6 +338,15 @@ impl<'a> FieldReader<'a> {
         Ok(u64::from_be_bytes(self.array()?))
     }
 
+    /// `N` consecutive `u64` words.
+    pub(crate) fn u64s<const N: usize>(&mut self) -> Result<[u64; N], ProtoError> {
+        let mut words = [0; N];
+        for word in &mut words {
+            *word = self.u64()?;
+        }
+        Ok(words)
+    }
+
     pub(crate) fn f64(&mut self) -> Result<f64, ProtoError> {
         Ok(f64::from_bits(self.u64()?))
     }
@@ -375,12 +377,15 @@ impl<'a> FieldReader<'a> {
         Ok(FileClass::from_index(idx as usize))
     }
 
+    /// Bytes not yet read.
+    pub(crate) fn remaining(&self) -> usize {
+        self.body.len().saturating_sub(self.pos)
+    }
+
     pub(crate) fn finish(self) -> Result<(), ProtoError> {
-        if self.pos == self.body.len() {
-            Ok(())
-        } else {
-            let trailing = self.body.len().saturating_sub(self.pos);
-            Err(rejected(format_args!("{trailing} trailing bytes in frame body")))
+        match self.remaining() {
+            0 => Ok(()),
+            trailing => Err(rejected(format_args!("{trailing} trailing bytes in frame body"))),
         }
     }
 }

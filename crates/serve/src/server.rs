@@ -60,7 +60,7 @@ use iustitia::model::AnytimeModel;
 use iustitia::model::NatureModel;
 use iustitia::pipeline::{Iustitia, PipelineConfig, Verdict};
 
-use crate::metrics::{LatencyHistogram, ServeMetrics, Stage};
+use crate::metrics::{LatencyHistogram, ServeMetrics, ShardStats, Stage};
 use crate::proto::{FlowVerdict, Response};
 use crate::queue::{AdmissionPolicy, BoundedQueue, Drained, PacketSlab, SlabPacket};
 use crate::reactor::{FanInGate, Outbox, Reactor};
@@ -152,11 +152,12 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Full stats snapshot, including the queue-lock counter summed
-    /// across the shard queues (which live outside [`ServeMetrics`]).
+    /// Full stats snapshot, after storing the queue-lock counter summed
+    /// across the shard queues (which own the counts).
     pub(crate) fn snapshot(&self) -> crate::metrics::StatsSnapshot {
         let locks = self.queues.iter().map(BoundedQueue::lock_acquisitions).sum();
-        self.metrics.snapshot().with_queue_locks(locks)
+        self.metrics.queue_lock_acquisitions.store(locks, Ordering::Relaxed);
+        self.metrics.snapshot()
     }
 }
 
@@ -398,13 +399,13 @@ fn plain_data(packet: &SlabPacket<'_>) -> bool {
 impl Shard<'_> {
     /// Publishes the pipeline's gauges for the `Stats` request.
     fn publish(&self, gauges: &crate::metrics::ShardGauges) {
-        gauges.set(
-            self.pipeline.pending_flows() as u64,
-            self.pipeline.resident_feature_bytes() as u64,
-            self.pipeline.state_pool_hits(),
-            self.pipeline.state_pool_size() as u64,
-            self.pipeline.early_exit_verdicts(),
-        );
+        gauges.set(&ShardStats {
+            pending_flows: self.pipeline.pending_flows() as u64,
+            resident_feature_bytes: self.pipeline.resident_feature_bytes() as u64,
+            state_pool_hits: self.pipeline.state_pool_hits(),
+            state_pool_size: self.pipeline.state_pool_size() as u64,
+            early_exit_verdicts: self.pipeline.early_exit_verdicts(),
+        });
     }
 
     /// Dispatches one segment — the records of `slab` at `range`, a

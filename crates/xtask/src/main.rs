@@ -2,10 +2,9 @@
 //!
 //! Run as `cargo run -p xtask -- lint`. Exits 0 when the workspace is
 //! clean, 1 with `file:line: [Lnnn] message` diagnostics otherwise.
-//! Two tiers run under the one command, with one waiver pass over both:
-//! the per-token lints L005–L006 (see [`lints`]) and the
-//! interprocedural analyses L008–L010 built on the call graph (see
-//! [`analyses`]). The local checks clippy ships run under `cargo clippy`.
+//! It runs the interprocedural analyses L008–L010 built on the call
+//! graph (see [`analyses`]) and one waiver pass over their findings (see
+//! [`lints`]). The local checks run under `cargo clippy`.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -39,9 +38,9 @@ COMMANDS:
     lint          run every project lint over the workspace
     lint --list   print the lint table and exit
 
-L005-L006 are per-token lints; L008-L010 are interprocedural analyses
-driven by the roots declared in crates/xtask/src/roots.rs. The retired
-L001-L004, L007 and L011 are clippy lints: run `cargo clippy`.
+L008-L010 are interprocedural analyses driven by the roots declared in
+crates/xtask/src/roots.rs. The retired L001-L004, L006, L007 and L011
+are clippy lints (run `cargo clippy`); L005 is a type the compiler checks.
 
 Waive a finding with an inline justification on the same or the
 preceding line:  // lint: allow(L008) — <reason>

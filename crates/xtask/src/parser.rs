@@ -427,6 +427,11 @@ impl Parser<'_> {
                         j = k;
                     }
                 }
+                "#" if t.kind == TokKind::Punct && self.is(j + 1, "[") => {
+                    // An attribute on a statement (`#[expect(..)]`) is
+                    // no code: `expect(` in it is not a call.
+                    j = matching_brace(self.tokens, j + 1).unwrap_or(close);
+                }
                 "." if t.kind == TokKind::Punct => {
                     if let Some(event) = self.method_call(j, close, depth, &binding) {
                         events.push(event);
@@ -686,6 +691,17 @@ fn f(xs: &[u8], m: &mut [u64; 256]) -> u8 {
         let items = parse(src);
         let indexes = items[0].events.iter().filter(|e| matches!(e, Event::Index { .. })).count();
         assert_eq!(indexes, 3, "m[3], xs[0], table()[1] — not types, patterns, or literals");
+    }
+
+    #[test]
+    fn statement_attributes_are_not_calls() {
+        let src = r#"
+fn f(v: &mut Vec<u8>) {
+    #[expect(clippy::disallowed_methods, reason = "bounded")]
+    v.extend_from_slice(&[1]);
+}
+"#;
+        assert_eq!(calls(&parse(src)[0]), vec![".extend_from_slice()"]);
     }
 
     #[test]
