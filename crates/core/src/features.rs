@@ -229,29 +229,21 @@ impl FlowFeatureState {
         out
     }
 
-    /// Writes the feature vector into `out` (cleared first), using
-    /// `counts_scratch` for exact-histogram count sorting, so a warm
-    /// caller allocates nothing (exact mode; the estimated sketches
-    /// still build their small per-finish median buffers). The battery
-    /// features derive from fixed-size integer state and allocate
-    /// nothing. Values are bit-identical to [`finish`](Self::finish).
+    /// [`finish_into_with`](Self::finish_into_with) with a median buffer
+    /// of its own, which estimated-mode finishes fill (and so allocate);
+    /// exact-mode callers allocate nothing once `counts_scratch` is warm.
     pub fn finish_into(&self, out: &mut Vec<f64>, counts_scratch: &mut Vec<u64>) {
-        match &self.inner {
-            FlowStateInner::Exact(v) => v.finish_entropies_into(out, counts_scratch),
-            FlowStateInner::Estimated(e) => e.finish_into(out, counts_scratch),
-        }
-        if let Some(battery) = &self.battery {
-            // lint: allow(L009) — reused scratch: capacity persists across flows after warm-up
-            out.extend_from_slice(&battery.finish());
-        }
+        self.finish_into_with(out, counts_scratch, &mut Vec::new());
     }
 
-    /// As [`finish_into`](Self::finish_into), additionally threading
-    /// `means_scratch` through the estimated sketches' per-finish
-    /// median buffers, so even estimated-mode callers are
-    /// allocation-free once warm — the anytime probe finishes a partial
-    /// vector on every probed packet and must never allocate.
-    /// Bit-identical to [`finish`](Self::finish).
+    /// Writes the feature vector into `out` (cleared first), using
+    /// `counts_scratch` for the exact histograms' large counts and
+    /// `means_scratch` for the estimated sketches' per-finish median
+    /// buffers, so a warm caller allocates nothing in either mode — the
+    /// flow's conclusion and every anytime probe finish through here.
+    /// The battery features derive from fixed-size integer state and
+    /// allocate nothing. Values are bit-identical to
+    /// [`finish`](Self::finish).
     pub fn finish_into_with(
         &self,
         out: &mut Vec<f64>,

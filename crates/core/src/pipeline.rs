@@ -104,7 +104,9 @@ impl AnytimeConfig {
     /// An operating point taken from a calibrated model: its threshold,
     /// probing from the first fitted centroid stage, with a default
     /// 64-byte stride (each probe re-finishes the feature vector, so
-    /// the stride is the knob trading verdict latency for probe cost).
+    /// the stride is the knob trading verdict latency for probe cost;
+    /// a finish folds each width's count-of-counts, which the tables
+    /// keep as they count, so it costs the grams seen, not the window).
     pub fn calibrated(confidence: &ConfidenceModel) -> Self {
         AnytimeConfig {
             threshold: confidence.threshold(),
@@ -379,7 +381,7 @@ pub struct Iustitia {
     /// Verdicts emitted by anytime probes before the buffer filled.
     early_exits: u64,
     /// Scratch for the estimated sketches' per-finish median buffers,
-    /// so anytime probes never allocate (see
+    /// so neither probes nor conclusions allocate (see
     /// `FlowFeatureState::finish_into_with`).
     means_scratch: Vec<f64>,
 }
@@ -390,9 +392,9 @@ pub struct Iustitia {
 /// bench/serve configuration.
 ///
 /// What a full pool retains, per pipeline (so per shard), is 256 × the
-/// heap of one feature state — with the `φ′_SVM` widths, 149,888 B
-/// (146 KiB) at `b = 2048` and 4,736 B (4.6 KiB) at `b = 32`
-/// (`tests/pool_alloc.rs` bounds both): 36.6 MiB and 1.2 MiB. That is
+/// heap of one feature state — with the `φ′_SVM` widths, 157,152 B
+/// (153 KiB) at `b = 2048` and 5,952 B (5.8 KiB) at `b = 32`
+/// (`tests/pool_alloc.rs` bounds both): 38.4 MiB and 1.5 MiB. That is
 /// real heap, not `resident_bytes()`, which is the paper's per-counter
 /// accounting.
 const MAX_POOLED_STATES: usize = 256;
@@ -879,7 +881,11 @@ impl Iustitia {
                 // classify on.
                 return None;
             } else {
-                flow.features.finish_into(&mut self.feature_scratch, &mut self.counts_scratch);
+                flow.features.finish_into_with(
+                    &mut self.feature_scratch,
+                    &mut self.counts_scratch,
+                    &mut self.means_scratch,
+                );
             }
             // A model trained on a different feature width than the
             // pipeline extracts cannot render a verdict; such flows are

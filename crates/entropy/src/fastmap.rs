@@ -10,8 +10,10 @@
 //!   counter map, generic over the packed-gram key ([`GramKey`]: `u64`
 //!   for grams of up to 8 bytes, `u128` up to 16). Keys and counts live
 //!   in two parallel arrays, 12 or 20 bytes per slot, and a zero count
-//!   marks an empty slot: clearing the table and folding its counts
-//!   read and write the 4-byte count array only.
+//!   marks an empty slot, so clearing the table writes the 4-byte count
+//!   array only. The table also keeps its count-of-counts as it counts
+//!   ([`CounterTable::tallies`], [`CounterTable::large_counts`]), so a
+//!   fold over the counts reads those instead of the slot arrays.
 //! * [`FxHashMap`] / [`FxBuildHasher`] — a drop-in `HashMap` alias
 //!   using the same multiply-based hash, for the places that need a
 //!   real map (the estimator's gram → tracker index, divergence
@@ -123,6 +125,20 @@ impl GramKey for u128 {
 /// Initial capacity of the first allocation (power of two).
 const INITIAL_CAPACITY: usize = 16;
 
+/// Counts below this are tallied per value ([`CounterTable::tallies`]);
+/// keys at or above it are listed by slot instead
+/// ([`CounterTable::large_counts`]). Nearly every gram of a
+/// classification window occurs a handful of times, so the list, and
+/// the sort a fold runs over it, hold a rare few.
+pub const SMALL_COUNTS: usize = 64;
+
+/// Slots per entry of the large-count list: a table of capacity `c`
+/// lists up to `c / 16` keys before it grows. A key reaches
+/// [`SMALL_COUNTS`] only after that many increments, so a table
+/// reserved for its input (capacity ≥ twice the windows) never fills
+/// its list.
+const SLOTS_PER_LARGE: usize = 16;
+
 /// An open-addressing counter table over packed-gram keys.
 ///
 /// Linear probing over a power-of-two slot array, indexed by the high
@@ -136,10 +152,17 @@ const INITIAL_CAPACITY: usize = 16;
 /// expected probes per miss at ¾ load vs ≈2.5 at ½), and probe length,
 /// not hashing, is what the gram hot path pays for.
 ///
-/// [`clear`](Self::clear) zeroes the count array and nothing else,
-/// keeping both allocations, which is what lets pooled flow state
+/// [`clear`](Self::clear) zeroes the count array and the tallies,
+/// keeping every allocation, which is what lets pooled flow state
 /// recycle without touching the allocator; the keys it leaves behind
 /// sit in empty slots and are overwritten on reuse.
+///
+/// The table keeps its count-of-counts as it counts: how many keys
+/// hold each count in `2..SMALL_COUNTS`, and the slots of the keys
+/// that have reached [`SMALL_COUNTS`]. A key's first occurrence
+/// touches neither (the count-1 cell is what the others leave of
+/// `len`), so a fold over the counts costs O([`SMALL_COUNTS`] + large
+/// keys), whatever the capacity.
 ///
 /// Counts are `u32` and saturate at `u32::MAX`: exact for any input
 /// with fewer than 2³² occurrences of one gram (4 GiB of one repeated
@@ -160,7 +183,7 @@ const INITIAL_CAPACITY: usize = 16;
 /// assert_eq!(t.get(8), 0);
 /// assert_eq!(t.len(), 2);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct CounterTable<K> {
     /// Slot keys; meaningful only where the matching count is non-zero.
     keys: Vec<K>,
@@ -170,6 +193,15 @@ pub struct CounterTable<K> {
     len: usize,
     /// `64 − log2(capacity)`: shift that maps a hash to a slot index.
     shift: u32,
+    /// `tallies[c]` = keys holding count `c`, for `2 ≤ c < SMALL_COUNTS`;
+    /// `tallies[SMALL_COUNTS]` = keys at [`SMALL_COUNTS`] or above, the
+    /// live prefix of `large`. Cell 1 absorbs the decrement of a key
+    /// leaving count 1 and, like cell 0, is never read.
+    tallies: [u32; SMALL_COUNTS + 1],
+    /// Slots of the keys that have reached [`SMALL_COUNTS`], in the
+    /// order they reached it; `capacity / SLOTS_PER_LARGE` entries, and
+    /// never full between calls (filling it grows the table).
+    large: Vec<usize>,
 }
 
 impl<K: GramKey> CounterTable<K> {
@@ -177,7 +209,14 @@ impl<K: GramKey> CounterTable<K> {
     /// [`increment`](Self::increment).
     #[must_use]
     pub fn new() -> Self {
-        CounterTable { keys: Vec::new(), counts: Vec::new(), len: 0, shift: 0 }
+        CounterTable {
+            keys: Vec::new(),
+            counts: Vec::new(),
+            len: 0,
+            shift: 0,
+            tallies: [0; SMALL_COUNTS + 1],
+            large: Vec::new(),
+        }
     }
 
     /// Creates a table pre-sized for `expected_keys` distinct keys, so
@@ -247,23 +286,62 @@ impl<K: GramKey> CounterTable<K> {
             if empty | (*held == key) {
                 *held = key;
                 *count = count.saturating_add(1);
+                let now = *count;
                 self.len = self.len.saturating_add(usize::from(empty));
+                if !empty {
+                    self.retally(i, now);
+                }
                 return;
             }
             i = i.wrapping_add(1) & mask;
         }
     }
 
+    /// Moves the key in `slot`, which has just gone from `count − 1` to
+    /// `count` (≥ 2), between tallies, and lists the slot when `count`
+    /// reaches [`SMALL_COUNTS`].
+    #[inline]
+    fn retally(&mut self, slot: usize, count: u32) {
+        let count = count as usize;
+        if count > SMALL_COUNTS {
+            return;
+        }
+        if let Some(tally) = self.tallies.get_mut(count) {
+            *tally = tally.wrapping_add(1);
+        }
+        if let Some(tally) = self.tallies.get_mut(count.wrapping_sub(1)) {
+            *tally = tally.wrapping_sub(1);
+        }
+        if count == SMALL_COUNTS {
+            let listed = self.listed();
+            if let Some(entry) = self.large.get_mut(listed.wrapping_sub(1)) {
+                *entry = slot;
+            }
+            if listed >= self.large.len() {
+                self.rehash(self.counts.len().saturating_mul(2));
+            }
+        }
+    }
+
+    /// Keys at [`SMALL_COUNTS`] or above: the live prefix of `large`.
+    fn listed(&self) -> usize {
+        self.tallies.last().map_or(0, |&n| n as usize)
+    }
+
     /// Re-slots every live entry into a `new_cap`-slot table
-    /// (`new_cap` a power of two, at least [`INITIAL_CAPACITY`]).
-    /// Counts-only-increment means there are no tombstones to filter:
-    /// every non-empty slot is live.
+    /// (`new_cap` a power of two, at least [`INITIAL_CAPACITY`]) and
+    /// relists the large keys at their new slots; the tallies do not
+    /// change. Counts-only-increment means there are no tombstones to
+    /// filter: every non-empty slot is live.
     fn rehash(&mut self, new_cap: usize) {
+        let listable = new_cap / SLOTS_PER_LARGE;
         // lint: allow(L009) — growth path: runs only when a flow exceeds its reserve() budget
-        let (keys, counts) = (vec![K::default(); new_cap], vec![0u32; new_cap]);
-        let old_keys = std::mem::replace(&mut self.keys, keys);
-        let old_counts = std::mem::replace(&mut self.counts, counts);
+        let fresh = (vec![K::default(); new_cap], vec![0; new_cap], vec![0; listable]);
+        let old_keys = std::mem::replace(&mut self.keys, fresh.0);
+        let old_counts = std::mem::replace(&mut self.counts, fresh.1);
+        let mut large = fresh.2;
         self.shift = 64u32.saturating_sub(new_cap.trailing_zeros());
+        let mut listed = large.iter_mut();
         for (key, count) in old_keys.into_iter().zip(old_counts) {
             if count == 0 {
                 continue;
@@ -273,14 +351,48 @@ impl<K: GramKey> CounterTable<K> {
                 *slot = count;
                 *held = key;
             }
+            if count as usize >= SMALL_COUNTS {
+                if let Some(entry) = listed.next() {
+                    *entry = i;
+                }
+            }
         }
+        self.large = large;
     }
 
     /// Empties the table, keeping its allocations for reuse. Only the
-    /// count array is written.
+    /// count array and the tallies are written.
     pub fn clear(&mut self) {
         self.counts.fill(0);
+        self.tallies = [0; SMALL_COUNTS + 1];
         self.len = 0;
+    }
+
+    /// The count-of-counts: `tallies()[c]` keys hold count `c`, for
+    /// `1 ≤ c < SMALL_COUNTS`, and `tallies()[SMALL_COUNTS]` keys hold
+    /// [`SMALL_COUNTS`] or more; cell 0 is 0. Kept as the table counts,
+    /// so this reads 65 cells and no slot.
+    #[must_use]
+    pub fn tallies(&self) -> [u64; SMALL_COUNTS + 1] {
+        let mut tallies = [0; SMALL_COUNTS + 1];
+        for (cell, &kept) in tallies.iter_mut().zip(&self.tallies).skip(2) {
+            *cell = u64::from(kept);
+        }
+        let repeated: u64 = tallies.iter().sum();
+        if let Some(ones) = tallies.get_mut(1) {
+            *ones = (self.len as u64).saturating_sub(repeated);
+        }
+        tallies
+    }
+
+    /// The counts of the keys at [`SMALL_COUNTS`] or above, in the
+    /// order they reached it (reset by a rehash): one read per such
+    /// key, no scan of the slot array.
+    pub fn large_counts(&self) -> impl Iterator<Item = u64> + '_ {
+        self.large
+            .iter()
+            .take(self.listed())
+            .map(|&slot| self.counts.get(slot).map_or(0, |&count| u64::from(count)))
     }
 
     /// Iterates over `(key, count)` pairs in arbitrary (slot) order.
@@ -292,17 +404,16 @@ impl<K: GramKey> CounterTable<K> {
             .map(|(&key, &count)| (key, u64::from(count)))
     }
 
-    /// The count of every slot, empty ones (zero) included — what a
-    /// fold over the counts alone reads, without touching the keys.
-    #[must_use]
-    pub fn slot_counts(&self) -> &[u32] {
-        &self.counts
-    }
-
     /// Allocated slot count (benchmark/diagnostic aid).
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.counts.len()
+    }
+}
+
+impl<K: GramKey> Default for CounterTable<K> {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -508,7 +619,6 @@ mod tests {
             t.increment(k);
         }
         t.clear();
-        assert!(t.slot_counts().iter().all(|&c| c == 0));
         assert_eq!(t.iter().count(), 0);
         assert!((0..64u64).all(|k| t.get(k) == 0));
         t.increment(5);

@@ -16,16 +16,20 @@
 //! * `k ≥ 2` — the open-addressing Fx-hashed [`CounterTable`], keyed by
 //!   `u64` for `k ≤ 8` and by `u128` above, reserved for the windows
 //!   the caller announces ([`GramHistogram::reserve_bytes`]): 12 bytes
-//!   per slot at ≤ ½ load, so 48 KiB per width for a 2 KiB
-//!   classification window and under 1 KiB for a 32-byte one.
+//!   per slot at ≤ ½ load, plus an 8-byte large-count entry per 16
+//!   slots, so 50 KiB per width for a 2 KiB classification window and
+//!   under 1 KiB for a 32-byte one.
 //!
 //! Both sit behind the same API, and
 //! [`sum_m_log_m`](GramHistogram::sum_m_log_m) adds its terms in
 //! ascending count order whatever the storage, so every float the
 //! crate derives from a histogram is bit-identical across tiers,
-//! capacities and feeding histories.
+//! capacities and feeding histories. It folds a count-of-counts: the
+//! open tables keep theirs as they count, so a finish reads ≤ 64
+//! tallies and the few counts of 64 or more, not the slot array; the
+//! dense tier tallies its 256 counters on the spot.
 
-use crate::fastmap::{CounterTable, GramKey};
+use crate::fastmap::{CounterTable, GramKey, SMALL_COUNTS};
 
 /// A frequency histogram of the `k`-byte grams of a byte sequence.
 ///
@@ -320,8 +324,9 @@ impl GramHistogram {
     ///
     /// Terms are added in ascending count order so the result is
     /// bit-for-bit reproducible — across runs *and* across storage
-    /// tiers (hash-map, dense, and open-addressing iteration orders all
-    /// collapse to the same sorted multiset).
+    /// tiers: the dense scan and the open tables' maintained tallies
+    /// describe the same count multiset, whatever the slot order,
+    /// capacity or feeding history.
     pub fn sum_m_log_m(&self) -> f64 {
         let mut counts: Vec<u64> = Vec::new();
         self.sum_m_log_m_with(&mut counts)
@@ -332,14 +337,19 @@ impl GramHistogram {
     /// reach — so steady-state feature finishes allocate nothing once
     /// it has grown to the flow's number of such grams.
     ///
-    /// Reads the store's count array alone, empty slots included (see
-    /// [`ascending_sum_m_log_m`]).
+    /// The open tables hand over the tallies they keep as they count
+    /// ([`CounterTable::tallies`]) and their large counts, so the cost
+    /// is O(distinct counts), not O(capacity); the dense tier scans its
+    /// 256 counters. Both feed one `ascending_sum_m_log_m`.
     pub fn sum_m_log_m_with(&self, scratch: &mut Vec<u64>) -> f64 {
-        match &self.store {
-            Store::Dense1 { counts, .. } => ascending_sum_m_log_m(counts.as_slice(), scratch),
-            Store::Narrow(table) => ascending_sum_m_log_m(table.slot_counts(), scratch),
-            Store::Wide(table) => ascending_sum_m_log_m(table.slot_counts(), scratch),
-        }
+        scratch.clear();
+        let tallies = match &self.store {
+            Store::Dense1 { counts, .. } => tally_dense(counts, scratch),
+            Store::Narrow(table) => tally_table(table, scratch),
+            Store::Wide(table) => tally_table(table, scratch),
+        };
+        scratch.sort_unstable();
+        ascending_sum_m_log_m(&tallies, scratch)
     }
 
     /// Number of counters an exact implementation needs for this input —
@@ -349,51 +359,60 @@ impl GramHistogram {
     }
 }
 
-/// Counts below this are tallied per value instead of being sorted.
-/// Nearly every gram of a classification window occurs a handful of
-/// times, so the sort that remains is over a rare few.
-const SMALL_COUNTS: usize = 64;
-
 /// Independent tallies filled round-robin, so a run of equal counts
-/// (most slots hold 0 or 1) does not serialise on one memory cell.
+/// (most of the 256 byte counters hold 0 or 1) does not serialise on
+/// one memory cell.
 const TALLY_LANES: usize = 4;
 
-/// `Σ c·log2(c)` over the non-zero entries of `counts`, added in
-/// ascending order of `c` — the float that sorting the non-zero counts
-/// and taking `.map(m_log_m).sum::<f64>()` over them produces, bit for
-/// bit.
-///
-/// One pass tallies how many entries hold each value below
-/// [`SMALL_COUNTS`] (zeros land in tally 0 and are never read); the
-/// larger ones go to `scratch`, which alone is sorted. The fold then
-/// computes each distinct count's term once and adds it as many times
-/// as the count occurs. A count of 1 contributes `+0.0` however often
-/// it occurs, so it is added once.
-fn ascending_sum_m_log_m<T: Copy + Into<u64>>(counts: &[T], scratch: &mut Vec<u64>) -> f64 {
-    const LARGE: u64 = SMALL_COUNTS as u64;
+/// A count-of-counts: cell `c` holds how many grams occur `c` times,
+/// for `1 ≤ c < SMALL_COUNTS`; the last cell, how many occur more.
+type Tallies = [u64; SMALL_COUNTS + 1];
+
+/// The dense tier's count-of-counts, from one pass over its 256
+/// counters (zeros land in cell 0, which is never read); the counts of
+/// [`SMALL_COUNTS`] and above go to `large`.
+fn tally_dense(counts: &[u64; 256], large: &mut Vec<u64>) -> Tallies {
     let mut lanes = [[0u64; SMALL_COUNTS + 1]; TALLY_LANES];
-    let mut quads = counts.chunks_exact(TALLY_LANES);
-    for quad in quads.by_ref() {
-        tally(&mut lanes, quad);
+    for quad in counts.chunks_exact(TALLY_LANES) {
+        for (lane, &count) in lanes.iter_mut().zip(quad) {
+            if let Some(tally) = lane.get_mut(count.min(SMALL_COUNTS as u64) as usize) {
+                *tally += 1;
+            }
+        }
     }
-    tally(&mut lanes, quads.remainder());
     let mut tallies = [0u64; SMALL_COUNTS + 1];
     for lane in &lanes {
         for (total, &part) in tallies.iter_mut().zip(lane) {
             *total += part;
         }
     }
-
-    scratch.clear();
-    if tallies.last().is_some_and(|&large| large != 0) {
-        scratch.extend(counts.iter().map(|&count| count.into()).filter(|&count| count >= LARGE));
-        scratch.sort_unstable();
+    if tallies.last().is_some_and(|&n| n != 0) {
+        large.extend(counts.iter().copied().filter(|&count| count >= SMALL_COUNTS as u64));
     }
+    tallies
+}
 
+/// An open table's count-of-counts, kept as it counted; its counts of
+/// [`SMALL_COUNTS`] and above go to `large`.
+fn tally_table<K: GramKey>(table: &CounterTable<K>, large: &mut Vec<u64>) -> Tallies {
+    large.extend(table.large_counts());
+    table.tallies()
+}
+
+/// `Σ c·log2(c)` over a count multiset given as its count-of-counts
+/// `tallies` plus its counts of [`SMALL_COUNTS`] and above, sorted, in
+/// `large` — added in ascending order of `c`: the float that sorting
+/// the counts and taking `.map(m_log_m).sum::<f64>()` over them
+/// produces, bit for bit.
+///
+/// Each distinct count's term is computed once and added as many times
+/// as the count occurs. A count of 1 contributes `+0.0` however often
+/// it occurs, so it is added once.
+fn ascending_sum_m_log_m(tallies: &Tallies, large: &[u64]) -> f64 {
     // What `Iterator::sum::<f64>()` starts from (−0.0 or, on older
     // toolchains, 0.0): the sign survives only if nothing is added.
     let mut sum: f64 = [0.0_f64; 0].iter().sum();
-    for (count, &occurrences) in (1..LARGE).zip(tallies.iter().skip(1)) {
+    for (count, &occurrences) in (1..SMALL_COUNTS as u64).zip(tallies.iter().skip(1)) {
         if occurrences == 0 {
             continue;
         }
@@ -404,24 +423,13 @@ fn ascending_sum_m_log_m<T: Copy + Into<u64>>(counts: &[T], scratch: &mut Vec<u6
         }
     }
     let (mut previous, mut addend) = (0, 0.0);
-    for &count in scratch.iter() {
+    for &count in large {
         if count != previous {
             (previous, addend) = (count, m_log_m(count));
         }
         sum += addend;
     }
     sum
-}
-
-/// Adds each of `counts` (at most one per lane) to its lane's tally,
-/// everything from [`SMALL_COUNTS`] up to the last one.
-#[inline]
-fn tally<T: Copy + Into<u64>>(lanes: &mut [[u64; SMALL_COUNTS + 1]; TALLY_LANES], counts: &[T]) {
-    for (lane, &count) in lanes.iter_mut().zip(counts) {
-        if let Some(tally) = lane.get_mut(count.into().min(SMALL_COUNTS as u64) as usize) {
-            *tally += 1;
-        }
-    }
 }
 
 /// One term of `S_k`: `m·log2(m)`.

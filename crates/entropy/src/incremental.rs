@@ -5,8 +5,8 @@
 //! arrives, so what a flow holds is its counter tables — a dense 2 KiB
 //! array for `k = 1` and, for every wider `k`, an open table reserved
 //! for the `b` bytes announced up front
-//! ([`with_byte_hint`](IncrementalVector::with_byte_hint)): ≈ 146 KiB
-//! for the four `φ′_SVM` widths at `b = 2048`, ≈ 4 KiB at `b = 32`.
+//! ([`with_byte_hint`](IncrementalVector::with_byte_hint)): ≈ 153 KiB
+//! for the four `φ′_SVM` widths at `b = 2048`, ≈ 6 KiB at `b = 32`.
 //!
 //! One rolling packed window is shared by every width. It holds the
 //! last 16 bytes fed (`key = (key << 8) | b`; older bytes fall off the
@@ -25,8 +25,12 @@
 //! concatenated chunks, because equal window enumerations give equal
 //! gram-count multisets, and
 //! [`sum_m_log_m`](GramHistogram::sum_m_log_m) adds its terms in
-//! ascending count order — collapsing any slot-order, capacity or
-//! storage-tier difference before a single float is produced.
+//! ascending count order from the multiset's count-of-counts —
+//! collapsing any slot-order, capacity or storage-tier difference
+//! before a single float is produced. The open tables keep that
+//! count-of-counts as they count, so finishing after every packet (the
+//! anytime probe) reads a few dozen tallies per width, never the
+//! table.
 
 use crate::histogram::GramHistogram;
 use crate::vector::{

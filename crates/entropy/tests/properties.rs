@@ -3,10 +3,11 @@
 // The reference models count with `std`'s HashMap; the kernel may not.
 #![allow(clippy::disallowed_types)]
 
+use iustitia_entropy::fastmap::{CounterTable, GramKey, SMALL_COUNTS};
 use iustitia_entropy::{
     entropy, entropy_vector, jensen_shannon_divergence, kl_divergence, prefix_jsd,
-    ByteDistribution, EstimatorConfig, FeatureWidths, GramHistogram, IncrementalVector,
-    StreamingEntropyEstimator,
+    ByteDistribution, EntropyVector, EstimatorConfig, FeatureWidths, GramHistogram,
+    IncrementalVector, StreamingEntropyEstimator,
 };
 use proptest::prelude::*;
 
@@ -44,6 +45,63 @@ fn payloads(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u8>> {
         },
     );
     prop_oneof![arbitrary, few_symbols, runs]
+}
+
+/// Low-entropy payloads of up to 4 KiB: runs of zeros between short
+/// arbitrary stretches, or one short phrase repeated. Their grams reach
+/// counts of 64 and far above at every width.
+fn low_entropy_payloads() -> impl Strategy<Value = Vec<u8>> {
+    let stretch = (0usize..400, proptest::collection::vec(any::<u8>(), 0..16));
+    let zero_runs = proptest::collection::vec(stretch, 1..24).prop_map(|stretches| {
+        let bytes = stretches
+            .into_iter()
+            .flat_map(|(zeros, bytes)| std::iter::repeat_n(0u8, zeros).chain(bytes));
+        bytes.take(4096).collect::<Vec<u8>>()
+    });
+    const PHRASES: [&[u8]; 3] =
+        [b"GET /index.html HTTP/1.1\r\nHost: a\r\n\r\n", b"the quick brown fox ", b"aaab"];
+    let text = (0..PHRASES.len(), 0usize..=4096).prop_map(|(phrase, len)| {
+        PHRASES[phrase].iter().copied().cycle().take(len).collect::<Vec<u8>>()
+    });
+    prop_oneof![zero_runs, text]
+}
+
+/// One step of a [`CounterTable`] workload.
+#[derive(Debug, Clone)]
+enum TableOp {
+    Increment(u64),
+    Clear,
+}
+
+/// Up to 8,000 increments of arbitrary keys, with a clear about every
+/// 2,000 steps.
+fn table_ops() -> impl Strategy<Value = Vec<TableOp>> {
+    let op = (any::<u64>(), 0u32..2000).prop_map(|(key, roll)| {
+        if roll == 0 {
+            TableOp::Clear
+        } else {
+            TableOp::Increment(key)
+        }
+    });
+    proptest::collection::vec(op, 0..8000)
+}
+
+/// Asserts that a table's maintained count-of-counts and large counts
+/// equal what a scan of its `(key, count)` pairs finds.
+fn assert_tallies_match_scan<K: GramKey>(table: &CounterTable<K>) {
+    let mut tallies = [0u64; SMALL_COUNTS + 1];
+    let mut large = Vec::new();
+    for (_, count) in table.iter() {
+        tallies[(count as usize).min(SMALL_COUNTS)] += 1;
+        if count >= SMALL_COUNTS as u64 {
+            large.push(count);
+        }
+    }
+    let mut kept: Vec<u64> = table.large_counts().collect();
+    large.sort_unstable();
+    kept.sort_unstable();
+    assert_eq!(table.tallies(), tallies);
+    assert_eq!(kept, large);
 }
 
 /// Reference gram counter: a plain `std` HashMap over raw windows.
@@ -330,6 +388,72 @@ proptest! {
         prop_assert_eq!(slab.finish().values(), bytewise.finish().values());
         prop_assert_eq!(slab.counters_used(), bytewise.counters_used());
         prop_assert_eq!(slab.total_bytes(), bytewise.total_bytes());
+    }
+
+    /// The count-of-counts a table keeps as it counts must equal a scan
+    /// of its slots, whatever happened to it: keys from a small
+    /// alphabet, so counts cross 64 and many keys are listed as large;
+    /// a reservation the keys outgrow, so the table rehashes and
+    /// relists; and clears in between, after which the tallies start
+    /// again from zero. Both key widths.
+    #[test]
+    fn maintained_tallies_equal_a_slot_scan(
+        alphabet in 1u64..48,
+        reserved in 0usize..8,
+        ops in table_ops(),
+    ) {
+        let mut narrow = CounterTable::<u64>::with_capacity(reserved);
+        let mut wide = CounterTable::<u128>::with_capacity(reserved);
+        for (i, op) in ops.iter().enumerate() {
+            match *op {
+                TableOp::Increment(key) => {
+                    let key = key % alphabet;
+                    narrow.increment(key);
+                    wide.increment(u128::from(key) << 64 | u128::from(key));
+                }
+                TableOp::Clear => {
+                    assert_tallies_match_scan(&narrow);
+                    assert_tallies_match_scan(&wide);
+                    narrow.clear();
+                    wide.clear();
+                }
+            }
+            if i % 257 == 0 {
+                assert_tallies_match_scan(&narrow);
+                assert_tallies_match_scan(&wide);
+            }
+        }
+        assert_tallies_match_scan(&narrow);
+        assert_tallies_match_scan(&wide);
+    }
+
+    /// An anytime probe finishes the same state again and again as
+    /// packets arrive: at every chunk boundary of a low-entropy payload,
+    /// `finish_entropies_into` must bit-equal the one-shot vector of the
+    /// prefix fed so far — on a state recycled through `reset` from a
+    /// different flow, reserved for a window the payload may outgrow.
+    #[test]
+    fn probe_finish_equals_one_shot_at_every_prefix(
+        junk in low_entropy_payloads(),
+        data in low_entropy_payloads(),
+        cuts in proptest::collection::vec(1usize..512, 1..16),
+        hint in 0usize..4096,
+    ) {
+        let widths = FeatureWidths::new(vec![1, 2, 3, 5, 10]);
+        let mut state = IncrementalVector::with_byte_hint(&widths, hint);
+        state.update(&junk);
+        state.reset();
+        state.reserve_bytes(hint);
+        let (mut out, mut scratch) = (Vec::new(), Vec::new());
+        let mut fed = 0;
+        for chunk in packetize(&data, &cuts) {
+            state.update(chunk);
+            fed += chunk.len();
+            state.finish_entropies_into(&mut out, &mut scratch);
+            let one_shot = EntropyVector::compute(&data[..fed], &widths);
+            let bits = |values: &[f64]| values.iter().map(|h| h.to_bits()).collect::<Vec<u64>>();
+            prop_assert_eq!(bits(&out), bits(one_shot.values()), "prefix of {} bytes", fed);
+        }
     }
 
     #[test]
