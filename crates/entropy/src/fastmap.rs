@@ -385,6 +385,13 @@ impl<K: GramKey> CounterTable<K> {
         tallies
     }
 
+    /// The count-of-counts as kept, with no copy: cell `c` for
+    /// `2 ≤ c < SMALL_COUNTS` and the last cell read as in
+    /// [`tallies`](Self::tallies); cells 0 and 1 hold nothing.
+    pub(crate) fn kept_tallies(&self) -> &[u32; SMALL_COUNTS + 1] {
+        &self.tallies
+    }
+
     /// The counts of the keys at [`SMALL_COUNTS`] or above, in the
     /// order they reached it (reset by a rehash): one read per such
     /// key, no scan of the slot array.

@@ -12,7 +12,9 @@
 //! can put into it, in two tiers:
 //!
 //! * `k = 1` — a dense `[u64; 256]` array (2 KiB): one indexed add per
-//!   byte.
+//!   byte, plus a 256-byte list of the bytes seen so far, in first-seen
+//!   order, so a finish or a reset visits only the counters the window
+//!   touched (≤ 32 at `b = 32`).
 //! * `k ≥ 2` — the open-addressing Fx-hashed [`CounterTable`], keyed by
 //!   `u64` for `k ≤ 8` and by `u128` above, reserved for the windows
 //!   the caller announces ([`GramHistogram::reserve_bytes`]): 12 bytes
@@ -27,7 +29,11 @@
 //! capacities and feeding histories. It folds a count-of-counts: the
 //! open tables keep theirs as they count, so a finish reads ≤ 64
 //! tallies and the few counts of 64 or more, not the slot array; the
-//! dense tier tallies its 256 counters on the spot.
+//! dense tier tallies the counters of its seen list on the spot. The
+//! fold stops at the last count the window holds, and takes `log2(c)`
+//! below [`SMALL_COUNTS`] from one table computed once.
+
+use std::sync::LazyLock;
 
 use crate::fastmap::{CounterTable, GramKey, SMALL_COUNTS};
 
@@ -59,11 +65,15 @@ pub struct GramHistogram {
 /// Width-tiered counter storage (see the module docs).
 #[derive(Debug, Clone)]
 enum Store {
-    /// `k = 1`: dense byte-indexed counters; `distinct` is maintained
-    /// on first touch so it never needs a scan.
+    /// `k = 1`: dense byte-indexed counters. `distinct` and the seen
+    /// list are maintained on first touch, so neither a finish nor a
+    /// reset scans the 256 counters.
     Dense1 {
         /// `counts[b]` = occurrences of byte `b`.
         counts: Box<[u64; 256]>,
+        /// The bytes seen so far, in first-seen order: `seen[..distinct]`
+        /// lists every non-zero entry of `counts` once; the rest is junk.
+        seen: [u8; 256],
         /// Number of non-zero entries.
         distinct: u32,
     },
@@ -77,7 +87,7 @@ impl Store {
     fn for_width(k: usize) -> Self {
         match k {
             // lint: allow(L009) — tier storage is allocated once per histogram at flow setup; pooled reuse clears it
-            1 => Store::Dense1 { counts: Box::new([0u64; 256]), distinct: 0 },
+            1 => Store::Dense1 { counts: Box::new([0u64; 256]), seen: [0; 256], distinct: 0 },
             2..=8 => Store::Narrow(CounterTable::new()),
             _ => Store::Wide(CounterTable::new()),
         }
@@ -110,10 +120,15 @@ impl Store {
     }
 
     /// Resets every counter while keeping allocations (pool recycling).
+    /// The dense tier zeroes only the counters its seen list names.
     fn clear(&mut self) {
         match self {
-            Store::Dense1 { counts, distinct } => {
-                counts.fill(0);
+            Store::Dense1 { counts, seen, distinct } => {
+                for &byte in seen.iter().take(*distinct as usize) {
+                    if let Some(count) = counts.get_mut(usize::from(byte)) {
+                        *count = 0;
+                    }
+                }
                 *distinct = 0;
             }
             Store::Narrow(table) => table.clear(),
@@ -231,12 +246,18 @@ impl GramHistogram {
             return;
         };
         match &mut self.store {
-            Store::Dense1 { counts, distinct } => {
+            Store::Dense1 { counts, seen, distinct } => {
                 // k == 1: every byte is its own window (start == 0) and
                 // the byte *is* the table index — a pure contiguous
-                // counting loop with no rolling state at all.
+                // counting loop with no rolling state at all. Every byte
+                // is written to the seen list's next free cell; only a
+                // first touch advances past it. Once all 256 values are
+                // listed there is no free cell and the write is skipped.
                 for &b in body {
                     if let Some(c) = counts.get_mut(usize::from(b)) {
+                        if let Some(next) = seen.get_mut(*distinct as usize) {
+                            *next = b;
+                        }
                         *distinct += u32::from(*c == 0);
                         *c += 1;
                     }
@@ -324,9 +345,9 @@ impl GramHistogram {
     ///
     /// Terms are added in ascending count order so the result is
     /// bit-for-bit reproducible — across runs *and* across storage
-    /// tiers: the dense scan and the open tables' maintained tallies
-    /// describe the same count multiset, whatever the slot order,
-    /// capacity or feeding history.
+    /// tiers: the dense tier's seen list and the open tables'
+    /// maintained tallies describe the same count multiset, whatever
+    /// the slot order, capacity or feeding history.
     pub fn sum_m_log_m(&self) -> f64 {
         let mut counts: Vec<u64> = Vec::new();
         self.sum_m_log_m_with(&mut counts)
@@ -338,18 +359,23 @@ impl GramHistogram {
     /// it has grown to the flow's number of such grams.
     ///
     /// The open tables hand over the tallies they keep as they count
-    /// ([`CounterTable::tallies`]) and their large counts, so the cost
-    /// is O(distinct counts), not O(capacity); the dense tier scans its
-    /// 256 counters. Both feed one `ascending_sum_m_log_m`.
+    /// (`CounterTable::kept_tallies`) and their large counts, so the
+    /// cost is O(distinct counts), not O(capacity); the dense tier
+    /// tallies the counters its seen list names. Both feed one
+    /// `ascending_sum_m_log_m`.
     pub fn sum_m_log_m_with(&self, scratch: &mut Vec<u64>) -> f64 {
         scratch.clear();
+        let dense;
         let tallies = match &self.store {
-            Store::Dense1 { counts, .. } => tally_dense(counts, scratch),
+            Store::Dense1 { counts, seen, distinct } => {
+                dense = tally_dense(counts, seen.get(..*distinct as usize).unwrap_or(&[]), scratch);
+                &dense
+            }
             Store::Narrow(table) => tally_table(table, scratch),
             Store::Wide(table) => tally_table(table, scratch),
         };
         scratch.sort_unstable();
-        ascending_sum_m_log_m(&tallies, scratch)
+        ascending_sum_m_log_m(tallies, scratch, self.distinct() as u64, self.windows)
     }
 
     /// Number of counters an exact implementation needs for this input —
@@ -359,68 +385,68 @@ impl GramHistogram {
     }
 }
 
-/// Independent tallies filled round-robin, so a run of equal counts
-/// (most of the 256 byte counters hold 0 or 1) does not serialise on
-/// one memory cell.
-const TALLY_LANES: usize = 4;
-
 /// A count-of-counts: cell `c` holds how many grams occur `c` times,
-/// for `1 ≤ c < SMALL_COUNTS`; the last cell, how many occur more.
-type Tallies = [u64; SMALL_COUNTS + 1];
+/// for `2 ≤ c < SMALL_COUNTS`; the last cell, how many occur more.
+/// Cells 0 and 1 are never read: the count-1 cell is what the others
+/// leave of the distinct grams.
+type Tallies = [u32; SMALL_COUNTS + 1];
 
-/// The dense tier's count-of-counts, from one pass over its 256
-/// counters (zeros land in cell 0, which is never read); the counts of
-/// [`SMALL_COUNTS`] and above go to `large`.
-fn tally_dense(counts: &[u64; 256], large: &mut Vec<u64>) -> Tallies {
-    let mut lanes = [[0u64; SMALL_COUNTS + 1]; TALLY_LANES];
-    for quad in counts.chunks_exact(TALLY_LANES) {
-        for (lane, &count) in lanes.iter_mut().zip(quad) {
-            if let Some(tally) = lane.get_mut(count.min(SMALL_COUNTS as u64) as usize) {
-                *tally += 1;
-            }
-        }
-    }
-    let mut tallies = [0u64; SMALL_COUNTS + 1];
-    for lane in &lanes {
-        for (total, &part) in tallies.iter_mut().zip(lane) {
-            *total += part;
+/// The dense tier's count-of-counts, from the counters of the bytes in
+/// `seen`; the counts of [`SMALL_COUNTS`] and above go to `large`.
+fn tally_dense(counts: &[u64; 256], seen: &[u8], large: &mut Vec<u64>) -> Tallies {
+    let count_of = |&byte: &u8| counts.get(usize::from(byte)).copied();
+    let mut tallies = [0; SMALL_COUNTS + 1];
+    for count in seen.iter().filter_map(count_of) {
+        if let Some(tally) = tallies.get_mut(count.min(SMALL_COUNTS as u64) as usize) {
+            *tally += 1;
         }
     }
     if tallies.last().is_some_and(|&n| n != 0) {
-        large.extend(counts.iter().copied().filter(|&count| count >= SMALL_COUNTS as u64));
+        large
+            .extend(seen.iter().filter_map(count_of).filter(|&count| count >= SMALL_COUNTS as u64));
     }
     tallies
 }
 
 /// An open table's count-of-counts, kept as it counted; its counts of
 /// [`SMALL_COUNTS`] and above go to `large`.
-fn tally_table<K: GramKey>(table: &CounterTable<K>, large: &mut Vec<u64>) -> Tallies {
+fn tally_table<'t, K: GramKey>(table: &'t CounterTable<K>, large: &mut Vec<u64>) -> &'t Tallies {
     large.extend(table.large_counts());
-    table.tallies()
+    table.kept_tallies()
 }
 
-/// `Σ c·log2(c)` over a count multiset given as its count-of-counts
-/// `tallies` plus its counts of [`SMALL_COUNTS`] and above, sorted, in
-/// `large` — added in ascending order of `c`: the float that sorting
-/// the counts and taking `.map(m_log_m).sum::<f64>()` over them
-/// produces, bit for bit.
+/// `Σ c·log2(c)` over a count multiset of `distinct` grams and
+/// `windows` occurrences, given as its count-of-counts `tallies` plus
+/// its counts of [`SMALL_COUNTS`] and above, sorted, in `large` — added
+/// in ascending order of `c`: the float that sorting the counts and
+/// taking `.map(m_log_m).sum::<f64>()` over them produces, bit for bit.
 ///
-/// Each distinct count's term is computed once and added as many times
-/// as the count occurs. A count of 1 contributes `+0.0` however often
-/// it occurs, so it is added once.
-fn ascending_sum_m_log_m(tallies: &Tallies, large: &[u64]) -> f64 {
-    // What `Iterator::sum::<f64>()` starts from (−0.0 or, on older
-    // toolchains, 0.0): the sign survives only if nothing is added.
-    let mut sum: f64 = [0.0_f64; 0].iter().sum();
-    for (count, &occurrences) in (1..SMALL_COUNTS as u64).zip(tallies.iter().skip(1)) {
+/// Each distinct count's term is looked up below [`SMALL_COUNTS`] and
+/// added as many times as the count occurs. The fold reads the tallies
+/// once and stops at the last count they hold: every gram beyond its
+/// first occurrence is one of the `windows − distinct` spare windows,
+/// and the tallies hold those the large counts do not.
+fn ascending_sum_m_log_m(tallies: &Tallies, large: &[u64], distinct: u64, windows: u64) -> f64 {
+    // An empty multiset sums to what `Iterator::sum::<f64>()` gives for
+    // no terms (−0.0 or, on older toolchains, 0.0). Any other one's
+    // ascending sum reaches +0.0 or its first positive term after one
+    // addition, whatever it started from, so it starts from +0.0 here
+    // and its counts of 1, each adding 1·log2(1) = +0.0, are skipped.
+    let mut sum: f64 = if distinct == 0 { [0.0_f64; 0].iter().sum() } else { 0.0 };
+    let large_spare: u64 = large.iter().map(|&count| count - 1).sum();
+    let mut spare = windows.saturating_sub(distinct).saturating_sub(large_spare);
+    for (count, &occurrences) in (2..SMALL_COUNTS as u64).zip(tallies.iter().skip(2)) {
+        if spare == 0 {
+            break;
+        }
         if occurrences == 0 {
             continue;
         }
         let addend = m_log_m(count);
-        let repeats = if count == 1 { 1 } else { occurrences };
-        for _ in 0..repeats {
+        for _ in 0..occurrences {
             sum += addend;
         }
+        spare = spare.saturating_sub(u64::from(occurrences) * (count - 1));
     }
     let (mut previous, mut addend) = (0, 0.0);
     for &count in large {
@@ -432,10 +458,23 @@ fn ascending_sum_m_log_m(tallies: &Tallies, large: &[u64]) -> f64 {
     sum
 }
 
+/// `log2(c)` for every `c < SMALL_COUNTS`, each computed once as
+/// `(c as f64).log2()`.
+static SMALL_LOG2: LazyLock<[f64; SMALL_COUNTS]> =
+    LazyLock::new(|| std::array::from_fn(|count| (count as f64).log2()));
+
+/// `log2(count)`: looked up below [`SMALL_COUNTS`], computed above —
+/// the same float either way.
+pub(crate) fn log2_count(count: u64) -> f64 {
+    match SMALL_LOG2.get(count as usize) {
+        Some(&log2) => log2,
+        None => (count as f64).log2(),
+    }
+}
+
 /// One term of `S_k`: `m·log2(m)`.
 fn m_log_m(count: u64) -> f64 {
-    let count = count as f64;
-    count * count.log2()
+    count as f64 * log2_count(count)
 }
 
 /// The low-`8k`-bit mask of a rolling window key.

@@ -28,9 +28,11 @@
 //! ascending count order from the multiset's count-of-counts —
 //! collapsing any slot-order, capacity or storage-tier difference
 //! before a single float is produced. The open tables keep that
-//! count-of-counts as they count, so finishing after every packet (the
-//! anytime probe) reads a few dozen tallies per width, never the
-//! table.
+//! count-of-counts as they count, and the dense `k = 1` tier lists the
+//! bytes it has seen, so finishing after every packet (the anytime
+//! probe) reads a few dozen tallies per width and the `k = 1` counters
+//! the window touched, never a whole table; the fold stops at the
+//! largest count the window holds and looks `log2(c)` up below 64.
 
 use crate::histogram::GramHistogram;
 use crate::vector::{

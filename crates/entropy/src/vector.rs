@@ -14,7 +14,7 @@
 //! `H_F = ⟨h_1, h_2, …⟩`; Iustitia uses (subsets of) `h_1 … h_10` as
 //! classifier features.
 
-use crate::histogram::GramHistogram;
+use crate::histogram::{log2_count, GramHistogram};
 use crate::BITS_PER_BYTE;
 
 /// Feature widths used by the paper's full entropy vector: `h_1 … h_10`.
@@ -184,8 +184,7 @@ pub fn entropy_of_histogram_with(hist: &GramHistogram, scratch: &mut Vec<u64>) -
         // through the formula would leave a one-ulp residue.
         return 0.0;
     }
-    let m = m as f64;
-    let bits = m.log2() - hist.sum_m_log_m_with(scratch) / m;
+    let bits = log2_count(m) - hist.sum_m_log_m_with(scratch) / m as f64;
     let normalized = bits / (BITS_PER_BYTE * hist.k() as f64);
     normalized.clamp(0.0, 1.0)
 }

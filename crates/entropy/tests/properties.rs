@@ -326,13 +326,16 @@ proptest! {
     /// histogram on every tier (the pool-recycling invariant) — also
     /// when the junk was longer than the data, so its keys are still in
     /// slots the data never reaches, and the recycled table is reserved
-    /// for less than it already holds.
+    /// for less than it already holds. The junk starts with all 256
+    /// byte values, so the `k = 1` tier fills its seen list and keeps
+    /// counting past it before the clear.
     #[test]
     fn cleared_histogram_recounts_like_fresh(
         junk in payloads(512..2048),
         data in payloads(0..512),
         k in 1usize..=16,
     ) {
+        let junk: Vec<u8> = (0..=255u8).chain(junk).collect();
         let mut recycled = GramHistogram::from_bytes(&junk, k);
         recycled.clear();
         prop_assert_eq!(recycled.distinct(), 0);

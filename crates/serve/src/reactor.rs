@@ -453,6 +453,11 @@ impl Reactor {
             }
             if self.shared.finish.load(Ordering::SeqCst) {
                 let deadline = *finish_deadline.get_or_insert_with(|| Instant::now() + FLUSH_GRACE);
+                // `finish` is set only after every worker has joined, but
+                // their last verdicts may have reached the outbox after
+                // this iteration's `process_outbox`: take them now, or
+                // the loop could end with them still queued.
+                self.process_outbox();
                 self.flush_all();
                 if self.all_flushed() || Instant::now() >= deadline {
                     break;
