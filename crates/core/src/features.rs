@@ -229,30 +229,18 @@ impl FlowFeatureState {
         out
     }
 
-    /// [`finish_into_with`](Self::finish_into_with) with a median buffer
-    /// of its own, which estimated-mode finishes fill (and so allocate);
-    /// exact-mode callers allocate nothing once `counts_scratch` is warm.
-    pub fn finish_into(&self, out: &mut Vec<f64>, counts_scratch: &mut Vec<u64>) {
-        self.finish_into_with(out, counts_scratch, &mut Vec::new());
-    }
-
     /// Writes the feature vector into `out` (cleared first), using
-    /// `counts_scratch` for the exact histograms' large counts and
     /// `means_scratch` for the estimated sketches' per-finish median
     /// buffers, so a warm caller allocates nothing in either mode — the
     /// flow's conclusion and every anytime probe finish through here.
-    /// The battery features derive from fixed-size integer state and
-    /// allocate nothing. Values are bit-identical to
+    /// Exact-mode widths read each table's fixed-point `Σ c·log₂c`, and
+    /// the battery features derive from fixed-size integer state, so
+    /// neither needs scratch. Values are bit-identical to
     /// [`finish`](Self::finish).
-    pub fn finish_into_with(
-        &self,
-        out: &mut Vec<f64>,
-        counts_scratch: &mut Vec<u64>,
-        means_scratch: &mut Vec<f64>,
-    ) {
+    pub fn finish_into(&self, out: &mut Vec<f64>, means_scratch: &mut Vec<f64>) {
         match &self.inner {
-            FlowStateInner::Exact(v) => v.finish_entropies_into(out, counts_scratch),
-            FlowStateInner::Estimated(e) => e.finish_into_with(out, counts_scratch, means_scratch),
+            FlowStateInner::Exact(v) => v.finish_entropies_into(out),
+            FlowStateInner::Estimated(e) => e.finish_into(out, means_scratch),
         }
         if let Some(battery) = &self.battery {
             // lint: allow(L009) — reused scratch: capacity persists across flows after warm-up

@@ -105,8 +105,9 @@ impl AnytimeConfig {
     /// probing from the first fitted centroid stage, with a default
     /// 64-byte stride (each probe re-finishes the feature vector, so
     /// the stride is the knob trading verdict latency for probe cost;
-    /// a finish folds each width's count-of-counts, which the tables
-    /// keep as they count, so it costs the grams seen, not the window).
+    /// a finish reads the fixed-point `Σ c·log₂c` each open table keeps
+    /// as it counts, and the `k = 1` counters of the bytes seen, so it
+    /// costs what the window counted, not its capacity).
     pub fn calibrated(confidence: &ConfidenceModel) -> Self {
         AnytimeConfig {
             threshold: confidence.threshold(),
@@ -362,9 +363,6 @@ pub struct Iustitia {
     /// Scratch for the finished feature vector of the flow being
     /// classified, so steady-state classification never allocates.
     feature_scratch: Vec<f64>,
-    /// Scratch for exact-histogram count sorting inside feature
-    /// finishes (see `GramHistogram::sum_m_log_m_with`).
-    counts_scratch: Vec<u64>,
     /// Scratch verdict buffer for the batch-of-one
     /// [`process_packet`](Self::process_packet) wrapper, so the wrapper
     /// stays allocation-free once warm.
@@ -382,7 +380,7 @@ pub struct Iustitia {
     early_exits: u64,
     /// Scratch for the estimated sketches' per-finish median buffers,
     /// so neither probes nor conclusions allocate (see
-    /// `FlowFeatureState::finish_into_with`).
+    /// `FlowFeatureState::finish_into`).
     means_scratch: Vec<f64>,
 }
 
@@ -392,9 +390,9 @@ pub struct Iustitia {
 /// bench/serve configuration.
 ///
 /// What a full pool retains, per pipeline (so per shard), is 256 × the
-/// heap of one feature state — with the `φ′_SVM` widths, 157,152 B
-/// (153 KiB) at `b = 2048` and 5,952 B (5.8 KiB) at `b = 32`
-/// (`tests/pool_alloc.rs` bounds both): 38.4 MiB and 1.5 MiB. That is
+/// heap of one feature state — with the `φ′_SVM` widths, 150,688 B
+/// (147 KiB) at `b = 2048` and 5,536 B (5.4 KiB) at `b = 32`
+/// (`tests/pool_alloc.rs` bounds both): 36.8 MiB and 1.4 MiB. That is
 /// real heap, not `resident_bytes()`, which is the paper's per-counter
 /// accounting.
 const MAX_POOLED_STATES: usize = 256;
@@ -423,7 +421,6 @@ impl Iustitia {
             pool: Vec::new(),
             pool_hits: 0,
             feature_scratch: Vec::new(),
-            counts_scratch: Vec::new(),
             verdict_scratch: Vec::new(),
             anytime_model: None,
             anytime_compiled: Vec::new(),
@@ -459,7 +456,6 @@ impl Iustitia {
         stages: &mut [(u64, CompiledNatureModel)],
         flow: &mut PendingFlow,
         feature_scratch: &mut Vec<f64>,
-        counts_scratch: &mut Vec<u64>,
         means_scratch: &mut Vec<f64>,
     ) -> Option<FileClass> {
         // The stage fitted nearest below `fed` bytes (the first when
@@ -474,7 +470,7 @@ impl Iustitia {
             }
         }
         let (_, stage) = stages.get_mut(idx)?;
-        flow.features.finish_into_with(feature_scratch, counts_scratch, means_scratch);
+        flow.features.finish_into(feature_scratch, means_scratch);
         let (label, margin) = stage.try_predict_with_margin(feature_scratch).ok()?;
         let agreed = flow.last_probe == Some(label);
         flow.last_probe = Some(label);
@@ -756,7 +752,6 @@ impl Iustitia {
                                     &mut self.anytime_compiled,
                                     state,
                                     &mut self.feature_scratch,
-                                    &mut self.counts_scratch,
                                     &mut self.means_scratch,
                                 ) {
                                     ending = Some((t, Some(label)));
@@ -881,11 +876,7 @@ impl Iustitia {
                 // classify on.
                 return None;
             } else {
-                flow.features.finish_into_with(
-                    &mut self.feature_scratch,
-                    &mut self.counts_scratch,
-                    &mut self.means_scratch,
-                );
+                flow.features.finish_into(&mut self.feature_scratch, &mut self.means_scratch);
             }
             // A model trained on a different feature width than the
             // pipeline extracts cannot render a verdict; such flows are

@@ -491,7 +491,6 @@ impl IncrementalSketch {
     /// unbiased values `m·(r·log r − (r−1)·log(r−1))`, group averages,
     /// then the median of groups (steps 4–6 of §4.4.1).
     fn estimate_sk(&self) -> f64 {
-        // lint: allow(L009) — owned-scratch convenience path; the anytime probe threads pooled scratch via estimate_sk_with
         let mut group_means = Vec::with_capacity(self.groups);
         self.estimate_sk_with(&mut group_means)
     }
@@ -533,19 +532,8 @@ impl IncrementalSketch {
         med.max(0.0)
     }
 
-    /// The normalized entropy `h_k` of everything fed so far.
-    fn estimate_hk(&self) -> f64 {
-        let m = self.windows;
-        if m <= 1 {
-            return 0.0;
-        }
-        let mf = m as f64;
-        let bits = mf.log2() - self.estimate_sk() / mf;
-        (bits / (BITS_PER_BYTE * self.k as f64)).clamp(0.0, 1.0)
-    }
-
-    /// As [`estimate_hk`](Self::estimate_hk), threading `group_means`
-    /// scratch through the `S_k` median step. Bit-identical.
+    /// The normalized entropy `h_k` of everything fed so far, with
+    /// `group_means` as the scratch of the `S_k` median step.
     fn estimate_hk_with(&self, group_means: &mut Vec<f64>) -> f64 {
         let m = self.windows;
         if m <= 1 {
@@ -623,46 +611,20 @@ impl IncrementalEstimator {
     pub fn finish(&self) -> Vec<f64> {
         // lint: allow(L009) — owned-result convenience API; the pipeline uses finish_into with pooled scratch
         let mut out = Vec::with_capacity(self.slots.len());
-        let mut counts = Vec::new();
-        self.finish_into(&mut out, &mut counts);
+        self.finish_into(&mut out, &mut Vec::new());
         out
     }
 
-    /// Writes the feature values into `out` (cleared first), using
-    /// `counts_scratch` for the exact `h_1` slot's count sorting.
-    /// Bit-identical to [`finish`](Self::finish).
-    ///
-    /// Note the sketch slots still build one small `group_means` vector
-    /// per finish (`estimate_sk`'s median step, §4.4.1 step 6); use
-    /// [`finish_into_with`](Self::finish_into_with) to pool that buffer
-    /// too and make the whole finish allocation-free in steady state.
-    pub fn finish_into(&self, out: &mut Vec<f64>, counts_scratch: &mut Vec<u64>) {
-        out.clear();
-        out.extend(self.slots.iter().map(|slot| match slot {
-            WidthSlot::Exact(hist) => {
-                crate::vector::entropy_of_histogram_with(hist, counts_scratch)
-            }
-            WidthSlot::Sketch(sketch) => sketch.estimate_hk(),
-        }));
-    }
-
-    /// As [`finish_into`](Self::finish_into), additionally reusing
+    /// Writes the feature values into `out` (cleared first), reusing
     /// `means_scratch` for every sketch slot's group-means median step,
     /// so repeated finishes — the anytime probe runs one per probed
-    /// packet — allocate nothing once all scratch has grown.
+    /// packet — allocate nothing once both buffers have grown.
     /// Bit-identical to [`finish`](Self::finish).
-    pub fn finish_into_with(
-        &self,
-        out: &mut Vec<f64>,
-        counts_scratch: &mut Vec<u64>,
-        means_scratch: &mut Vec<f64>,
-    ) {
+    pub fn finish_into(&self, out: &mut Vec<f64>, means_scratch: &mut Vec<f64>) {
         out.clear();
         for slot in &self.slots {
             let h = match slot {
-                WidthSlot::Exact(hist) => {
-                    crate::vector::entropy_of_histogram_with(hist, counts_scratch)
-                }
+                WidthSlot::Exact(hist) => crate::vector::entropy_of_histogram(hist),
                 WidthSlot::Sketch(sketch) => sketch.estimate_hk_with(means_scratch),
             };
             // lint: allow(L009) — pooled output vector: grows to widths.len() once, then reused
@@ -857,25 +819,21 @@ mod tests {
 
     #[test]
     fn scratch_threaded_finish_matches_owned_finish() {
-        // finish_into_with (the anytime probe's zero-alloc path) must be
-        // bit-identical to finish()/finish_into(), mid-flow and at the end,
-        // with dirty reused scratch.
+        // finish_into (the anytime probe's zero-alloc path) must be
+        // bit-identical to finish(), mid-flow and at the end, with dirty
+        // reused scratch.
         let data = pseudo_random(2048, 23);
         let widths = FeatureWidths::svm_selected();
         let cfg = EstimatorConfig::svm_optimal();
         let est = StreamingEntropyEstimator::with_seed(cfg, 9);
         let mut session = est.begin_incremental(&widths, data.len());
-        let mut out = Vec::new();
-        let mut counts = vec![7u64; 3];
+        let mut out = vec![0.5f64; 2];
         let mut means = vec![0.25f64; 5];
         for chunk in data.chunks(113) {
             session.update(chunk);
-            session.finish_into_with(&mut out, &mut counts, &mut means);
+            session.finish_into(&mut out, &mut means);
             assert_eq!(out, session.finish(), "mid-flow probe after {}B", session.total_bytes());
         }
-        let mut plain = Vec::new();
-        session.finish_into(&mut plain, &mut counts);
-        assert_eq!(out, plain);
     }
 
     #[test]

@@ -11,9 +11,12 @@
 //!   for grams of up to 8 bytes, `u128` up to 16). Keys and counts live
 //!   in two parallel arrays, 12 or 20 bytes per slot, and a zero count
 //!   marks an empty slot, so clearing the table writes the 4-byte count
-//!   array only. The table also keeps its count-of-counts as it counts
-//!   ([`CounterTable::tallies`], [`CounterTable::large_counts`]), so a
-//!   fold over the counts reads those instead of the slot arrays.
+//!   array only. The table also keeps `Σ c·log₂c` over its counts as it
+//!   counts ([`CounterTable::sum_c_log2_c`]), so a finish reads one
+//!   integer instead of the slot arrays.
+//! * [`c_log2_c`] — `c·log₂c` in fixed point, `c·⌊log₂c · 2⁵²⌋`, from
+//!   an integer logarithm built into tables at compile time: sums of it
+//!   are exact, so no summation order can change them.
 //! * [`FxHashMap`] / [`FxBuildHasher`] — a drop-in `HashMap` alias
 //!   using the same multiply-based hash, for the places that need a
 //!   real map (the estimator's gram → tracker index, divergence
@@ -125,19 +128,96 @@ impl GramKey for u128 {
 /// Initial capacity of the first allocation (power of two).
 const INITIAL_CAPACITY: usize = 16;
 
-/// Counts below this are tallied per value ([`CounterTable::tallies`]);
-/// keys at or above it are listed by slot instead
-/// ([`CounterTable::large_counts`]). Nearly every gram of a
-/// classification window occurs a handful of times, so the list, and
-/// the sort a fold runs over it, hold a rare few.
-pub const SMALL_COUNTS: usize = 64;
+/// Fraction bits of the fixed-point logarithm `L(c) = ⌊log₂c · 2⁵²⌋`:
+/// every `Σ c·log₂c` the crate forms is an integer in these units.
+pub const FRAC_BITS: u32 = 52;
 
-/// Slots per entry of the large-count list: a table of capacity `c`
-/// lists up to `c / 16` keys before it grows. A key reaches
-/// [`SMALL_COUNTS`] only after that many increments, so a table
-/// reserved for its input (capacity ≥ twice the windows) never fills
-/// its list.
-const SLOTS_PER_LARGE: usize = 16;
+/// Counts below this read `L(c)` and `Δ(c)` from tables built at
+/// compile time; larger ones compute them.
+const TABLED: usize = 4096;
+
+/// `L(c) = ⌊log₂c · 2⁵²⌋`, with integers only (`L(0) = 0`): the integer
+/// part is the position of the top bit; each fraction bit comes from
+/// squaring the mantissa, normalised to `[1, 2)` in Q63, and halving it
+/// when it reaches 2. Squarings truncate, so where `log₂c` sits just
+/// above a multiple of 2⁻⁵², `L(c)` may read one unit low; but it
+/// depends on `c` alone, is the same on every host, and strictly
+/// increases in `c` (neighbouring counts below 2³² differ by far more
+/// than 2⁻⁵²).
+const fn log2_fixed(c: u64) -> u64 {
+    let Some(int) = c.checked_ilog2() else {
+        return 0;
+    };
+    let two = 2u128 << 63;
+    let mut x = (c as u128) << c.leading_zeros();
+    let mut log = (int as u64) << FRAC_BITS;
+    let mut bit = 1u64 << (FRAC_BITS - 1);
+    while bit != 0 {
+        // x < 2⁶⁴, so x² < 2¹²⁸.
+        x = x.wrapping_mul(x) >> 63;
+        if x >= two {
+            x >>= 1;
+            log |= bit;
+        }
+        bit >>= 1;
+    }
+    log
+}
+
+/// `L(c)` for every `c < TABLED`.
+static LOG2_FIXED: [u64; TABLED] = {
+    let mut table = [0; TABLED];
+    let mut c = 1;
+    while c < TABLED {
+        table[c] = log2_fixed(c as u64);
+        c += 1;
+    }
+    table
+};
+
+/// `Δ(c) = T(c) − T(c − 1)` for every `1 ≤ c < TABLED` (`Δ(1) = 0`):
+/// what a key's step from `c − 1` to `c` adds to a table's sum. Below
+/// 2⁵⁶ (`Δ(c) = L(c) + (c − 1)·(L(c) − L(c − 1)) ≈ L(c) + 2⁵²/ln 2`).
+static DELTA: [u64; TABLED] = {
+    let mut table = [0; TABLED];
+    let mut c = 2;
+    while c < TABLED {
+        table[c] = LOG2_FIXED[c] + (c as u64 - 1) * (LOG2_FIXED[c] - LOG2_FIXED[c - 1]);
+        c += 1;
+    }
+    table
+};
+
+/// `T(c) = c·L(c)`, the fixed-point `c·log₂c` (`T(0) = T(1) = 0`),
+/// with `L(c)` looked up below `TABLED` and computed above. Below 2¹²²,
+/// since `L(c) < 2⁵⁸` for any `u64`.
+#[inline]
+#[must_use]
+pub fn c_log2_c(c: u64) -> u128 {
+    let log = match LOG2_FIXED.get(c as usize) {
+        Some(&log) => log,
+        None => log2_fixed(c),
+    };
+    u128::from(c).wrapping_mul(u128::from(log))
+}
+
+/// `Δ(c) = T(c) − T(c − 1)` for `c ≥ 1`: looked up below `TABLED`,
+/// computed above. Below 2⁵⁸ for any `u32` count.
+#[inline]
+fn delta(c: u32) -> u64 {
+    match DELTA.get(c as usize) {
+        Some(&step) => step,
+        None => delta_past_table(u64::from(c)),
+    }
+}
+
+/// `Δ(c)` by two squaring loops, for the rare count of 4,096 or more.
+#[cold]
+#[inline(never)]
+fn delta_past_table(c: u64) -> u64 {
+    let (now, before) = (log2_fixed(c), log2_fixed(c.wrapping_sub(1)));
+    now.wrapping_add(c.wrapping_sub(1).wrapping_mul(now.wrapping_sub(before)))
+}
 
 /// An open-addressing counter table over packed-gram keys.
 ///
@@ -152,17 +232,17 @@ const SLOTS_PER_LARGE: usize = 16;
 /// expected probes per miss at ¾ load vs ≈2.5 at ½), and probe length,
 /// not hashing, is what the gram hot path pays for.
 ///
-/// [`clear`](Self::clear) zeroes the count array and the tallies,
+/// [`clear`](Self::clear) zeroes the count array and the sum,
 /// keeping every allocation, which is what lets pooled flow state
 /// recycle without touching the allocator; the keys it leaves behind
 /// sit in empty slots and are overwritten on reuse.
 ///
-/// The table keeps its count-of-counts as it counts: how many keys
-/// hold each count in `2..SMALL_COUNTS`, and the slots of the keys
-/// that have reached [`SMALL_COUNTS`]. A key's first occurrence
-/// touches neither (the count-1 cell is what the others leave of
-/// `len`), so a fold over the counts costs O([`SMALL_COUNTS`] + large
-/// keys), whatever the capacity.
+/// The table keeps `Σ T(count)` over its keys as it counts
+/// ([`sum_c_log2_c`](Self::sum_c_log2_c), see [`c_log2_c`]): a repeat
+/// occurrence adds `Δ(count)`, read from a table below 4,096, and a
+/// first occurrence adds nothing (`Δ(1) = 0`). The sum is an exact
+/// integer, so it is the same whatever the capacity, slot order or
+/// feeding history, and reading it costs nothing.
 ///
 /// Counts are `u32` and saturate at `u32::MAX`: exact for any input
 /// with fewer than 2³² occurrences of one gram (4 GiB of one repeated
@@ -193,15 +273,10 @@ pub struct CounterTable<K> {
     len: usize,
     /// `64 − log2(capacity)`: shift that maps a hash to a slot index.
     shift: u32,
-    /// `tallies[c]` = keys holding count `c`, for `2 ≤ c < SMALL_COUNTS`;
-    /// `tallies[SMALL_COUNTS]` = keys at [`SMALL_COUNTS`] or above, the
-    /// live prefix of `large`. Cell 1 absorbs the decrement of a key
-    /// leaving count 1 and, like cell 0, is never read.
-    tallies: [u32; SMALL_COUNTS + 1],
-    /// Slots of the keys that have reached [`SMALL_COUNTS`], in the
-    /// order they reached it; `capacity / SLOTS_PER_LARGE` entries, and
-    /// never full between calls (filling it grows the table).
-    large: Vec<usize>,
+    /// `Σ T(count)` over the keys. At most `T(n)` after `n` increments
+    /// (`L` is monotone), below 2¹²² for any `n < 2⁶⁴`: the wrapping
+    /// adds never wrap.
+    sum: u128,
 }
 
 impl<K: GramKey> CounterTable<K> {
@@ -209,14 +284,7 @@ impl<K: GramKey> CounterTable<K> {
     /// [`increment`](Self::increment).
     #[must_use]
     pub fn new() -> Self {
-        CounterTable {
-            keys: Vec::new(),
-            counts: Vec::new(),
-            len: 0,
-            shift: 0,
-            tallies: [0; SMALL_COUNTS + 1],
-            large: Vec::new(),
-        }
+        CounterTable { keys: Vec::new(), counts: Vec::new(), len: 0, shift: 0, sum: 0 }
     }
 
     /// Creates a table pre-sized for `expected_keys` distinct keys, so
@@ -285,11 +353,13 @@ impl<K: GramKey> CounterTable<K> {
             let empty = *count == 0;
             if empty | (*held == key) {
                 *held = key;
-                *count = count.saturating_add(1);
-                let now = *count;
+                let before = *count;
+                *count = before.saturating_add(1);
                 self.len = self.len.saturating_add(usize::from(empty));
-                if !empty {
-                    self.retally(i, now);
+                // A first occurrence adds Δ(1) = 0 and a saturated count
+                // stays put, so only a repeat below u32::MAX pays Δ.
+                if (1..u32::MAX).contains(&before) {
+                    self.sum = self.sum.wrapping_add(u128::from(delta(*count)));
                 }
                 return;
             }
@@ -297,51 +367,16 @@ impl<K: GramKey> CounterTable<K> {
         }
     }
 
-    /// Moves the key in `slot`, which has just gone from `count − 1` to
-    /// `count` (≥ 2), between tallies, and lists the slot when `count`
-    /// reaches [`SMALL_COUNTS`].
-    #[inline]
-    fn retally(&mut self, slot: usize, count: u32) {
-        let count = count as usize;
-        if count > SMALL_COUNTS {
-            return;
-        }
-        if let Some(tally) = self.tallies.get_mut(count) {
-            *tally = tally.wrapping_add(1);
-        }
-        if let Some(tally) = self.tallies.get_mut(count.wrapping_sub(1)) {
-            *tally = tally.wrapping_sub(1);
-        }
-        if count == SMALL_COUNTS {
-            let listed = self.listed();
-            if let Some(entry) = self.large.get_mut(listed.wrapping_sub(1)) {
-                *entry = slot;
-            }
-            if listed >= self.large.len() {
-                self.rehash(self.counts.len().saturating_mul(2));
-            }
-        }
-    }
-
-    /// Keys at [`SMALL_COUNTS`] or above: the live prefix of `large`.
-    fn listed(&self) -> usize {
-        self.tallies.last().map_or(0, |&n| n as usize)
-    }
-
     /// Re-slots every live entry into a `new_cap`-slot table
-    /// (`new_cap` a power of two, at least [`INITIAL_CAPACITY`]) and
-    /// relists the large keys at their new slots; the tallies do not
-    /// change. Counts-only-increment means there are no tombstones to
-    /// filter: every non-empty slot is live.
+    /// (`new_cap` a power of two, at least [`INITIAL_CAPACITY`]); the
+    /// sum does not change. Counts-only-increment means there are no
+    /// tombstones to filter: every non-empty slot is live.
     fn rehash(&mut self, new_cap: usize) {
-        let listable = new_cap / SLOTS_PER_LARGE;
         // lint: allow(L009) — growth path: runs only when a flow exceeds its reserve() budget
-        let fresh = (vec![K::default(); new_cap], vec![0; new_cap], vec![0; listable]);
+        let fresh = (vec![K::default(); new_cap], vec![0; new_cap]);
         let old_keys = std::mem::replace(&mut self.keys, fresh.0);
         let old_counts = std::mem::replace(&mut self.counts, fresh.1);
-        let mut large = fresh.2;
         self.shift = 64u32.saturating_sub(new_cap.trailing_zeros());
-        let mut listed = large.iter_mut();
         for (key, count) in old_keys.into_iter().zip(old_counts) {
             if count == 0 {
                 continue;
@@ -351,55 +386,22 @@ impl<K: GramKey> CounterTable<K> {
                 *slot = count;
                 *held = key;
             }
-            if count as usize >= SMALL_COUNTS {
-                if let Some(entry) = listed.next() {
-                    *entry = i;
-                }
-            }
         }
-        self.large = large;
     }
 
     /// Empties the table, keeping its allocations for reuse. Only the
-    /// count array and the tallies are written.
+    /// count array and the sum are written.
     pub fn clear(&mut self) {
         self.counts.fill(0);
-        self.tallies = [0; SMALL_COUNTS + 1];
+        self.sum = 0;
         self.len = 0;
     }
 
-    /// The count-of-counts: `tallies()[c]` keys hold count `c`, for
-    /// `1 ≤ c < SMALL_COUNTS`, and `tallies()[SMALL_COUNTS]` keys hold
-    /// [`SMALL_COUNTS`] or more; cell 0 is 0. Kept as the table counts,
-    /// so this reads 65 cells and no slot.
+    /// `Σ T(count)` over every key ([`c_log2_c`]): the fixed-point
+    /// `Σ c·log₂c` of the counts, kept as the table counts.
     #[must_use]
-    pub fn tallies(&self) -> [u64; SMALL_COUNTS + 1] {
-        let mut tallies = [0; SMALL_COUNTS + 1];
-        for (cell, &kept) in tallies.iter_mut().zip(&self.tallies).skip(2) {
-            *cell = u64::from(kept);
-        }
-        let repeated: u64 = tallies.iter().sum();
-        if let Some(ones) = tallies.get_mut(1) {
-            *ones = (self.len as u64).saturating_sub(repeated);
-        }
-        tallies
-    }
-
-    /// The count-of-counts as kept, with no copy: cell `c` for
-    /// `2 ≤ c < SMALL_COUNTS` and the last cell read as in
-    /// [`tallies`](Self::tallies); cells 0 and 1 hold nothing.
-    pub(crate) fn kept_tallies(&self) -> &[u32; SMALL_COUNTS + 1] {
-        &self.tallies
-    }
-
-    /// The counts of the keys at [`SMALL_COUNTS`] or above, in the
-    /// order they reached it (reset by a rehash): one read per such
-    /// key, no scan of the slot array.
-    pub fn large_counts(&self) -> impl Iterator<Item = u64> + '_ {
-        self.large
-            .iter()
-            .take(self.listed())
-            .map(|&slot| self.counts.get(slot).map_or(0, |&count| u64::from(count)))
+    pub fn sum_c_log2_c(&self) -> u128 {
+        self.sum
     }
 
     /// Iterates over `(key, count)` pairs in arbitrary (slot) order.
@@ -665,9 +667,64 @@ mod tests {
         t.counts[slot] = u32::MAX - 1;
         t.increment(42);
         assert_eq!(t.get(42), u64::from(u32::MAX));
+        let sum = t.sum_c_log2_c();
         t.increment(42);
         assert_eq!(t.get(42), u64::from(u32::MAX), "saturates instead of wrapping to empty");
         assert_eq!(t.len(), 1);
+        assert_eq!(t.sum_c_log2_c(), sum, "a saturated count adds nothing");
+    }
+
+    #[test]
+    fn log2_fixed_is_exact_at_powers_of_two() {
+        for j in 0..64 {
+            assert_eq!(log2_fixed(1 << j), j << FRAC_BITS, "2^{j}");
+        }
+    }
+
+    #[test]
+    fn log2_fixed_strictly_increases_past_the_table() {
+        for c in 2..=4097u64 {
+            assert!(log2_fixed(c) > log2_fixed(c - 1), "c = {c}");
+        }
+    }
+
+    #[test]
+    fn log2_fixed_tracks_log2() {
+        // Below 2¹⁶, where an f64 near log₂c resolves 2⁻⁴⁹.
+        for c in (1..2000u64).chain((2..64).map(|i| i * 1000 + 3)) {
+            let fixed = log2_fixed(c) as f64 / (1u64 << FRAC_BITS) as f64;
+            let gap = (fixed - (c as f64).log2()).abs();
+            assert!(
+                gap <= 2f64.powi(-48),
+                "c = {c}: {fixed} vs {}, gap {gap:e}",
+                (c as f64).log2()
+            );
+        }
+    }
+
+    #[test]
+    fn tables_equal_the_values_computed_past_them() {
+        for c in [4095u64, 4096, 4097] {
+            assert_eq!(c_log2_c(c), u128::from(c) * u128::from(log2_fixed(c)), "T({c})");
+            let step = c_log2_c(c) - c_log2_c(c - 1);
+            assert_eq!(u128::from(delta(c as u32)), step, "Δ({c})");
+        }
+        assert_eq!((delta(1), c_log2_c(0), c_log2_c(1)), (0, 0, 0));
+    }
+
+    #[test]
+    fn one_key_keeps_an_exact_sum_past_the_table() {
+        let mut t = CounterTable::<u64>::new();
+        for n in 1..=5_000u64 {
+            t.increment(3);
+            if n % 100 == 0 || (4090..4100).contains(&n) {
+                assert_eq!(t.sum_c_log2_c(), c_log2_c(n), "after {n}");
+            }
+        }
+        t.increment(4);
+        assert_eq!(t.sum_c_log2_c(), c_log2_c(5_000));
+        t.clear();
+        assert_eq!(t.sum_c_log2_c(), 0);
     }
 
     #[test]

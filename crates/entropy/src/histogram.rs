@@ -18,24 +18,18 @@
 //! * `k ≥ 2` — the open-addressing Fx-hashed [`CounterTable`], keyed by
 //!   `u64` for `k ≤ 8` and by `u128` above, reserved for the windows
 //!   the caller announces ([`GramHistogram::reserve_bytes`]): 12 bytes
-//!   per slot at ≤ ½ load, plus an 8-byte large-count entry per 16
-//!   slots, so 50 KiB per width for a 2 KiB classification window and
-//!   under 1 KiB for a 32-byte one.
+//!   per slot at ≤ ½ load, so 48 KiB per width for a 2 KiB
+//!   classification window and under 1 KiB for a 32-byte one.
 //!
-//! Both sit behind the same API, and
-//! [`sum_m_log_m`](GramHistogram::sum_m_log_m) adds its terms in
-//! ascending count order whatever the storage, so every float the
-//! crate derives from a histogram is bit-identical across tiers,
-//! capacities and feeding histories. It folds a count-of-counts: the
-//! open tables keep theirs as they count, so a finish reads ≤ 64
-//! tallies and the few counts of 64 or more, not the slot array; the
-//! dense tier tallies the counters of its seen list on the spot. The
-//! fold stops at the last count the window holds, and takes `log2(c)`
-//! below [`SMALL_COUNTS`] from one table computed once.
+//! Both sit behind the same API, and both form `Σ c·log₂c` as an exact
+//! integer, the sum of [`c_log2_c`] over the counts: the open tables
+//! keep theirs as they count, so a finish reads one integer, and the
+//! dense tier adds the counters of its seen list on the spot. Integer
+//! addition has no order to depend on, so every float the crate
+//! derives from a histogram is bit-identical across tiers, capacities
+//! and feeding histories.
 
-use std::sync::LazyLock;
-
-use crate::fastmap::{CounterTable, GramKey, SMALL_COUNTS};
+use crate::fastmap::{c_log2_c, CounterTable, GramKey, FRAC_BITS};
 
 /// A frequency histogram of the `k`-byte grams of a byte sequence.
 ///
@@ -238,8 +232,8 @@ impl GramHistogram {
     /// valid iff `total + i + 1 >= k`, so the first counting byte is
     /// `start = (k − 1 − total).max(0)` and each later byte slides the
     /// same window by one. Equal window enumerations give equal count
-    /// multisets, and [`sum_m_log_m`](Self::sum_m_log_m) adds in
-    /// ascending count order, so every derived float is bit-identical.
+    /// multisets, whose integer `Σ T(c)` is the same however it was
+    /// added up, so every derived float is bit-identical.
     pub(crate) fn extend_packed_carry(&mut self, prev_key: u128, total: u64, chunk: &[u8]) {
         let start = (self.k as u64).saturating_sub(total + 1) as usize;
         let (Some(warm), Some(body)) = (chunk.get(..start), chunk.get(start..)) else {
@@ -341,41 +335,28 @@ impl GramHistogram {
     }
 
     /// Σ mᵢ·log2(mᵢ) over all gram counts mᵢ — the quantity `S_k`
-    /// that the streaming sketch of [`crate::estimate`] approximates.
-    ///
-    /// Terms are added in ascending count order so the result is
-    /// bit-for-bit reproducible — across runs *and* across storage
-    /// tiers: the dense tier's seen list and the open tables'
-    /// maintained tallies describe the same count multiset, whatever
-    /// the slot order, capacity or feeding history.
+    /// that the streaming sketch of [`crate::estimate`] approximates —
+    /// as [`fixed_sum_m_log_m`](Self::fixed_sum_m_log_m) scaled by
+    /// 2⁻⁵²: one rounding of an exact integer, so bit-for-bit the same
+    /// across runs, storage tiers, capacities and feeding histories.
     pub fn sum_m_log_m(&self) -> f64 {
-        let mut counts: Vec<u64> = Vec::new();
-        self.sum_m_log_m_with(&mut counts)
+        self.fixed_sum_m_log_m() as f64 / (1u64 << FRAC_BITS) as f64
     }
 
-    /// [`sum_m_log_m`](Self::sum_m_log_m) using a caller-owned scratch
-    /// buffer, which only the counts of [`SMALL_COUNTS`] and above ever
-    /// reach — so steady-state feature finishes allocate nothing once
-    /// it has grown to the flow's number of such grams.
-    ///
-    /// The open tables hand over the tallies they keep as they count
-    /// (`CounterTable::kept_tallies`) and their large counts, so the
-    /// cost is O(distinct counts), not O(capacity); the dense tier
-    /// tallies the counters its seen list names. Both feed one
-    /// `ascending_sum_m_log_m`.
-    pub fn sum_m_log_m_with(&self, scratch: &mut Vec<u64>) -> f64 {
-        scratch.clear();
-        let dense;
-        let tallies = match &self.store {
-            Store::Dense1 { counts, seen, distinct } => {
-                dense = tally_dense(counts, seen.get(..*distinct as usize).unwrap_or(&[]), scratch);
-                &dense
-            }
-            Store::Narrow(table) => tally_table(table, scratch),
-            Store::Wide(table) => tally_table(table, scratch),
-        };
-        scratch.sort_unstable();
-        ascending_sum_m_log_m(tallies, scratch, self.distinct() as u64, self.windows)
+    /// `Σ T(mᵢ)` over all gram counts mᵢ ([`c_log2_c`]): `S_k` in
+    /// fixed point. The open tables keep it as they count; the dense
+    /// tier adds the counters its seen list names.
+    pub(crate) fn fixed_sum_m_log_m(&self) -> u128 {
+        match &self.store {
+            Store::Dense1 { counts, seen, distinct } => seen
+                .iter()
+                .take(*distinct as usize)
+                .filter_map(|&byte| counts.get(usize::from(byte)))
+                .map(|&count| c_log2_c(count))
+                .sum(),
+            Store::Narrow(table) => table.sum_c_log2_c(),
+            Store::Wide(table) => table.sum_c_log2_c(),
+        }
     }
 
     /// Number of counters an exact implementation needs for this input —
@@ -383,98 +364,6 @@ impl GramHistogram {
     pub fn counters_used(&self) -> usize {
         self.store.distinct()
     }
-}
-
-/// A count-of-counts: cell `c` holds how many grams occur `c` times,
-/// for `2 ≤ c < SMALL_COUNTS`; the last cell, how many occur more.
-/// Cells 0 and 1 are never read: the count-1 cell is what the others
-/// leave of the distinct grams.
-type Tallies = [u32; SMALL_COUNTS + 1];
-
-/// The dense tier's count-of-counts, from the counters of the bytes in
-/// `seen`; the counts of [`SMALL_COUNTS`] and above go to `large`.
-fn tally_dense(counts: &[u64; 256], seen: &[u8], large: &mut Vec<u64>) -> Tallies {
-    let count_of = |&byte: &u8| counts.get(usize::from(byte)).copied();
-    let mut tallies = [0; SMALL_COUNTS + 1];
-    for count in seen.iter().filter_map(count_of) {
-        if let Some(tally) = tallies.get_mut(count.min(SMALL_COUNTS as u64) as usize) {
-            *tally += 1;
-        }
-    }
-    if tallies.last().is_some_and(|&n| n != 0) {
-        large
-            .extend(seen.iter().filter_map(count_of).filter(|&count| count >= SMALL_COUNTS as u64));
-    }
-    tallies
-}
-
-/// An open table's count-of-counts, kept as it counted; its counts of
-/// [`SMALL_COUNTS`] and above go to `large`.
-fn tally_table<'t, K: GramKey>(table: &'t CounterTable<K>, large: &mut Vec<u64>) -> &'t Tallies {
-    large.extend(table.large_counts());
-    table.kept_tallies()
-}
-
-/// `Σ c·log2(c)` over a count multiset of `distinct` grams and
-/// `windows` occurrences, given as its count-of-counts `tallies` plus
-/// its counts of [`SMALL_COUNTS`] and above, sorted, in `large` — added
-/// in ascending order of `c`: the float that sorting the counts and
-/// taking `.map(m_log_m).sum::<f64>()` over them produces, bit for bit.
-///
-/// Each distinct count's term is looked up below [`SMALL_COUNTS`] and
-/// added as many times as the count occurs. The fold reads the tallies
-/// once and stops at the last count they hold: every gram beyond its
-/// first occurrence is one of the `windows − distinct` spare windows,
-/// and the tallies hold those the large counts do not.
-fn ascending_sum_m_log_m(tallies: &Tallies, large: &[u64], distinct: u64, windows: u64) -> f64 {
-    // An empty multiset sums to what `Iterator::sum::<f64>()` gives for
-    // no terms (−0.0 or, on older toolchains, 0.0). Any other one's
-    // ascending sum reaches +0.0 or its first positive term after one
-    // addition, whatever it started from, so it starts from +0.0 here
-    // and its counts of 1, each adding 1·log2(1) = +0.0, are skipped.
-    let mut sum: f64 = if distinct == 0 { [0.0_f64; 0].iter().sum() } else { 0.0 };
-    let large_spare: u64 = large.iter().map(|&count| count - 1).sum();
-    let mut spare = windows.saturating_sub(distinct).saturating_sub(large_spare);
-    for (count, &occurrences) in (2..SMALL_COUNTS as u64).zip(tallies.iter().skip(2)) {
-        if spare == 0 {
-            break;
-        }
-        if occurrences == 0 {
-            continue;
-        }
-        let addend = m_log_m(count);
-        for _ in 0..occurrences {
-            sum += addend;
-        }
-        spare = spare.saturating_sub(u64::from(occurrences) * (count - 1));
-    }
-    let (mut previous, mut addend) = (0, 0.0);
-    for &count in large {
-        if count != previous {
-            (previous, addend) = (count, m_log_m(count));
-        }
-        sum += addend;
-    }
-    sum
-}
-
-/// `log2(c)` for every `c < SMALL_COUNTS`, each computed once as
-/// `(c as f64).log2()`.
-static SMALL_LOG2: LazyLock<[f64; SMALL_COUNTS]> =
-    LazyLock::new(|| std::array::from_fn(|count| (count as f64).log2()));
-
-/// `log2(count)`: looked up below [`SMALL_COUNTS`], computed above —
-/// the same float either way.
-pub(crate) fn log2_count(count: u64) -> f64 {
-    match SMALL_LOG2.get(count as usize) {
-        Some(&log2) => log2,
-        None => (count as f64).log2(),
-    }
-}
-
-/// One term of `S_k`: `m·log2(m)`.
-fn m_log_m(count: u64) -> f64 {
-    count as f64 * log2_count(count)
 }
 
 /// The low-`8k`-bit mask of a rolling window key.

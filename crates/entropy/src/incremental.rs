@@ -5,8 +5,8 @@
 //! arrives, so what a flow holds is its counter tables — a dense 2 KiB
 //! array for `k = 1` and, for every wider `k`, an open table reserved
 //! for the `b` bytes announced up front
-//! ([`with_byte_hint`](IncrementalVector::with_byte_hint)): ≈ 153 KiB
-//! for the four `φ′_SVM` widths at `b = 2048`, ≈ 6 KiB at `b = 32`.
+//! ([`with_byte_hint`](IncrementalVector::with_byte_hint)): ≈ 147 KiB
+//! for the four `φ′_SVM` widths at `b = 2048`, ≈ 5 KiB at `b = 32`.
 //!
 //! One rolling packed window is shared by every width. It holds the
 //! last 16 bytes fed (`key = (key << 8) | b`; older bytes fall off the
@@ -23,21 +23,18 @@
 //! The **bit-identical-finish invariant**: [`IncrementalVector::finish`]
 //! is bit-for-bit equal to [`EntropyVector::compute`] on the
 //! concatenated chunks, because equal window enumerations give equal
-//! gram-count multisets, and
-//! [`sum_m_log_m`](GramHistogram::sum_m_log_m) adds its terms in
-//! ascending count order from the multiset's count-of-counts —
-//! collapsing any slot-order, capacity or storage-tier difference
-//! before a single float is produced. The open tables keep that
-//! count-of-counts as they count, and the dense `k = 1` tier lists the
-//! bytes it has seen, so finishing after every packet (the anytime
-//! probe) reads a few dozen tallies per width and the `k = 1` counters
-//! the window touched, never a whole table; the fold stops at the
-//! largest count the window holds and looks `log2(c)` up below 64.
+//! gram-count multisets, and every histogram turns its multiset into
+//! `Σ c·log₂c` as an exact fixed-point integer
+//! ([`c_log2_c`](crate::fastmap::c_log2_c)) — integer addition gives
+//! the same sum in any order, so no slot-order, capacity or
+//! storage-tier difference survives into a float. The open tables keep
+//! that sum as they count, and the dense `k = 1` tier lists the bytes
+//! it has seen, so finishing after every packet (the anytime probe)
+//! reads one integer per open table and the `k = 1` counters the
+//! window touched, never a whole table.
 
 use crate::histogram::GramHistogram;
-use crate::vector::{
-    entropy_of_histogram, entropy_of_histogram_with, EntropyVector, FeatureWidths,
-};
+use crate::vector::{entropy_of_histogram, EntropyVector, FeatureWidths};
 
 /// Streaming builder of an [`EntropyVector`], fed one chunk at a time.
 ///
@@ -161,12 +158,11 @@ impl IncrementalVector {
     }
 
     /// Writes the feature values of everything fed so far into `out`
-    /// (cleared first), using `counts_scratch` for the few large counts
-    /// each width sorts — so a warm caller allocates nothing. Values are
-    /// bit-identical to [`finish`](Self::finish).
-    pub fn finish_entropies_into(&self, out: &mut Vec<f64>, counts_scratch: &mut Vec<u64>) {
+    /// (cleared first), so a caller with a warm `out` allocates nothing.
+    /// Values are bit-identical to [`finish`](Self::finish).
+    pub fn finish_entropies_into(&self, out: &mut Vec<f64>) {
         out.clear();
-        out.extend(self.hists.iter().map(|h| entropy_of_histogram_with(h, counts_scratch)));
+        out.extend(self.hists.iter().map(entropy_of_histogram));
     }
 }
 

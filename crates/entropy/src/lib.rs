@@ -62,8 +62,8 @@ pub use histogram::GramHistogram;
 pub use incremental::IncrementalVector;
 pub use randomness::{battery_features, RandomnessBattery, BATTERY_FEATURES};
 pub use vector::{
-    entropy, entropy_of_histogram, entropy_of_histogram_with, entropy_vector, shannon_entropy_bits,
-    EntropyVector, FeatureWidths,
+    entropy, entropy_of_histogram, entropy_vector, shannon_entropy_bits, EntropyVector,
+    FeatureWidths,
 };
 
 /// Number of bits per byte; `|f_k| = 2^(BITS_PER_BYTE * k)`.

@@ -14,7 +14,8 @@
 //! `H_F = ⟨h_1, h_2, …⟩`; Iustitia uses (subsets of) `h_1 … h_10` as
 //! classifier features.
 
-use crate::histogram::{log2_count, GramHistogram};
+use crate::fastmap::{c_log2_c, FRAC_BITS};
+use crate::histogram::GramHistogram;
 use crate::BITS_PER_BYTE;
 
 /// Feature widths used by the paper's full entropy vector: `h_1 … h_10`.
@@ -170,23 +171,7 @@ pub fn entropy(data: &[u8], k: usize) -> f64 {
 /// This is the exact counterpart of the streaming estimator in
 /// [`crate::estimate`]; both plug `S_k = Σ mᵢ·log(mᵢ)` into Formula 1.
 pub fn entropy_of_histogram(hist: &GramHistogram) -> f64 {
-    let mut scratch = Vec::new();
-    entropy_of_histogram_with(hist, &mut scratch)
-}
-
-/// [`entropy_of_histogram`] using a caller-owned count-scratch buffer
-/// (see [`GramHistogram::sum_m_log_m_with`]) so repeated feature
-/// finishes allocate nothing. Bit-identical to the plain version.
-pub fn entropy_of_histogram_with(hist: &GramHistogram, scratch: &mut Vec<u64>) -> f64 {
-    let m = hist.window_count();
-    if m <= 1 || hist.distinct() <= 1 {
-        // A single repeated gram has exactly zero entropy; computing it
-        // through the formula would leave a one-ulp residue.
-        return 0.0;
-    }
-    let bits = log2_count(m) - hist.sum_m_log_m_with(scratch) / m as f64;
-    let normalized = bits / (BITS_PER_BYTE * hist.k() as f64);
-    normalized.clamp(0.0, 1.0)
+    (bits_per_gram(hist) / (BITS_PER_BYTE * hist.k() as f64)).clamp(0.0, 1.0)
 }
 
 /// Computes the raw Shannon entropy of the `k`-gram distribution in
@@ -195,13 +180,21 @@ pub fn entropy_of_histogram_with(hist: &GramHistogram, scratch: &mut Vec<u64>) -
 /// Exposed because the divergence measures and several tests want the
 /// un-normalized quantity.
 pub fn shannon_entropy_bits(data: &[u8], k: usize) -> f64 {
-    let hist = GramHistogram::from_bytes(data, k);
-    let m = hist.window_count();
-    if m <= 1 {
+    bits_per_gram(&GramHistogram::from_bytes(data, k))
+}
+
+/// `log₂M − (1/M)·Σ mᵢ·log₂mᵢ` as `(T(M) − S) / (M·2⁵²)`, with `S` the
+/// histogram's fixed-point sum: the numerator is an exact integer, never
+/// negative (`L` is monotone and the counts sum to at most `M`), so the
+/// result is one rounding to `f64` and one division. 0 when empty.
+fn bits_per_gram(hist: &GramHistogram) -> f64 {
+    let windows = hist.window_count();
+    if windows == 0 {
         return 0.0;
     }
-    let m = m as f64;
-    (m.log2() - hist.sum_m_log_m() / m).max(0.0)
+    let excess = c_log2_c(windows).saturating_sub(hist.fixed_sum_m_log_m());
+    // Both factors are exact, and so is their product for M < 2⁵³.
+    excess as f64 / (windows as f64 * (1u64 << FRAC_BITS) as f64)
 }
 
 /// Computes the entropy vector `⟨h_k : k ∈ widths⟩` of `data`.

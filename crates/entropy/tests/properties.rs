@@ -3,7 +3,7 @@
 // The reference models count with `std`'s HashMap; the kernel may not.
 #![allow(clippy::disallowed_types)]
 
-use iustitia_entropy::fastmap::{CounterTable, GramKey, SMALL_COUNTS};
+use iustitia_entropy::fastmap::{c_log2_c, CounterTable, GramKey, FRAC_BITS};
 use iustitia_entropy::{
     entropy, entropy_vector, jensen_shannon_divergence, kl_divergence, prefix_jsd,
     ByteDistribution, EntropyVector, EstimatorConfig, FeatureWidths, GramHistogram,
@@ -30,9 +30,9 @@ fn packetize<'a>(data: &'a [u8], cuts: &[usize]) -> Vec<&'a [u8]> {
 
 /// Payloads for the counting tests, `len` bytes long, of three kinds:
 /// arbitrary bytes (nearly every gram of width ≥ 2 occurs once); bytes
-/// drawn from 2–4 symbols (counts of 64 and far above at small `k`, so
-/// `sum_m_log_m` sorts its spill); and a few long constant runs (one
-/// count in the hundreds next to a handful of ones).
+/// drawn from 2–4 symbols (counts of 64 and far above at small `k`);
+/// and a few long constant runs (one count in the hundreds next to a
+/// handful of ones).
 fn payloads(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u8>> {
     let arbitrary = proptest::collection::vec(any::<u8>(), len.clone());
     let few_symbols = (2u8..=4, proptest::collection::vec(any::<u8>(), len.clone())).prop_map(
@@ -86,46 +86,44 @@ fn table_ops() -> impl Strategy<Value = Vec<TableOp>> {
     proptest::collection::vec(op, 0..8000)
 }
 
-/// Asserts that a table's maintained count-of-counts and large counts
-/// equal what a scan of its `(key, count)` pairs finds.
-fn assert_tallies_match_scan<K: GramKey>(table: &CounterTable<K>) {
-    let mut tallies = [0u64; SMALL_COUNTS + 1];
-    let mut large = Vec::new();
-    for (_, count) in table.iter() {
-        tallies[(count as usize).min(SMALL_COUNTS)] += 1;
-        if count >= SMALL_COUNTS as u64 {
-            large.push(count);
-        }
-    }
-    let mut kept: Vec<u64> = table.large_counts().collect();
-    large.sort_unstable();
-    kept.sort_unstable();
-    assert_eq!(table.tallies(), tallies);
-    assert_eq!(kept, large);
+/// Asserts that a table's maintained sum equals `Σ T(count)` over a
+/// scan of its `(key, count)` pairs.
+fn assert_sum_matches_scan<K: GramKey>(table: &CounterTable<K>) {
+    let scanned: u128 = table.iter().map(|(_, count)| c_log2_c(count)).sum();
+    assert_eq!(table.sum_c_log2_c(), scanned);
 }
 
 /// Reference gram counter: a plain `std` HashMap over raw windows.
-/// Returns `(distinct, windows, sum_m_log_m)` with the sum taken in
-/// sorted count order, exactly as `GramHistogram::sum_m_log_m` defines
-/// it — so equality below is bit-for-bit, not approximate.
-fn hashmap_model(data: &[u8], k: usize) -> (usize, u64, f64) {
-    let mut model: std::collections::HashMap<&[u8], u64> = std::collections::HashMap::new();
-    if data.len() >= k {
-        for window in data.windows(k) {
-            *model.entry(window).or_insert(0) += 1;
-        }
+fn gram_counts(data: &[u8], k: usize) -> std::collections::HashMap<&[u8], u64> {
+    let mut model = std::collections::HashMap::new();
+    for window in data.windows(k) {
+        *model.entry(window).or_insert(0) += 1;
     }
+    model
+}
+
+/// Returns `(distinct, windows, sum_m_log_m)` of the [`gram_counts`]
+/// model, with the sum of `T(c) = c·L(c)` taken in integers and scaled
+/// by 2⁻⁵² once, exactly as `GramHistogram::sum_m_log_m` defines it —
+/// so equality below is bit-for-bit, not approximate.
+fn hashmap_model(data: &[u8], k: usize) -> (usize, u64, f64) {
+    let model = gram_counts(data, k);
     let windows: u64 = model.values().sum();
-    let mut counts: Vec<u64> = model.values().copied().collect();
+    let fixed: u128 = model.values().map(|&c| c_log2_c(c)).sum();
+    (model.len(), windows, fixed as f64 / (1u64 << FRAC_BITS) as f64)
+}
+
+/// Formula 1 in plain `f64`, independent of the kernel: the
+/// [`gram_counts`], sorted, and `h_k = (log₂M − (1/M)·Σ c·log₂c) / 8k`.
+fn formula_1(data: &[u8], k: usize) -> f64 {
+    let mut counts: Vec<u64> = gram_counts(data, k).into_values().collect();
     counts.sort_unstable();
-    let sum = counts
-        .into_iter()
-        .map(|c| {
-            let c = c as f64;
-            c * c.log2()
-        })
-        .sum();
-    (model.len(), windows, sum)
+    let windows = counts.iter().sum::<u64>() as f64;
+    if windows == 0.0 {
+        return 0.0;
+    }
+    let sum: f64 = counts.iter().map(|&c| c as f64 * (c as f64).log2()).sum();
+    ((windows.log2() - sum / windows) / (8.0 * k as f64)).clamp(0.0, 1.0)
 }
 
 proptest! {
@@ -285,7 +283,7 @@ proptest! {
     /// for `k≤8` and over `u128` keys above) must agree exactly with a
     /// `std` HashMap reference on `(distinct, windows, sum_m_log_m)` —
     /// and on every individual gram count — whether the counts are all
-    /// ones, all small, or large enough to take the sorted spill.
+    /// ones, all small, or past the 4,096 the `Δ` table covers.
     #[test]
     fn histogram_tiers_match_hashmap_model(
         data in payloads(0..1024),
@@ -295,7 +293,7 @@ proptest! {
         let (distinct, windows, sum) = hashmap_model(&data, k);
         prop_assert_eq!(hist.distinct(), distinct);
         prop_assert_eq!(hist.window_count(), windows);
-        prop_assert_eq!(hist.sum_m_log_m(), sum, "sorted-order sums must be bit-identical");
+        prop_assert_eq!(hist.sum_m_log_m(), sum, "integer sums must be bit-identical");
         // `==` cannot tell −0.0 from 0.0: the empty and the all-ones
         // histograms sum to a zero whose sign must match too.
         prop_assert_eq!(hist.sum_m_log_m().to_bits(), sum.to_bits());
@@ -319,7 +317,21 @@ proptest! {
         let (distinct, windows, sum) = hashmap_model(&data, 3);
         prop_assert_eq!(hist.distinct(), distinct);
         prop_assert_eq!(hist.window_count(), windows);
-        prop_assert_eq!(hist.sum_m_log_m(), sum);
+        prop_assert_eq!(hist.sum_m_log_m().to_bits(), sum.to_bits());
+    }
+
+    /// The kernel's fixed-point `h_k` against Formula 1 evaluated in
+    /// `f64` over sorted counts, outside the kernel: within 1e-13 at
+    /// every width, on payloads whose counts run from all ones to
+    /// thousands.
+    #[test]
+    fn every_h_k_is_within_1e13_of_formula_1(
+        data in prop_oneof![payloads(0..2048), low_entropy_payloads()],
+    ) {
+        for k in 1..=16 {
+            let (kernel, oracle) = (entropy(&data, k), formula_1(&data, k));
+            prop_assert!((kernel - oracle).abs() <= 1e-13, "h_{} = {} vs {}", k, kernel, oracle);
+        }
     }
 
     /// `clear()` + refeed must be indistinguishable from a fresh
@@ -393,14 +405,14 @@ proptest! {
         prop_assert_eq!(slab.total_bytes(), bytewise.total_bytes());
     }
 
-    /// The count-of-counts a table keeps as it counts must equal a scan
-    /// of its slots, whatever happened to it: keys from a small
-    /// alphabet, so counts cross 64 and many keys are listed as large;
-    /// a reservation the keys outgrow, so the table rehashes and
-    /// relists; and clears in between, after which the tallies start
-    /// again from zero. Both key widths.
+    /// The sum a table keeps as it counts must equal `Σ T(count)` over
+    /// a scan of its slots, whatever happened to it: keys from a small
+    /// alphabet, so counts run into the thousands, past the `Δ` table;
+    /// a reservation the keys outgrow, so the table rehashes; and
+    /// clears in between, after which the sum starts again from zero.
+    /// Both key widths.
     #[test]
-    fn maintained_tallies_equal_a_slot_scan(
+    fn maintained_sum_equals_a_slot_scan(
         alphabet in 1u64..48,
         reserved in 0usize..8,
         ops in table_ops(),
@@ -415,19 +427,19 @@ proptest! {
                     wide.increment(u128::from(key) << 64 | u128::from(key));
                 }
                 TableOp::Clear => {
-                    assert_tallies_match_scan(&narrow);
-                    assert_tallies_match_scan(&wide);
+                    assert_sum_matches_scan(&narrow);
+                    assert_sum_matches_scan(&wide);
                     narrow.clear();
                     wide.clear();
                 }
             }
             if i % 257 == 0 {
-                assert_tallies_match_scan(&narrow);
-                assert_tallies_match_scan(&wide);
+                assert_sum_matches_scan(&narrow);
+                assert_sum_matches_scan(&wide);
             }
         }
-        assert_tallies_match_scan(&narrow);
-        assert_tallies_match_scan(&wide);
+        assert_sum_matches_scan(&narrow);
+        assert_sum_matches_scan(&wide);
     }
 
     /// An anytime probe finishes the same state again and again as
@@ -447,12 +459,12 @@ proptest! {
         state.update(&junk);
         state.reset();
         state.reserve_bytes(hint);
-        let (mut out, mut scratch) = (Vec::new(), Vec::new());
+        let mut out = Vec::new();
         let mut fed = 0;
         for chunk in packetize(&data, &cuts) {
             state.update(chunk);
             fed += chunk.len();
-            state.finish_entropies_into(&mut out, &mut scratch);
+            state.finish_entropies_into(&mut out);
             let one_shot = EntropyVector::compute(&data[..fed], &widths);
             let bits = |values: &[f64]| values.iter().map(|h| h.to_bits()).collect::<Vec<u64>>();
             prop_assert_eq!(bits(&out), bits(one_shot.values()), "prefix of {} bytes", fed);
