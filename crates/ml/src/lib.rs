@@ -5,9 +5,10 @@
 //!
 //! * **CART decision trees** (Breiman et al. 1984) with Gini impurity and
 //!   cost-complexity pruning — [`cart`].
-//! * **Soft-margin SVMs** trained with Platt's SMO algorithm, with linear
-//!   and RBF kernels; multi-class via **DAGSVM** (Platt et al. 2000) or
-//!   one-vs-one voting — [`svm`] and [`multiclass`].
+//! * **Soft-margin SVMs** trained by SMO with second-order working-set
+//!   selection (Fan, Chen & Lin 2005), with linear and RBF kernels;
+//!   multi-class via **DAGSVM** (Platt et al. 2000) or one-vs-one
+//!   voting — [`svm`] and [`multiclass`].
 //!
 //! Supporting machinery: labeled [`dataset`]s with stratified k-fold
 //! cross-validation, [`metrics`] (confusion matrices, per-class accuracy

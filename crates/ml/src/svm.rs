@@ -1,18 +1,28 @@
-//! Soft-margin support vector machines trained with Platt's SMO.
+//! Soft-margin support vector machines.
 //!
 //! The paper's best classifier is an SVM with a Radial Basis Function
 //! kernel (`γ = 50`, `C = 1000` for exact entropy vectors; `γ = 10`
 //! after re-selection for estimated vectors, §4.4.2). Binary SVMs are
-//! trained here with Sequential Minimal Optimization (Platt 1998) using
-//! the standard error-cache and second-choice heuristics; multi-class
-//! combination lives in [`crate::multiclass`].
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+//! trained here by SMO with second-order working-set selection (Fan,
+//! Chen & Lin, JMLR 2005 — the LIBSVM solver), which is deterministic
+//! and stops on the duality gap; multi-class combination lives in
+//! [`crate::multiclass`].
 
 use crate::dataset::Dataset;
 use crate::parallel::{run_indexed, Parallelism};
 use crate::DimensionMismatch;
+
+/// Stopping tolerance `ε`: training ends once the maximal KKT violation
+/// `m(α) − M(α)` is below it (LIBSVM's default).
+const EPS: f64 = 1e-3;
+
+/// Curvature used for a working pair whose `K_ii + K_jj − 2K_ij` is not
+/// positive (LIBSVM's `τ`), so the step stays finite.
+const TAU: f64 = 1e-12;
+
+/// Largest training set whose kernel matrix is precomputed (≤ 64 MiB of
+/// `f64`); above it each iteration evaluates the two rows it needs.
+const PRECOMPUTE_MAX: usize = 2896;
 
 /// A kernel function for the SVM.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -51,14 +61,6 @@ pub struct SvmParams {
     pub c: f64,
     /// Kernel.
     pub kernel: Kernel,
-    /// KKT violation tolerance.
-    pub tol: f64,
-    /// Maximum number of full passes without progress before stopping.
-    pub max_passes: usize,
-    /// Hard cap on optimization iterations (each examines one sample).
-    pub max_iters: usize,
-    /// RNG seed for the second-multiplier heuristic's tie-breaking.
-    pub seed: u64,
     /// Worker threads for the deterministic parallel parts of training
     /// (kernel-matrix rows; pairwise fits in [`crate::multiclass`]).
     /// Never affects results — see [`crate::parallel`].
@@ -80,15 +82,7 @@ impl SvmParams {
 
 impl Default for SvmParams {
     fn default() -> Self {
-        SvmParams {
-            c: 1.0,
-            kernel: Kernel::Rbf { gamma: 1.0 },
-            tol: 1e-3,
-            max_passes: 5,
-            max_iters: 3_000_000,
-            seed: 0x5EED,
-            parallelism: Parallelism::auto(),
-        }
+        SvmParams { c: 1.0, kernel: Kernel::Rbf { gamma: 1.0 }, parallelism: Parallelism::auto() }
     }
 }
 
@@ -120,13 +114,20 @@ pub struct BinarySvm {
 }
 
 impl BinarySvm {
-    /// Trains on `samples` with boolean labels (`true` = positive class)
-    /// using SMO.
+    /// Trains on `samples` with boolean labels (`true` = positive class).
+    ///
+    /// The dual `min ½αᵀQα − eᵀα` subject to `0 ≤ αᵢ ≤ C`, `yᵀα = 0`, with
+    /// `Q_ij = yᵢ·yⱼ·K_ij`, is solved by SMO over the gradient `G = Qα − e`.
+    /// Each step takes `i = argmax_{I_up} −y_t·G_t` and, among `I_low`, the
+    /// `j` with the largest second-order decrease `b²/a` (WSS 3 of Fan,
+    /// Chen & Lin 2005); training stops once the duality gap
+    /// `m(α) − M(α)` is below `ε = 1e-3`.
     ///
     /// # Panics
     ///
-    /// Panics if `samples` is empty, lengths mismatch, or only one class
-    /// is present.
+    /// Panics if `samples` is empty, lengths mismatch, only one class
+    /// is present, or the gap is still at least `ε` after
+    /// `max(10⁷, 100·n)` iterations.
     pub fn fit(samples: &[Vec<f64>], labels: &[bool], params: &SvmParams) -> Self {
         assert_eq!(samples.len(), labels.len(), "samples/labels length mismatch");
         assert!(!samples.is_empty(), "cannot train on an empty set");
@@ -141,18 +142,14 @@ impl BinarySvm {
             "all samples must share one feature width"
         );
         let y: Vec<f64> = labels.iter().map(|&l| if l { 1.0 } else { -1.0 }).collect();
+        let c = params.c;
 
-        // Precompute the kernel matrix when affordable (n ≤ 2896 →
-        // ≤ 64 MiB of f64); otherwise evaluate on demand. Full f64
-        // precision matters: the error cache is maintained incrementally
-        // and rounding noise above `tol` stalls convergence.
-        //
         // Rows parallelize deterministically: each cell is one pure
         // `Kernel::eval` written exactly once, so the thread count
-        // cannot change a single bit of the matrix. The SMO loop itself
-        // stays serial — its RNG-driven second-choice heuristic is a
-        // sequential dependence.
-        let precomputed: Option<Vec<f64>> = if n <= 2896 {
+        // cannot change a single bit of the matrix. The solver loop
+        // stays serial: each step's pair depends on the gradient the
+        // last step left.
+        let gram: Option<Vec<f64>> = (n <= PRECOMPUTE_MAX).then(|| {
             let threads = params.parallelism.resolve();
             let rows: Vec<Vec<f64>> = run_indexed(threads, n, |i| {
                 (i..n).map(|j| params.kernel.eval(&samples[i], &samples[j])).collect()
@@ -165,224 +162,136 @@ impl BinarySvm {
                     k[j * n + i] = v;
                 }
             }
-            Some(k)
-        } else {
-            None
-        };
-        let kern = |i: usize, j: usize| -> f64 {
-            match &precomputed {
-                Some(k) => k[i * n + j],
-                None => params.kernel.eval(&samples[i], &samples[j]),
-            }
-        };
-
-        /// One SMO pair update (Platt 1998, eqs. 12-19). Returns true
-        /// if the pair made progress.
-        #[allow(clippy::too_many_arguments)]
-        fn smo_step(
-            i: usize,
-            j: usize,
-            y: &[f64],
-            alpha: &mut [f64],
-            err: &mut [f64],
-            b: &mut f64,
-            c: f64,
-            kern: &impl Fn(usize, usize) -> f64,
-        ) -> bool {
-            if i == j {
-                return false;
-            }
-            let (e_i, e_j) = (err[i], err[j]);
-            let (a_i_old, a_j_old) = (alpha[i], alpha[j]);
-            let (lo, hi) = if (y[i] - y[j]).abs() > f64::EPSILON {
-                let d = a_j_old - a_i_old;
-                (d.max(0.0), (c + d).min(c))
-            } else {
-                let s = a_i_old + a_j_old;
-                ((s - c).max(0.0), s.min(c))
-            };
-            if (hi - lo).abs() < 1e-12 {
-                return false;
-            }
-            let eta = 2.0 * kern(i, j) - kern(i, i) - kern(j, j);
-            if eta >= 0.0 {
-                return false;
-            }
-            let mut a_j = a_j_old - y[j] * (e_i - e_j) / eta;
-            a_j = a_j.clamp(lo, hi);
-            if (a_j - a_j_old).abs() < 1e-7 * (a_j + a_j_old + 1e-7) {
-                return false;
-            }
-            let a_i = a_i_old + y[i] * y[j] * (a_j_old - a_j);
-
-            let b1 = *b
-                - e_i
-                - y[i] * (a_i - a_i_old) * kern(i, i)
-                - y[j] * (a_j - a_j_old) * kern(i, j);
-            let b2 = *b
-                - e_j
-                - y[i] * (a_i - a_i_old) * kern(i, j)
-                - y[j] * (a_j - a_j_old) * kern(j, j);
-            let new_b = if a_i > 0.0 && a_i < c {
-                b1
-            } else if a_j > 0.0 && a_j < c {
-                b2
-            } else {
-                0.5 * (b1 + b2)
-            };
-
-            // Incremental error-cache update.
-            let di = y[i] * (a_i - a_i_old);
-            let dj = y[j] * (a_j - a_j_old);
-            let db = new_b - *b;
-            for (t, e) in err.iter_mut().enumerate() {
-                *e += di * kern(i, t) + dj * kern(j, t) + db;
-            }
-            alpha[i] = a_i;
-            alpha[j] = a_j;
-            *b = new_b;
-            true
-        }
-
-        /// Platt's second-choice hierarchy: best |E_i - E_j| over the
-        /// non-bound set, then the rest of the non-bound set from a
-        /// random start, then all samples from a random start.
-        #[allow(clippy::too_many_arguments)]
-        fn examine(
-            i: usize,
-            n: usize,
-            tol: f64,
-            c: f64,
-            y: &[f64],
-            alpha: &mut [f64],
-            err: &mut [f64],
-            b: &mut f64,
-            kern: &impl Fn(usize, usize) -> f64,
-            rng: &mut StdRng,
-        ) -> bool {
-            let e_i = err[i];
-            let r_i = e_i * y[i];
-            if !((r_i < -tol && alpha[i] < c) || (r_i > tol && alpha[i] > 0.0)) {
-                return false; // KKT satisfied within tolerance
-            }
-            // 1. Best-gap partner among non-bound multipliers.
-            let mut best: Option<(usize, f64)> = None;
-            for cand in 0..n {
-                if cand != i && alpha[cand] > 0.0 && alpha[cand] < c {
-                    let gap = (e_i - err[cand]).abs();
-                    if best.is_none_or(|(_, g)| gap > g) {
-                        best = Some((cand, gap));
-                    }
-                }
-            }
-            if let Some((j, _)) = best {
-                if smo_step(i, j, y, alpha, err, b, c, kern) {
-                    return true;
-                }
-            }
-            // 2. Remaining non-bound multipliers, random start.
-            let start = rng.gen_range(0..n);
-            for off in 0..n {
-                let j = (start + off) % n;
-                if j != i
-                    && alpha[j] > 0.0
-                    && alpha[j] < c
-                    && smo_step(i, j, y, alpha, err, b, c, kern)
-                {
-                    return true;
-                }
-            }
-            // 3. The entire training set, random start.
-            let start = rng.gen_range(0..n);
-            for off in 0..n {
-                let j = (start + off) % n;
-                if j != i && smo_step(i, j, y, alpha, err, b, c, kern) {
-                    return true;
-                }
-            }
-            false
-        }
+            k
+        });
+        let diag: Vec<f64> = samples.iter().map(|s| params.kernel.eval(s, s)).collect();
+        let (mut buf_i, mut buf_j) = (Vec::new(), Vec::new());
+        let in_up = |t: usize, a: f64| if y[t] > 0.0 { a < c } else { a > 0.0 };
+        let in_low = |t: usize, a: f64| if y[t] > 0.0 { a > 0.0 } else { a < c };
 
         let mut alpha = vec![0.0f64; n];
-        let mut b = 0.0f64;
-        // Error cache: E_i = f(x_i) - y_i, maintained incrementally.
-        let mut err: Vec<f64> = y.iter().map(|&yi| -yi).collect();
-        let mut rng = StdRng::seed_from_u64(params.seed);
-        let mut iters = 0usize;
-
-        // Platt's outer loop: alternate full sweeps with sweeps over the
-        // non-bound subset until a full sweep makes no progress.
-        let mut examine_all = true;
-        let mut no_progress_full_sweeps = 0usize;
-        loop {
-            if examine_all {
-                // Rebuild the error cache from the multipliers at every
-                // full sweep: incremental updates accumulate rounding
-                // drift that can stall or misdirect the KKT checks.
-                for t in 0..n {
-                    let mut f = b;
-                    for s in 0..n {
-                        if alpha[s] > 0.0 {
-                            f += alpha[s] * y[s] * kern(s, t);
-                        }
-                    }
-                    err[t] = f - y[t];
+        let mut grad = vec![-1.0f64; n];
+        let max_iters = (100 * n).max(10_000_000);
+        for iter in 0.. {
+            // Ties go to the later index, so the pair is a pure function
+            // of (α, G).
+            let mut g_max = f64::NEG_INFINITY;
+            let mut i = 0;
+            for t in 0..n {
+                if in_up(t, alpha[t]) && -y[t] * grad[t] >= g_max {
+                    g_max = -y[t] * grad[t];
+                    i = t;
                 }
             }
-            let mut changed = 0usize;
-            for i in 0..n {
-                iters += 1;
-                if iters >= params.max_iters {
-                    break;
-                }
-                let non_bound = alpha[i] > 0.0 && alpha[i] < params.c;
-                if !examine_all && !non_bound {
+            let k_i = kernel_row(gram.as_deref(), samples, params.kernel, i, &mut buf_i);
+            let mut g_max2 = f64::NEG_INFINITY;
+            let mut best = f64::INFINITY;
+            let mut j = None;
+            for t in 0..n {
+                if !in_low(t, alpha[t]) {
                     continue;
                 }
-                if examine(
-                    i, n, params.tol, params.c, &y, &mut alpha, &mut err, &mut b, &kern, &mut rng,
-                ) {
-                    changed += 1;
+                let yg = y[t] * grad[t];
+                if yg >= g_max2 {
+                    g_max2 = yg;
+                }
+                let b = g_max + yg;
+                if b > 0.0 {
+                    let obj = -b * b / curvature(diag[i] + diag[t] - 2.0 * k_i[t]);
+                    if obj <= best {
+                        best = obj;
+                        j = Some(t);
+                    }
                 }
             }
-            if iters >= params.max_iters {
-                break;
-            }
-            if examine_all {
-                if changed == 0 {
-                    no_progress_full_sweeps += 1;
-                    if no_progress_full_sweeps >= params.max_passes.max(1) {
-                        break;
+            let gap = g_max + g_max2;
+            let j = match j {
+                Some(j) if gap >= EPS => j,
+                _ => break,
+            };
+            assert!(
+                iter < max_iters,
+                "SVM training did not converge: n = {n}, {iter} iterations, gap {gap:e} ≥ ε = {EPS:e}"
+            );
+
+            // LIBSVM's analytic solution of the two-variable subproblem,
+            // clipped to the box; a clip writes the bound exactly.
+            let k_j = kernel_row(gram.as_deref(), samples, params.kernel, j, &mut buf_j);
+            let a = curvature(diag[i] + diag[j] - 2.0 * k_i[j]);
+            let (old_i, old_j) = (alpha[i], alpha[j]);
+            if y[i] != y[j] {
+                let delta = (-grad[i] - grad[j]) / a;
+                let diff = old_i - old_j;
+                alpha[i] += delta;
+                alpha[j] += delta;
+                if diff > 0.0 {
+                    if alpha[j] < 0.0 {
+                        (alpha[i], alpha[j]) = (diff, 0.0);
+                    }
+                    if alpha[i] > c {
+                        (alpha[i], alpha[j]) = (c, c - diff);
                     }
                 } else {
-                    no_progress_full_sweeps = 0;
+                    if alpha[i] < 0.0 {
+                        (alpha[i], alpha[j]) = (0.0, -diff);
+                    }
+                    if alpha[j] > c {
+                        (alpha[i], alpha[j]) = (c + diff, c);
+                    }
                 }
-                examine_all = false;
-            } else if changed == 0 {
-                examine_all = true;
+            } else {
+                let delta = (grad[i] - grad[j]) / a;
+                let sum = old_i + old_j;
+                alpha[i] -= delta;
+                alpha[j] += delta;
+                if sum > c {
+                    if alpha[i] > c {
+                        (alpha[i], alpha[j]) = (c, sum - c);
+                    }
+                    if alpha[j] > c {
+                        (alpha[i], alpha[j]) = (sum - c, c);
+                    }
+                } else {
+                    if alpha[j] < 0.0 {
+                        (alpha[i], alpha[j]) = (sum, 0.0);
+                    }
+                    if alpha[i] < 0.0 {
+                        (alpha[i], alpha[j]) = (0.0, sum);
+                    }
+                }
+            }
+            let (d_i, d_j) = (y[i] * (alpha[i] - old_i), y[j] * (alpha[j] - old_j));
+            for ((g, &y_t), (&ki, &kj)) in grad.iter_mut().zip(&y).zip(k_i.iter().zip(k_j)) {
+                *g += y_t * (d_i * ki + d_j * kj);
             }
         }
-        // Recompute the bias from the margin support vectors
-        // (0 < α < C): at the optimum each satisfies y_i·f(x_i) = 1, so
-        // averaging their implied biases is far more robust than the
-        // incremental estimate when most multipliers sit at the C bound
-        // (common at large C on overlapping classes).
-        let margin: Vec<usize> =
-            (0..n).filter(|&i| alpha[i] > 1e-9 && alpha[i] < params.c - 1e-9).collect();
-        if !margin.is_empty() {
-            let correction: f64 = margin.iter().map(|&i| err[i]).sum::<f64>() / margin.len() as f64;
-            b -= correction;
+
+        // b = −ρ: ρ is the mean of y_t·G_t over the free multipliers, or
+        // the midpoint of its feasible interval when none is free.
+        let (mut upper, mut lower) = (f64::INFINITY, f64::NEG_INFINITY);
+        let (mut free_sum, mut n_free) = (0.0, 0usize);
+        for t in 0..n {
+            let yg = y[t] * grad[t];
+            if alpha[t] > 0.0 && alpha[t] < c {
+                free_sum += yg;
+                n_free += 1;
+            } else if in_up(t, alpha[t]) {
+                upper = upper.min(yg);
+            } else {
+                lower = lower.max(yg);
+            }
         }
+        let rho = if n_free > 0 { free_sum / n_free as f64 } else { 0.5 * (upper + lower) };
 
         let mut support_vectors = Vec::new();
         let mut coefficients = Vec::new();
-        for i in 0..n {
-            if alpha[i] > 1e-9 {
-                support_vectors.push(samples[i].clone());
-                coefficients.push(alpha[i] * y[i]);
+        for t in 0..n {
+            if alpha[t] > 0.0 {
+                support_vectors.push(samples[t].clone());
+                coefficients.push(alpha[t] * y[t]);
             }
         }
-        BinarySvm { support_vectors, coefficients, bias: b, kernel: params.kernel, n_features }
+        BinarySvm { support_vectors, coefficients, bias: -rho, kernel: params.kernel, n_features }
     }
 
     /// Trains a one-vs-one binary SVM on two classes of a [`Dataset`],
@@ -501,9 +410,40 @@ impl BinarySvm {
     }
 }
 
+/// The pair curvature `K_ii + K_jj − 2K_ij`, or `τ` when it is not
+/// positive.
+fn curvature(a: f64) -> f64 {
+    if a > 0.0 {
+        a
+    } else {
+        TAU
+    }
+}
+
+/// Row `t` of the kernel matrix: a slice of the precomputed matrix, or
+/// evaluated into `buf` when there is none.
+fn kernel_row<'a>(
+    gram: Option<&'a [f64]>,
+    samples: &[Vec<f64>],
+    kernel: Kernel,
+    t: usize,
+    buf: &'a mut Vec<f64>,
+) -> &'a [f64] {
+    let n = samples.len();
+    match gram {
+        Some(k) => &k[t * n..(t + 1) * n],
+        None => {
+            buf.clear();
+            buf.extend(samples.iter().map(|s| kernel.eval(&samples[t], s)));
+            buf
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn linear_separable(n: usize) -> (Vec<Vec<f64>>, Vec<bool>) {
         let mut xs = Vec::new();
@@ -613,8 +553,95 @@ mod tests {
         assert_eq!(SvmParams::paper_rbf_estimated().kernel, Kernel::Rbf { gamma: 10.0 });
     }
 
+    /// Asserts that `svm` is a KKT point of the dual over `(xs, ys)`: α
+    /// rebuilt from the model is feasible, the duality gap recomputed
+    /// from `f(x_t)`, outside the solver's own gradient, is below `ε`,
+    /// and the bias lies between `m(α)` and `M(α)`.
+    fn assert_kkt_point(svm: &BinarySvm, xs: &[Vec<f64>], ys: &[bool], c: f64) {
+        // Support vectors keep sample order; a non-SV has α = 0.
+        let mut svs = svm.support_vectors().iter().zip(svm.coefficients()).peekable();
+        let alpha: Vec<f64> = xs
+            .iter()
+            .zip(ys)
+            .map(|(x, &l)| match svs.next_if(|&(sv, _)| sv == x) {
+                Some((_, &coef)) => {
+                    if l {
+                        coef
+                    } else {
+                        -coef
+                    }
+                }
+                None => 0.0,
+            })
+            .collect();
+        assert!(svs.next().is_none(), "a support vector is not a training sample");
+        for &a in alpha.iter().filter(|&&a| a != 0.0) {
+            assert!(a > 0.0 && a <= c, "α = {a} outside (0, {c}]");
+        }
+        let balance: f64 = svm.coefficients().iter().sum();
+        assert!(balance.abs() <= 1e-9 * c, "Σ αᵢyᵢ = {balance:e}");
+
+        // −y_t·G_t = y_t − Σ_s αₛyₛ·K(xₛ, x_t).
+        let (mut m, mut big_m) = (f64::NEG_INFINITY, f64::INFINITY);
+        for ((x, &l), &a) in xs.iter().zip(ys).zip(&alpha) {
+            let y_t = if l { 1.0 } else { -1.0 };
+            let f: f64 = svm
+                .support_vectors()
+                .iter()
+                .zip(svm.coefficients())
+                .map(|(sv, &coef)| coef * svm.kernel().eval(sv, x))
+                .sum();
+            let v = y_t - f;
+            if (l && a < c) || (!l && a > 0.0) {
+                m = m.max(v);
+            }
+            if (l && a > 0.0) || (!l && a < c) {
+                big_m = big_m.min(v);
+            }
+        }
+        assert!(m - big_m <= EPS + 1e-9, "gap m − M = {:e}", m - big_m);
+        // b is the mean of −y_t·G_t over free multipliers, or the
+        // midpoint of m and M when none is free: between the two either way.
+        let b = svm.bias();
+        assert!(m.min(big_m) - 1e-9 <= b && b <= m.max(big_m) + 1e-9, "b = {b} vs [{big_m}, {m}]");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn fit_meets_the_kkt_conditions_within_eps(
+            mut points in proptest::collection::vec(((0u16..1000, 0u16..1000), any::<bool>()), 4..60),
+            kernel in prop_oneof![
+                Just(Kernel::Linear),
+                (0.5f64..50.0).prop_map(|gamma| Kernel::Rbf { gamma }),
+            ],
+            c in prop_oneof![Just(1.0), Just(10.0), Just(1000.0)],
+        ) {
+            points.sort_unstable();
+            points.dedup_by_key(|&mut (p, _)| p);
+            prop_assume!(points.len() >= 2);
+            (points[0].1, points[1].1) = (true, false);
+            let xs: Vec<Vec<f64>> = points
+                .iter()
+                .map(|&((a, b), _)| vec![f64::from(a) / 1000.0, f64::from(b) / 1000.0])
+                .collect();
+            let ys: Vec<bool> = points.iter().map(|&(_, l)| l).collect();
+            let svm = BinarySvm::fit(&xs, &ys, &SvmParams { c, kernel, ..Default::default() });
+            assert_kkt_point(&svm, &xs, &ys, c);
+        }
+    }
+
     #[test]
-    fn training_is_deterministic_for_fixed_seed() {
+    fn kernel_rows_are_evaluated_on_demand_above_the_precompute_limit() {
+        let (xs, ys) = linear_separable(PRECOMPUTE_MAX + 1);
+        let params =
+            SvmParams { c: 10.0, kernel: Kernel::Rbf { gamma: 8.0 }, ..Default::default() };
+        assert_kkt_point(&BinarySvm::fit(&xs, &ys, &params), &xs, &ys, params.c);
+    }
+
+    #[test]
+    fn training_is_deterministic() {
         let (xs, ys) = linear_separable(120);
         let params = SvmParams { c: 10.0, kernel: Kernel::Linear, ..Default::default() };
         let a = BinarySvm::fit(&xs, &ys, &params);
@@ -626,12 +653,7 @@ mod tests {
     fn parallel_fit_is_bit_identical_to_serial() {
         let (xs, ys) = linear_separable(150);
         for kernel in [Kernel::Linear, Kernel::Rbf { gamma: 8.0 }] {
-            let serial = SvmParams {
-                c: 10.0,
-                kernel,
-                parallelism: Parallelism::serial(),
-                ..Default::default()
-            };
+            let serial = SvmParams { c: 10.0, kernel, parallelism: Parallelism::serial() };
             let parallel = SvmParams { parallelism: Parallelism::fixed(4), ..serial };
             assert_eq!(
                 BinarySvm::fit(&xs, &ys, &serial),

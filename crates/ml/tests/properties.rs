@@ -223,7 +223,6 @@ proptest! {
             c: 10.0,
             kernel: Kernel::Rbf { gamma: 5.0 },
             parallelism: Parallelism::serial(),
-            ..Default::default()
         };
         let parallel = SvmParams { parallelism: Parallelism::fixed(3), ..serial };
         prop_assert_eq!(BinarySvm::fit(&xs, &ys, &serial), BinarySvm::fit(&xs, &ys, &parallel));
