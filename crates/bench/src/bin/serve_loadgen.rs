@@ -468,9 +468,9 @@ fn stream_single_client(model: &NatureModel, packets: &[Packet], shards: usize) 
     let mut verdicts = 0u64;
     let mut busy = 0u64;
 
-    // Sample the per-shard gauges mid-stream to observe the streaming
-    // pipeline's peak memory (flows pending × feature state), the
-    // number the buffered design paid `b` payload bytes for.
+    // Sample the per-shard gauges mid-stream to observe the pipeline's
+    // peak per-flow memory: the bytes pending flows hold, at most `b`
+    // each with the headline config.
     let mut peak_pending = 0u64;
     let mut peak_resident = 0u64;
     let sample_every = (packets.len() / 16).max(1);
@@ -511,8 +511,8 @@ fn stream_single_client(model: &NatureModel, packets: &[Packet], shards: usize) 
     println!("flows classified: {}", stats.flows_classified);
     let b = 32u64; // headline config buffer size
     println!(
-        "peak pending:     {peak_pending} flows, {peak_resident} B resident feature state \
-         (buffered design would hold ~{} B payload)",
+        "peak pending:     {peak_pending} flows, {peak_resident} B buffered \
+         (at most {} B: b per pending flow)",
         peak_pending * b
     );
     println!(

@@ -3,8 +3,8 @@
 //! Classification Database (CDB) of Figure 1, with the purging policies
 //! of §4.5.
 //!
-//! A slot is either *pending* — a pooled box of header-staging and
-//! streaming feature state, stored here and driven by the
+//! A slot is either *pending* — a pooled box holding the flow's
+//! buffered payload and battery, stored here and driven by the
 //! [pipeline](crate::pipeline) — or *classified* — a [`CdbRecord`] —
 //! never both: classification overwrites the one with the other in
 //! place, and a packet resolves its flow with a single lookup.
@@ -109,9 +109,9 @@ use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::OnceLock;
 
 use iustitia_corpus::FileClass;
+use iustitia_entropy::RandomnessBattery;
 use iustitia_netsim::FiveTuple;
 
-use crate::features::FlowFeatureState;
 use crate::sha1::{sha1_13, Digest};
 
 /// A 160-bit flow identifier: SHA-1 of the canonical 5-tuple bytes.
@@ -458,26 +458,32 @@ impl CdbRecord {
     }
 }
 
-/// A flow awaiting classification: all the pipeline keeps of it. Boxed
-/// in its slot and recycled through the pipeline's pool, so the
-/// kilobytes of histogram and battery state move by pointer.
+/// A flow awaiting classification: all the pipeline keeps of it — its
+/// payload bytes, its battery, and bookkeeping. Boxed in its slot and
+/// recycled through the pipeline's pool, so the buffer and the battery
+/// move by pointer and a recycled flow allocates nothing.
 #[derive(Debug, Clone)]
 pub(crate) struct PendingFlow {
-    /// The header skip/strip decision is made and payload streams into
-    /// `features`, nothing retained. Until then (only
-    /// `HeaderPolicy::StripKnown` flows start undecided) payload is
-    /// kept verbatim in `staging`, bounded by the buffer capacity.
+    /// The header skip/strip decision is made and `buf` holds the
+    /// classification window. Until then (only `HeaderPolicy::StripKnown`
+    /// flows start undecided) `buf` holds the raw prefix.
     pub(crate) streaming: bool,
-    /// The raw prefix of a flow not yet `streaming`; empty afterwards.
-    pub(crate) staging: Vec<u8>,
-    /// Incremental feature session over the classification window.
-    pub(crate) features: FlowFeatureState,
-    /// Classification-window bytes fed so far (`≤ b`).
-    pub(crate) fed: usize,
-    /// Header/skip bytes still to discard before feeding.
+    /// The raw prefix while staging, then the classification window —
+    /// the first `≤ b` payload bytes past the header. Reserved at the
+    /// buffer capacity when the slot is made, so it never grows.
+    pub(crate) buf: Vec<u8>,
+    /// The randomness battery over the window, fed as window bytes
+    /// arrive (when the pipeline has the battery on). Boxed, so a slot
+    /// without one stays small.
+    pub(crate) battery: Option<Box<RandomnessBattery>>,
+    /// Which life of a flow this is: a per-pipeline serial stamped
+    /// when the slot is made, so a tuple that closes and reopens is a
+    /// new incarnation (the pipeline's shared tables key on it).
+    pub(crate) incarnation: u64,
+    /// Header/skip bytes still to discard before the window.
     pub(crate) skip_remaining: usize,
-    /// `fed` as of the last anytime probe (0 before any probe); gates
-    /// the probe stride.
+    /// Window bytes as of the last anytime probe (0 before any probe);
+    /// gates the probe stride.
     pub(crate) probed: usize,
     /// Label the previous anytime probe predicted, if any: the patience
     /// rule only emits a verdict when two consecutive probes agree.
@@ -498,15 +504,18 @@ pub(crate) struct PendingFlow {
 }
 
 impl PendingFlow {
-    /// A boxed flow of `tuple` around a fresh feature session;
-    /// [`restart`](Self::restart) it before use.
-    pub(crate) fn boxed(features: FlowFeatureState, tuple: FiveTuple) -> Box<Self> {
+    /// A boxed flow of `tuple` whose buffer holds up to `capacity`
+    /// bytes, with a battery if `battery`; [`restart`](Self::restart)
+    /// it before use.
+    pub(crate) fn boxed(capacity: usize, battery: bool, tuple: FiveTuple) -> Box<Self> {
         // lint: allow(L009) — the pool is still warming: a recycled flow reuses its box
         Box::new(PendingFlow {
             streaming: true,
-            staging: Vec::new(),
-            features,
-            fed: 0,
+            // lint: allow(L009) — the pool is still warming: a recycled flow reuses its buffer
+            buf: Vec::with_capacity(capacity),
+            // lint: allow(L009) — the pool is still warming: a recycled flow reuses its battery
+            battery: battery.then(|| Box::new(RandomnessBattery::new())),
+            incarnation: 0,
             skip_remaining: 0,
             probed: 0,
             last_probe: None,
@@ -519,20 +528,24 @@ impl PendingFlow {
         })
     }
 
-    /// Resets everything but the (already reset) feature session and
-    /// `owner`, which every data packet sets, for a flow of `tuple`
-    /// whose first data packet arrives at `now`.
+    /// Resets everything but `owner`, which every data packet sets, for
+    /// incarnation `incarnation` of a flow of `tuple` whose first data
+    /// packet arrives at `now`.
     pub(crate) fn restart(
         &mut self,
         tuple: FiveTuple,
+        incarnation: u64,
         streaming: bool,
         skip_remaining: usize,
         now: f64,
     ) {
         self.tuple = tuple;
+        self.incarnation = incarnation;
         self.streaming = streaming;
-        self.staging.clear();
-        self.fed = 0;
+        self.buf.clear();
+        if let Some(battery) = &mut self.battery {
+            battery.reset();
+        }
         self.skip_remaining = skip_remaining;
         self.probed = 0;
         self.last_probe = None;
@@ -542,16 +555,16 @@ impl PendingFlow {
         self.seen = 0;
     }
 
-    /// Estimated heap resident for this flow: staged raw bytes, or the
-    /// feature state's counter footprint once streaming.
+    /// What this flow holds for classification: its buffered bytes
+    /// (raw prefix or window) plus its battery's fixed state.
     pub(crate) fn resident_bytes(&self) -> usize {
-        if self.streaming {
-            self.features.resident_bytes()
-        } else {
-            self.staging.len()
-        }
+        let battery = if self.battery.is_some() { BATTERY_BYTES } else { 0 };
+        self.buf.len() + battery
     }
 }
+
+/// The fixed state of one flow's battery, as the resident gauge counts it.
+const BATTERY_BYTES: usize = size_of::<RandomnessBattery>();
 
 /// One entry of the flow table: pending xor classified.
 #[derive(Debug, Clone)]
@@ -780,9 +793,10 @@ impl ClassificationDatabase {
         self.slots.entry(id)
     }
 
-    /// The flow's pending state, if it is pending.
-    pub(crate) fn pending(&self, id: &FlowId) -> Option<&PendingFlow> {
-        match self.slots.get(id)? {
+    /// The pending flow `id`, mutably; `None` if it is classified or
+    /// unknown.
+    pub(crate) fn pending_mut(&mut self, id: &FlowId) -> Option<&mut PendingFlow> {
+        match self.slots.get_mut(id)? {
             Slot::Pending(flow) => Some(flow),
             Slot::Classified(_) => None,
         }

@@ -104,14 +104,15 @@ impl FeatureExtractor {
             Some(est) => est.estimate_vector(payload, &self.widths),
         };
         if self.battery {
-            // lint: allow(L009) — one-shot extraction at flow eviction, once per flow decision
             out.extend_from_slice(&iustitia_entropy::battery_features(payload));
         }
         out
     }
 
     /// Starts a per-flow feature session sized for `b_hint` payload
-    /// bytes (the pipeline passes its configured buffer size `b`).
+    /// bytes, with thrifty tables
+    /// ([`IncrementalVector::with_byte_hint`]): for callers that keep a
+    /// session per stream.
     ///
     /// Feeding a session the same bytes in any packetization and
     /// calling [`FlowFeatureState::finish`] is bit-identical to
@@ -119,17 +120,36 @@ impl FeatureExtractor {
     /// `b_hint` equals the total length in estimated mode (exact mode
     /// ignores the hint entirely).
     pub fn begin_flow(&self, b_hint: usize) -> FlowFeatureState {
+        self.begin(b_hint, false)
+    }
+
+    /// Starts a feature session sized for speed instead of thrift
+    /// ([`IncrementalVector::for_window`] in exact mode; estimated
+    /// sketches are sized as [`begin_flow`](Self::begin_flow) sizes
+    /// them), for one caller that counts window after window of up to
+    /// `b` bytes in the same warm session,
+    /// [`reset_flow`](Self::reset_flow) in between: the flow pipeline's
+    /// one table set. Finishes to the same bits as `begin_flow`'s.
+    pub fn begin_window(&self, b: usize) -> FlowFeatureState {
+        self.begin(b, true)
+    }
+
+    fn begin(&self, b: usize, for_speed: bool) -> FlowFeatureState {
         let inner = match &self.estimator {
-            None => FlowStateInner::Exact(IncrementalVector::with_byte_hint(&self.widths, b_hint)),
-            Some(est) => FlowStateInner::Estimated(est.begin_incremental(&self.widths, b_hint)),
+            None if for_speed => {
+                FlowStateInner::Exact(IncrementalVector::for_window(&self.widths, b))
+            }
+            None => FlowStateInner::Exact(IncrementalVector::with_byte_hint(&self.widths, b)),
+            Some(est) => FlowStateInner::Estimated(est.begin_incremental(&self.widths, b)),
         };
         FlowFeatureState { inner, battery: self.battery.then(RandomnessBattery::new) }
     }
 
     /// Resets a previously finished flow session to the state
     /// [`begin_flow`](Self::begin_flow) would produce, reusing its
-    /// histogram/sketch allocations — the pipeline's pool-recycling
-    /// path, which makes steady-state packet processing allocation-free.
+    /// histogram/sketch allocations, so recycled sessions leave the
+    /// allocator alone (a [`begin_window`](Self::begin_window) session
+    /// keeps its sizing).
     ///
     /// A recycled session is bit-identical to a fresh one on the same
     /// payload (exact mode trivially; estimated mode re-derives the
@@ -182,13 +202,16 @@ impl FeatureExtractor {
     }
 }
 
-/// In-progress feature state of one pending flow, created by
-/// [`FeatureExtractor::begin_flow`].
+/// A feature session over one byte stream at a time, created by
+/// [`FeatureExtractor::begin_flow`] or
+/// [`begin_window`](FeatureExtractor::begin_window): entropy tables
+/// (or sketches) plus, when the battery is on, a [`RandomnessBattery`],
+/// fed as chunks arrive and finished at any point.
 ///
-/// This replaces the historical "buffer the first `b` payload bytes,
-/// then extract" flow state: chunks are folded in as packets arrive,
-/// so a pending flow holds O(distinct grams) (exact mode) or the fixed
-/// `g·z` sketch (estimated mode) instead of O(`b`) payload bytes.
+/// The flow pipeline does not keep one per pending flow. A pending flow
+/// buffers its window bytes (Fig. 1) and its own battery, and one
+/// battery-less session per pipeline, from `begin_window`, counts the
+/// window when the flow is probed or concludes.
 #[derive(Debug, Clone)]
 pub struct FlowFeatureState {
     inner: FlowStateInner,
@@ -640,14 +663,16 @@ mod tests {
                 for chunk in data.chunks(37) {
                     fresh.update(chunk);
                 }
-                let mut recycled = fx.begin_flow(1024);
-                recycled.update(&junk);
-                fx.reset_flow(&mut recycled, 1024);
-                assert_eq!(recycled.total_bytes(), 0, "{mode:?}");
-                for chunk in data.chunks(37) {
-                    recycled.update(chunk);
+                // A window session, sized for speed, recycles the same way.
+                for mut recycled in [fx.begin_flow(1024), fx.begin_window(1024)] {
+                    recycled.update(&junk);
+                    fx.reset_flow(&mut recycled, 1024);
+                    assert_eq!(recycled.total_bytes(), 0, "{mode:?}");
+                    for chunk in data.chunks(37) {
+                        recycled.update(chunk);
+                    }
+                    assert_eq!(recycled.finish(), fresh.finish(), "{mode:?} battery={battery}");
                 }
-                assert_eq!(recycled.finish(), fresh.finish(), "{mode:?} battery={battery}");
             }
         }
     }

@@ -3,22 +3,30 @@
 //! Per packet: hash the header into a flow ID and look the flow up in
 //! the [flow table](crate::cdb) — the one per-flow map the pipeline
 //! has. A classified slot is a CDB hit: forward to the flow's output
-//! queue. A pending (or new) slot folds the payload into the flow's
-//! *incremental feature state*; once `b` classification-window bytes
-//! have streamed through — or the flow goes idle — finish the entropy
-//! vector, classify, turn the slot into a CDB record, and drain the
-//! flow to the right queue. FIN/RST packets remove CDB records.
+//! queue. A pending (or new) slot appends the payload to the flow's
+//! buffer; once `b` classification-window bytes are in — or the flow
+//! goes idle or closes — compute the entropy vector, classify, turn the
+//! slot into a CDB record, and drain the flow to the right queue.
+//! FIN/RST packets remove CDB records.
 //!
 //! There is one packet state machine, [`Iustitia::process_batch`]:
 //! consecutive packets of one flow share the slot lookup, and
 //! [`Iustitia::process_packet`] is a batch of one.
 //!
-//! Pending flows do **not** hold their payload: a flow buffers raw
-//! bytes only while the [`HeaderPolicy`] skip/strip decision is still
-//! unresolved (bounded by the buffer capacity, and only under
-//! [`HeaderPolicy::StripKnown`]). Once resolved, per-flow heap is the
-//! feature state alone — O(distinct grams) in exact mode, the fixed
-//! `g·z` sketch in estimated mode — independent of `b`.
+//! A pending flow holds what Fig. 1 buffers: its first payload bytes —
+//! the raw prefix while the [`HeaderPolicy`] skip/strip decision is
+//! open (only under [`HeaderPolicy::StripKnown`]), then its window of
+//! at most `b` bytes past the header — in one buffer reserved at
+//! [`buffer_capacity`](Iustitia::buffer_capacity), plus its own
+//! randomness battery (2 KiB of fixed counts) when the battery is on.
+//! It holds no gram counters. Each pipeline owns one warm set of
+//! entropy tables, sized for speed because there is only one, and
+//! counts a flow's window in it when the flow is probed or concludes.
+//! The set remembers which flow *incarnation* it holds and how many of
+//! its bytes it has counted, so successive probes of one flow feed only
+//! the new bytes; any other flow clears it and counts from the start.
+//! Every feature is an exact integer sum, so no feeding order or table
+//! sizing can move a bit of a verdict.
 
 #![warn(clippy::disallowed_methods)]
 
@@ -31,7 +39,7 @@ use iustitia_corpus::{scan_application_header, strip_application_header, FileCla
 use iustitia_netsim::{FiveTuple, Packet, TcpFlags};
 
 use crate::cdb::{CdbConfig, ClassificationDatabase, FlowId, FlowIdMemo, PendingFlow, Slot};
-use crate::features::{FeatureExtractor, FeatureMode};
+use crate::features::{FeatureExtractor, FeatureMode, FlowFeatureState};
 use crate::model::{AnytimeModel, CompiledNatureModel, NatureModel};
 use iustitia_entropy::FeatureWidths;
 use iustitia_ml::ConfidenceModel;
@@ -344,21 +352,26 @@ pub struct Iustitia {
     /// Flow IDs [`process_packet`](Self::process_packet) has already
     /// hashed; empty in a pipeline fed only precomputed IDs.
     flow_memo: FlowIdMemo,
-    extractor: FeatureExtractor,
+    /// The one warm table set that counts pending flows' windows.
+    window: WindowCounter,
+    /// Flow slots made so far: the next slot's incarnation.
+    incarnations: u64,
     rng: StdRng,
     queues: QueueCounters,
     log: Vec<ClassifiedFlow>,
-    /// Running sum of every pending flow's resident bytes.
+    /// Running sum of every pending flow's resident bytes (buffered
+    /// payload plus battery).
     resident: usize,
     /// Timestamp of the last opportunistic idle sweep.
     last_sweep: f64,
-    /// Free list of flow states from concluded flows: new flows reset
-    /// and reuse these instead of allocating, so steady-state packet
-    /// processing touches the allocator only while the pool is warming.
-    /// Boxed because the table's slots take and return them as boxes.
+    /// Free list of slots from concluded flows: new flows restart and
+    /// reuse these (buffer and battery included) instead of allocating,
+    /// so steady-state packet processing touches the allocator only
+    /// while the pool is warming. Boxed because the table's slots take
+    /// and return them as boxes.
     #[allow(clippy::vec_box)]
     pool: Vec<Box<PendingFlow>>,
-    /// Number of flows whose feature state came from the pool.
+    /// Number of flows whose slot came from the pool.
     pool_hits: u64,
     /// Scratch for the finished feature vector of the flow being
     /// classified, so steady-state classification never allocates.
@@ -380,29 +393,95 @@ pub struct Iustitia {
     early_exits: u64,
     /// Scratch for the estimated sketches' per-finish median buffers,
     /// so neither probes nor conclusions allocate (see
-    /// `FlowFeatureState::finish_into`).
+    /// [`FlowFeatureState::finish_into`]).
     means_scratch: Vec<f64>,
 }
 
-/// Upper bound on pooled flow states, so a burst of concurrent flows
-/// cannot pin its high-water mark of histogram tables forever. 256
-/// comfortably covers the steady-state pending-flow count of every
-/// bench/serve configuration.
+/// The pipeline's one set of entropy tables, and whose window it holds.
 ///
-/// What a full pool retains, per pipeline (so per shard), is 256 × the
-/// heap of one feature state — with the `φ′_SVM` widths, 150,688 B
-/// (147 KiB) at `b = 2048` and 5,536 B (5.4 KiB) at `b = 32`
-/// (`tests/pool_alloc.rs` bounds both): 36.8 MiB and 1.4 MiB. That is
-/// real heap, not `resident_bytes()`, which is the paper's per-counter
-/// accounting.
+/// A pending flow keeps its window bytes, not counters; the set counts
+/// them when the flow is probed or concludes. It remembers the flow
+/// *incarnation* it last counted and how many of that window's bytes,
+/// so the next probe or the conclusion of the same incarnation feeds
+/// only the bytes that are new, and any other flow clears the set and
+/// feeds its window from the start. Keyed by incarnation, never by
+/// [`FlowId`]: a tuple that closes and reopens is a new flow whose
+/// window starts over.
+#[derive(Debug)]
+struct WindowCounter {
+    /// Battery off: the battery is per flow.
+    extractor: FeatureExtractor,
+    /// A [`FeatureExtractor::begin_window`] session.
+    tables: FlowFeatureState,
+    /// The incarnation whose window prefix the tables hold; `None` when
+    /// they are clear.
+    holder: Option<u64>,
+    /// Bytes of `holder`'s window counted so far.
+    counted: usize,
+    /// The classification window `b` the tables are sized for.
+    b: usize,
+}
+
+impl WindowCounter {
+    fn new(extractor: FeatureExtractor, b: usize) -> Self {
+        let tables = extractor.begin_window(b);
+        WindowCounter { extractor, tables, holder: None, counted: 0, b }
+    }
+
+    /// Writes the feature vector of `flow`'s window so far into `out`:
+    /// its entropy vector from the shared tables, then its battery's
+    /// features. Allocation-free once `out` and `means` are warm.
+    fn features_of(&mut self, flow: &PendingFlow, out: &mut Vec<f64>, means: &mut Vec<f64>) {
+        if self.holder != Some(flow.incarnation) {
+            self.clear();
+            self.holder = Some(flow.incarnation);
+        }
+        if let Some(fresh) = flow.buf.get(self.counted..) {
+            self.tables.update(fresh);
+        }
+        self.counted = flow.buf.len();
+        self.tables.finish_into(out, means);
+        if let Some(battery) = &flow.battery {
+            out.extend(battery.finish());
+        }
+    }
+
+    /// Clears the tables if they hold `incarnation`'s window: its flow
+    /// has concluded.
+    fn release(&mut self, incarnation: u64) {
+        if self.holder == Some(incarnation) {
+            self.clear();
+        }
+    }
+
+    fn clear(&mut self) {
+        if self.holder.take().is_some() {
+            self.extractor.reset_flow(&mut self.tables, self.b);
+        }
+        self.counted = 0;
+    }
+}
+
+/// Upper bound on pooled flow slots, so a burst of concurrent flows
+/// cannot pin its high-water mark of buffers forever. 256 comfortably
+/// covers the steady-state pending-flow count of every bench/serve
+/// configuration.
+///
+/// What a full pool retains, per pipeline (so per shard), is 256 × one
+/// slot: its 112-byte box, a buffer of
+/// [`buffer_capacity`](Iustitia::buffer_capacity) bytes and, with the
+/// battery on, the battery's 2,240 B — 4,400 B at `b = 2048` with the
+/// battery and 144 B at `b = 32` without, so 1.1 MiB and 36 KiB
+/// (`tests/pending_footprint.rs` bounds a pending flow's heap). The one
+/// warm table set comes on top, once per pipeline.
 const MAX_POOLED_STATES: usize = 256;
 
 impl Iustitia {
     /// Builds a pipeline around a trained model.
     pub fn new(model: NatureModel, config: PipelineConfig) -> Self {
         let extractor =
-            FeatureExtractor::new(config.widths.clone(), config.mode.clone(), config.seed)
-                .with_battery(config.battery);
+            FeatureExtractor::new(config.widths.clone(), config.mode.clone(), config.seed);
+        let window = WindowCounter::new(extractor, config.buffer_size);
         let cdb = ClassificationDatabase::new(config.cdb);
         let rng = StdRng::seed_from_u64(config.seed ^ 0xDEFE45E);
         let compiled = model.compile();
@@ -412,7 +491,8 @@ impl Iustitia {
             compiled,
             cdb,
             flow_memo: FlowIdMemo::new(),
-            extractor,
+            window,
+            incarnations: 0,
             rng,
             queues: QueueCounters::default(),
             log: Vec::new(),
@@ -440,8 +520,10 @@ impl Iustitia {
         self
     }
 
-    /// Probes one buffering flow's partial feature vector: finish it
-    /// into scratch, predict with margin using the stage model fitted
+    /// Probes one buffering flow's partial feature vector: count its
+    /// window into the shared tables (only the bytes since the last
+    /// probe, when the tables still hold this flow) and finish it into
+    /// scratch, predict with margin using the stage model fitted
     /// nearest below `fed`, score against the centroid stages, and
     /// return the label when the score clears `threshold` AND the
     /// previous probe of this flow predicted the same label (the
@@ -454,30 +536,32 @@ impl Iustitia {
         confidence: &ConfidenceModel,
         threshold: f64,
         stages: &mut [(u64, CompiledNatureModel)],
+        window: &mut WindowCounter,
         flow: &mut PendingFlow,
         feature_scratch: &mut Vec<f64>,
         means_scratch: &mut Vec<f64>,
     ) -> Option<FileClass> {
+        let fed = flow.buf.len() as u64;
         // The stage fitted nearest below `fed` bytes (the first when
         // `fed` undershoots them all), mirroring the centroid stage
         // selection inside `ConfidenceModel::score`.
         let mut idx = 0;
         for (i, (bytes, _)) in stages.iter().enumerate() {
-            if *bytes <= flow.fed as u64 {
+            if *bytes <= fed {
                 idx = i;
             } else {
                 break;
             }
         }
         let (_, stage) = stages.get_mut(idx)?;
-        flow.features.finish_into(feature_scratch, means_scratch);
+        window.features_of(flow, feature_scratch, means_scratch);
         let (label, margin) = stage.try_predict_with_margin(feature_scratch).ok()?;
         let agreed = flow.last_probe == Some(label);
         flow.last_probe = Some(label);
         if !agreed {
             return None;
         }
-        let score = confidence.score(feature_scratch, flow.fed as u64, label.index(), margin);
+        let score = confidence.score(feature_scratch, fed, label.index(), margin);
         (score >= threshold).then_some(label)
     }
 
@@ -510,21 +594,24 @@ impl Iustitia {
         self.cdb.pending_len()
     }
 
-    /// Estimated heap bytes resident across all pending flows' feature
-    /// state and header staging buffers (maintained incrementally; the
-    /// quantity the §4.4 estimation trades against).
+    /// Bytes pending flows hold for classification: their buffered
+    /// payload (raw prefix or window, at most
+    /// [`buffer_capacity`](Self::buffer_capacity) each) plus, with the
+    /// battery on, each flow's fixed battery state. Maintained
+    /// incrementally; 0 once every flow has concluded. The pipeline's
+    /// one warm table set is not in it: it does not grow with flows.
     pub fn resident_feature_bytes(&self) -> usize {
         self.resident
     }
 
-    /// Number of flows whose state was recycled from the pool
-    /// instead of freshly allocated (a steady-state pipeline trends
-    /// toward `pool_hits ≈ flows classified`).
+    /// Number of flows whose slot (buffer and battery) was recycled
+    /// from the pool instead of freshly allocated (a steady-state
+    /// pipeline trends toward `pool_hits ≈ flows classified`).
     pub fn state_pool_hits(&self) -> u64 {
         self.pool_hits
     }
 
-    /// Flow states currently parked on the free list.
+    /// Flow slots currently parked on the free list.
     pub fn state_pool_size(&self) -> usize {
         self.pool.len()
     }
@@ -583,7 +670,7 @@ impl Iustitia {
     ///
     /// Consecutive packets of one flow form a *run*, which resolves the
     /// flow's table slot once per phase instead of once per packet and
-    /// streams payload slices back-to-back into the same feature state.
+    /// appends payload slices back-to-back to the same buffer.
     ///
     /// **Batching invariance:** the verdict sequence, every gauge and
     /// counter, the table contents and the classification log depend
@@ -619,6 +706,7 @@ impl Iustitia {
         let idle_timeout = self.config.idle_timeout;
         let b = self.config.buffer_size;
         let capacity = self.buffer_capacity();
+        let battery = self.config.battery;
         let policy = self.config.header_policy;
         let anytime = self.config.anytime;
         while let Some((first, tail)) = rest.split_first() {
@@ -650,12 +738,11 @@ impl Iustitia {
                 Entry::Vacant(entry) => {
                     created = true;
                     let mut state = match self.pool.pop() {
-                        Some(mut state) => {
-                            self.extractor.reset_flow(&mut state.features, b);
+                        Some(state) => {
                             self.pool_hits += 1;
                             state
                         }
-                        None => PendingFlow::boxed(self.extractor.begin_flow(b), first.tuple()),
+                        None => PendingFlow::boxed(capacity, battery, first.tuple()),
                     };
                     // Every policy except StripKnown knows its skip up
                     // front, so those flows stream from the first byte
@@ -667,7 +754,8 @@ impl Iustitia {
                         HeaderPolicy::RandomSkip { t_max } => self.rng.gen_range(0..=t_max),
                     };
                     let streaming = !matches!(policy, HeaderPolicy::StripKnown { .. });
-                    state.restart(first.tuple(), streaming, skip, now);
+                    state.restart(first.tuple(), self.incarnations, streaming, skip, now);
+                    self.incarnations += 1;
                     entry.insert(Slot::Pending(state))
                 }
             };
@@ -695,8 +783,8 @@ impl Iustitia {
                     }
                     None
                 }
-                // The flow is pending: stream payload into its state
-                // until the window fills or a probe is confident.
+                // The flow is pending: buffer its payload until the
+                // window fills or a probe is confident.
                 Slot::Pending(state) => {
                     let mut ending = None;
                     while let Some((p, after)) = next {
@@ -705,9 +793,8 @@ impl Iustitia {
                         state.last_ts = t;
                         state.owner = p.owner();
                         self.queues.buffered += 1;
-                        // A fresh estimated-mode flow allocates its
-                        // sketch trackers up front, so a new flow
-                        // contributes its entire resident footprint, not
+                        // A new flow contributes its entire resident
+                        // footprint (its battery before any byte), not
                         // a delta from a prior value.
                         let before = if created { 0 } else { state.resident_bytes() };
                         created = false;
@@ -728,9 +815,9 @@ impl Iustitia {
                         // capacity` classifies those flows from what
                         // fits.
                         let full = if state.streaming {
-                            state.fed >= b || state.seen >= capacity
+                            state.buf.len() >= b || state.seen >= capacity
                         } else {
-                            state.staging.len() >= capacity
+                            state.buf.len() >= capacity
                         };
                         if full {
                             ending = Some((t, None));
@@ -742,14 +829,14 @@ impl Iustitia {
                         if let (Some(any), Some(am), true) =
                             (anytime, &self.anytime_model, state.streaming)
                         {
-                            if state.fed >= any.min_bytes
-                                && state.fed - state.probed >= any.probe_stride
-                            {
-                                state.probed = state.fed;
+                            let fed = state.buf.len();
+                            if fed >= any.min_bytes && fed - state.probed >= any.probe_stride {
+                                state.probed = fed;
                                 if let Some(label) = Self::probe_anytime(
                                     &am.confidence,
                                     any.threshold,
                                     &mut self.anytime_compiled,
+                                    &mut self.window,
                                     state,
                                     &mut self.feature_scratch,
                                     &mut self.means_scratch,
@@ -791,40 +878,63 @@ impl Iustitia {
     }
 
     /// Appends `intake` to a staging flow's raw prefix; once the header
-    /// scan resolves, replays the prefix into the feature state and
-    /// leaves the flow streaming.
+    /// scan resolves, turns the prefix into the flow's window.
     fn stage(state: &mut PendingFlow, intake: &[u8], policy: HeaderPolicy, b: usize) {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "staging holds only the bounded pre-resolution prefix, then streams"
-        )]
-        // lint: allow(L009) — staging buffers only the bounded pre-resolution prefix, once per flow
-        state.staging.extend_from_slice(intake);
-        state.skip_remaining = match scan_application_header(&state.staging) {
+        Self::buffer(state, intake);
+        let skip = match scan_application_header(&state.buf) {
             HeaderScan::Resolved(_, offset) => offset,
             // Unknown application: the threshold-T fallback is final.
             HeaderScan::Unknown => policy.allowance(),
             HeaderScan::NeedMore => return,
         };
-        state.streaming = true;
-        let staged = std::mem::take(&mut state.staging);
-        Self::feed(state, &staged, b);
-        state.staging = staged;
-        state.staging.clear();
+        Self::open_window(state, skip, b);
     }
 
-    /// Discards `skip_remaining` leading bytes of `chunk`, then feeds
-    /// up to the remaining classification window into the feature state.
+    /// Ends a flow's staging: drops the first `skip` bytes of the raw
+    /// prefix (the rest of `skip`, if the prefix is shorter, is dropped
+    /// from the bytes that follow), keeps at most `b` of what remains
+    /// as the window, feeds it to the battery, and leaves the flow
+    /// streaming.
+    fn open_window(state: &mut PendingFlow, skip: usize, b: usize) {
+        let dropped = skip.min(state.buf.len());
+        state.skip_remaining = skip - dropped;
+        // lint: allow(L008) — `dropped` is at most the buffer's length
+        state.buf.copy_within(dropped.., 0);
+        let window = (state.buf.len() - dropped).min(b);
+        state.buf.truncate(window);
+        if let Some(battery) = &mut state.battery {
+            battery.update(&state.buf);
+        }
+        state.streaming = true;
+    }
+
+    /// Discards `skip_remaining` leading bytes of `chunk`, then appends
+    /// up to the rest of the classification window to the flow's buffer
+    /// and battery.
     fn feed(state: &mut PendingFlow, chunk: &[u8], b: usize) {
         let skipped = state.skip_remaining.min(chunk.len());
         state.skip_remaining -= skipped;
         let window = chunk.get(skipped..).unwrap_or_default();
-        let take = b.saturating_sub(state.fed).min(window.len());
+        let take = b.saturating_sub(state.buf.len()).min(window.len());
         let fresh = window.get(..take).unwrap_or_default();
         if !fresh.is_empty() {
-            state.features.update(fresh);
-            state.fed += take;
+            Self::buffer(state, fresh);
+            if let Some(battery) = &mut state.battery {
+                battery.update(fresh);
+            }
         }
+    }
+
+    /// Appends `bytes` to the flow's buffer. Callers keep the buffer
+    /// within [`buffer_capacity`](Self::buffer_capacity), which it was
+    /// reserved at, so this never reallocates.
+    fn buffer(state: &mut PendingFlow, bytes: &[u8]) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the flow's buffer, reserved at the buffer capacity, is the one place payload accumulates"
+        )]
+        // lint: allow(L009) — the buffer is reserved at the buffer capacity and never grows past it
+        state.buf.extend_from_slice(bytes);
     }
 
     /// Classifies-or-drops every flow idle longer than the configured
@@ -857,38 +967,40 @@ impl Iustitia {
     /// Ends a pending flow (full window, confident probe, idle, close):
     /// renders its verdict — `early`, when a probe already did — turns
     /// its slot into a CDB record in place, logs the classification and
-    /// recycles the state. A flow with nothing to classify on, or whose
-    /// features the model cannot take, leaves the table without a
-    /// verdict. No-op for a flow that is not pending.
+    /// recycles the slot. A flow still staging is settled first: its
+    /// header is stripped if recognised, else the allowance skipped. A
+    /// flow with nothing to classify on, or whose features the model
+    /// cannot take, leaves the table without a verdict. No-op for a
+    /// flow that is not pending.
     fn conclude(&mut self, id: FlowId, now: f64, early: Option<FileClass>) -> Option<FileClass> {
-        let flow = self.cdb.pending(&id)?;
+        let flow = self.cdb.pending_mut(&id)?;
+        let held = flow.resident_bytes();
+        if !flow.streaming {
+            let skip = match strip_application_header(&flow.buf) {
+                Some((_, offset)) => offset,
+                None => self.config.header_policy.allowance(),
+            };
+            Self::open_window(flow, skip, self.config.buffer_size);
+        }
+        let incarnation = flow.incarnation;
         let label = early.or_else(|| {
-            if !flow.streaming {
-                // Header decision never resolved: classify one-shot from
-                // the staged prefix.
-                let payload = Self::staged_payload(&self.config, &flow.staging);
-                if payload.is_empty() {
-                    return None;
-                }
-                self.feature_scratch = self.extractor.extract(payload);
-            } else if flow.fed == 0 {
-                // All observed bytes were header/skip: nothing to
-                // classify on.
+            // All observed bytes were header/skip: nothing to classify on.
+            if flow.buf.is_empty() {
                 return None;
-            } else {
-                flow.features.finish_into(&mut self.feature_scratch, &mut self.means_scratch);
             }
+            self.window.features_of(flow, &mut self.feature_scratch, &mut self.means_scratch);
             // A model trained on a different feature width than the
             // pipeline extracts cannot render a verdict; such flows are
             // left unclassified rather than taking the hot path down
             // with a panic.
             self.compiled.try_predict(&self.feature_scratch).ok()
         });
+        self.window.release(incarnation);
         let state = match label {
             Some(label) => self.cdb.classify(id, label, now).0,
             None => self.cdb.evict(&id),
         }?;
-        self.resident -= state.resident_bytes();
+        self.resident -= held;
         if let Some(label) = label {
             self.queues.forward(label, u64::from(state.packets));
             self.early_exits += u64::from(early.is_some());
@@ -907,20 +1019,6 @@ impl Iustitia {
             self.pool.push(state);
         }
         label
-    }
-
-    /// Applies the header policy to a still-staged prefix, yielding the
-    /// `b` bytes the entropy vector is computed over (the one-shot
-    /// fallback for flows evicted before their header resolved; only
-    /// [`HeaderPolicy::StripKnown`] flows stage).
-    fn staged_payload<'a>(config: &PipelineConfig, data: &'a [u8]) -> &'a [u8] {
-        let start = match strip_application_header(data) {
-            Some((_, offset)) => offset,
-            None => config.header_policy.allowance(),
-        }
-        .min(data.len());
-        let end = (start + config.buffer_size).min(data.len());
-        data.get(start..end).unwrap_or_default()
     }
 }
 
@@ -1260,8 +1358,8 @@ mod tests {
         assert_eq!((log[0].tuple, log[0].owner), (tuple(2), 0));
     }
 
-    /// Flow-state pooling: a classified flow's feature state must be
-    /// recycled into the next flow, with identical verdicts.
+    /// Slot pooling: a classified flow's slot must be recycled into
+    /// the next flow, with identical verdicts.
     #[test]
     fn flow_state_pool_recycles_across_flows() {
         let mut ius = Iustitia::new(toy_model(), PipelineConfig::headline(17));
@@ -1321,30 +1419,6 @@ mod tests {
             }
         }
         assert!(right >= 14, "compressed streams classified as compressed: {right}/20");
-    }
-
-    /// The tentpole invariant: a pending flow's heap footprint is the
-    /// feature state (O(distinct grams)), not the payload (O(b)).
-    #[test]
-    fn pending_flow_state_does_not_scale_with_buffer_size() {
-        let config = PipelineConfig { buffer_size: 2048, ..PipelineConfig::headline(16) };
-        let mut ius = Iustitia::new(toy_model(), config);
-        let constant = vec![0x61u8; 1024];
-        assert_eq!(ius.process_packet(&data_packet(1, 0.0, &constant)), Verdict::Buffering);
-        assert_eq!(ius.process_packet(&data_packet(1, 0.1, &constant[..512])), Verdict::Buffering);
-        let resident = ius.resident_feature_bytes();
-        assert!(
-            resident > 0 && resident <= 8 * crate::features::BYTES_PER_COUNTER,
-            "1536 buffered bytes should be resident as a handful of gram \
-             counters, got {resident}B"
-        );
-        // Filling the window classifies and releases all state.
-        assert!(matches!(
-            ius.process_packet(&data_packet(1, 0.2, &constant[..512])),
-            Verdict::Classified(_)
-        ));
-        assert_eq!(ius.resident_feature_bytes(), 0);
-        assert_eq!(ius.pending_flows(), 0);
     }
 
     /// One `process_batch` call over a same-flow run: the first packets

@@ -326,6 +326,194 @@ fn process_packet_through_the_memo_matches_process_batch_past_capacity() {
     assert_eq!((batched.flow_memo_hits(), batched.flow_memo_misses()), (0, 0));
 }
 
+/// Models whose verdicts move with small changes in any feature: deep
+/// trees over the feature vectors of random payloads (1–2,048 bytes,
+/// alphabets of 1–256 byte values), labelled by fine bands of the
+/// vector's sum, so entropy state leaking from one flow into the next
+/// shows up as a changed label rather than hiding inside a coarse
+/// decision band. The same trees serve as the one anytime stage, whose
+/// probes then fire on two consecutive agreeing labels (threshold 0)
+/// or on a confident score.
+fn band_models(battery: bool) -> (NatureModel, AnytimeModel) {
+    let mut fx = FeatureExtractor::new(FeatureWidths::svm_selected(), FeatureMode::Exact, 1)
+        .with_battery(battery);
+    let mut ds = Dataset::new(fx.n_features(), FileClass::names());
+    let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut next = move |n: u64| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x % n
+    };
+    for _ in 0..800 {
+        let (len, alphabet) = (1 + next(2048), 1 + next(256));
+        let payload: Vec<u8> = (0..len).map(|_| next(alphabet) as u8).collect();
+        let row = fx.extract(&payload);
+        let band = (row.iter().sum::<f64>() * 40.0) as usize;
+        ds.push(row, band % FileClass::ALL.len());
+    }
+    let model = NatureModel::train(&ds, &ModelKind::paper_cart()).expect("every class present");
+    let anytime = AnytimeModel::new(
+        ConfidenceModel::fit(&[(8, &ds)], 0.0),
+        vec![AnytimeStageModel { bytes: 8, model: model.clone() }],
+    );
+    (model, anytime)
+}
+
+/// One life of a flow: its payload, cut into data packets, and whether
+/// a FIN ends it.
+#[derive(Debug, Clone)]
+struct FlowLife {
+    packets: Vec<Vec<u8>>,
+    closes: bool,
+}
+
+/// Payload over an alphabet of 1–256 byte values, so lives differ in
+/// entropy, cut into 1–9 packets of 1–699 bytes.
+fn arb_flow_life() -> impl Strategy<Value = FlowLife> {
+    (1u32..=256, any::<u64>(), proptest::collection::vec(1usize..700, 1..10), any::<bool>())
+        .prop_map(|(alphabet, seed, sizes, closes)| {
+            let mut x = seed | 1;
+            let packets = sizes
+                .iter()
+                .map(|&n| {
+                    (0..n)
+                        .map(|_| {
+                            x ^= x << 13;
+                            x ^= x >> 7;
+                            x ^= x << 17;
+                            ((x >> 32) as u32 % alphabet) as u8
+                        })
+                        .collect()
+                })
+                .collect();
+            FlowLife { packets, closes }
+        })
+}
+
+/// Each flow's `(label, packets, buffered_bytes)` per life, keyed by
+/// its tuple's port, from a pipeline's log.
+type Outcomes = std::collections::BTreeMap<u16, Vec<(FileClass, u32, usize)>>;
+
+fn outcomes(pipeline: &mut Iustitia, end: f64, into: &mut Outcomes) {
+    pipeline.sweep_idle(end);
+    for entry in pipeline.take_log() {
+        let outcome = (entry.label, entry.packets, entry.buffered_bytes);
+        into.entry(entry.tuple.src_port).or_default().push(outcome);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The pipeline counts every pending flow's window in one shared
+    /// table set, which remembers whose window it holds. Whatever flow
+    /// used it last — another flow, an earlier life of the same tuple
+    /// (closed and reopened), or nobody — a flow's verdict must not
+    /// change: trace order through `process_packet`, each flow alone in
+    /// a fresh pipeline, and `process_batch` over segments sorted by
+    /// flow (the order serve shards see) must agree on every flow's
+    /// label, packet count and buffered bytes, at `b = 32` and
+    /// `b = 2048`, with probes on and off. Gaps stay far below the idle
+    /// timeout, so a flow's own packet or close fires its verdict (the
+    /// last ones pending are swept at the end of each run).
+    #[test]
+    fn verdicts_do_not_depend_on_which_flow_last_used_the_shared_tables(
+        lives in proptest::collection::vec(arb_flow_life(), 2..13),
+        reopened in arb_flow_life(),
+        picks in proptest::collection::vec(any::<u16>(), 0..160),
+        cuts in proptest::collection::vec(1usize..32, 1..8),
+        large in any::<bool>(),
+        battery in any::<bool>(),
+        probe_sel in 0u8..3,
+    ) {
+        static MODELS: std::sync::LazyLock<[(NatureModel, AnytimeModel); 2]> =
+            std::sync::LazyLock::new(|| [band_models(false), band_models(true)]);
+        let (model, anytime) = &MODELS[usize::from(battery)];
+        let b = if large { 2048 } else { 32 };
+        let threshold = [None, Some(0.0), Some(0.6)][usize::from(probe_sel)];
+        let config = PipelineConfig {
+            buffer_size: b,
+            battery,
+            anytime: threshold.map(|threshold| AnytimeConfig { threshold, min_bytes: 8, probe_stride: 8 }),
+            ..PipelineConfig::headline(21)
+        };
+        let fresh = || Iustitia::new(model.clone(), config.clone()).with_anytime(anytime.clone());
+
+        // One packet stream per tuple. Tuple 0 lives twice: two closes
+        // end its first life whether or not it was classified by then
+        // (the first concludes a pending flow, the second removes the
+        // record), so its next data packet starts a new flow.
+        let tuple = |port: u16| {
+            FiveTuple::tcp(Ipv4Addr::new(10, 0, 0, 1), port, Ipv4Addr::new(192, 168, 1, 1), 443)
+        };
+        let fin = (TcpFlags::ACK | TcpFlags::FIN, Vec::new());
+        // At b = 32, packets of 1–24 bytes, so windows take several.
+        let cut = |p: &[u8]| if large { p.to_vec() } else { p[..1 + (p.len() - 1) % 24].to_vec() };
+        let stream = |life: &FlowLife| {
+            let data = life.packets.iter().map(|p| (TcpFlags::ACK, cut(p)));
+            data.chain(life.closes.then(|| fin.clone())).collect::<Vec<_>>()
+        };
+        let mut streams: Vec<Vec<(TcpFlags, Vec<u8>)>> = lives.iter().map(stream).collect();
+        streams[0].extend([fin.clone(), fin.clone()]);
+        streams[0].extend(stream(&reopened));
+
+        // A random merge that keeps each stream in order, 10 ms apart.
+        let mut next = vec![0usize; streams.len()];
+        let mut trace: Vec<(usize, Packet)> = Vec::new();
+        let mut pick = picks.iter().cycle();
+        loop {
+            let open: Vec<usize> = (0..streams.len()).filter(|&i| next[i] < streams[i].len()).collect();
+            if open.is_empty() {
+                break;
+            }
+            let i = open[usize::from(*pick.next().unwrap_or(&0)) % open.len()];
+            let (flags, payload) = streams[i][next[i]].clone();
+            next[i] += 1;
+            let timestamp = trace.len() as f64 * 0.01;
+            trace.push((i, Packet { timestamp, tuple: tuple(5000 + i as u16), flags, payload }));
+        }
+        let end = trace.len() as f64 * 0.01 + 60.0;
+        prop_assert!(end - 60.0 < config.idle_timeout, "no gap may reach the idle timeout");
+
+        let mut in_order = Outcomes::new();
+        let mut pipeline = fresh();
+        for (_, packet) in &trace {
+            pipeline.process_packet(packet);
+        }
+        outcomes(&mut pipeline, end, &mut in_order);
+
+        let mut alone = Outcomes::new();
+        for i in 0..streams.len() {
+            let mut pipeline = fresh();
+            for (_, packet) in trace.iter().filter(|(flow, _)| *flow == i) {
+                pipeline.process_packet(packet);
+            }
+            outcomes(&mut pipeline, end, &mut alone);
+        }
+
+        let mut sorted = Outcomes::new();
+        let mut pipeline = fresh();
+        let mut verdicts = Vec::new();
+        let mut rest: &[(usize, Packet)] = &trace;
+        for &cut in cuts.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (segment, after) = rest.split_at(cut.min(rest.len()));
+            let mut items: Vec<BatchPacket<'_>> = segment.iter().map(|(_, p)| BatchPacket::new(p)).collect();
+            items.sort_by_key(|item| item.flow);
+            pipeline.process_batch(&items, &mut verdicts);
+            rest = after;
+        }
+        outcomes(&mut pipeline, end, &mut sorted);
+
+        prop_assert_eq!(in_order.values().map(Vec::len).sum::<usize>(), streams.len() + 1, "every life gets one verdict");
+        prop_assert_eq!(&in_order, &alone, "trace order vs each flow alone");
+        prop_assert_eq!(&in_order, &sorted, "trace order vs sorted segments");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 

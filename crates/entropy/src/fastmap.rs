@@ -14,6 +14,10 @@
 //!   array only. The table also keeps `Σ c·log₂c` over its counts as it
 //!   counts ([`CounterTable::sum_c_log2_c`]), so a finish reads one
 //!   integer instead of the slot arrays.
+//! * [`PairTable`] — a dense array of 65,536 counters over 2-byte
+//!   grams with a list of the pairs seen: one indexed add per byte, for
+//!   the one table set a pipeline keeps warm, where its 256 KiB are
+//!   paid once rather than per flow. It keeps the same sum.
 //! * [`c_log2_c`] — `c·log₂c` in fixed point, `c·⌊log₂c · 2⁵²⌋`, from
 //!   an integer logarithm built into tables at compile time: sums of it
 //!   are exact, so no summation order can change them.
@@ -299,7 +303,21 @@ impl<K: GramKey> CounterTable<K> {
     /// Ensures room for `additional` further distinct keys at ≤ ½ load
     /// (one rehash now instead of a cascade of doublings later).
     pub fn reserve(&mut self, additional: usize) {
-        let needed = self.len.saturating_add(additional).saturating_mul(2);
+        self.reserve_slots(additional, 2);
+    }
+
+    /// Ensures room for `additional` further distinct keys at ≤ ⅛ load,
+    /// where a miss ends after ≈ 1.1 probes instead of ≈ 2.5: for a
+    /// table that is kept warm and reused, where speed matters more
+    /// than its footprint.
+    pub fn reserve_sparse(&mut self, additional: usize) {
+        self.reserve_slots(additional, 8);
+    }
+
+    /// Grows the table to at least `slots_per_key` slots per key once
+    /// `additional` more keys are in.
+    fn reserve_slots(&mut self, additional: usize, slots_per_key: usize) {
+        let needed = self.len.saturating_add(additional).saturating_mul(slots_per_key);
         if needed > self.counts.len() {
             self.rehash(needed.next_power_of_two().max(INITIAL_CAPACITY));
         }
@@ -435,6 +453,133 @@ impl<K: GramKey> PartialEq for CounterTable<K> {
 }
 
 impl<K: GramKey> Eq for CounterTable<K> {}
+
+/// Number of distinct 2-byte grams.
+const PAIRS: usize = 1 << 16;
+
+/// A dense counter array over 2-byte grams: 65,536 `u32` counts indexed
+/// by the packed pair, so counting a pair is one indexed add — no hash,
+/// no probe.
+///
+/// Like [`CounterTable`] it keeps `Σ T(count)` as it counts, with the
+/// same `Δ(count)` steps, and its counts saturate at `u32::MAX` the same
+/// way, so the two give bit-identical sums for the same multiset. A
+/// list of the pairs seen, in first-seen order, lets
+/// [`clear`](Self::clear) and [`iter`](Self::iter) touch only the
+/// counters that were counted, never the 256 KiB array.
+///
+/// Both arrays are allocated zeroed up front (384 KiB of address space,
+/// of which only the pages a window touches are ever written): this is
+/// the tier of one table set kept warm and reused, not of a table per
+/// flow.
+///
+/// # Examples
+///
+/// ```
+/// use iustitia_entropy::fastmap::PairTable;
+///
+/// let mut t = PairTable::new();
+/// t.increment(0x6162);
+/// t.increment(0x6162);
+/// t.increment(0x6263);
+/// assert_eq!((t.get(0x6162), t.get(0x6263), t.len()), (2, 1, 2));
+/// ```
+#[derive(Debug, Clone)]
+pub struct PairTable {
+    /// `counts[pair]` = occurrences of `pair`; `PAIRS` entries.
+    counts: Box<[u32]>,
+    /// `seen[..len]` lists every pair with a non-zero count once, in
+    /// first-seen order; the rest is junk. `PAIRS` entries.
+    seen: Box<[u16]>,
+    /// Distinct pairs counted.
+    len: usize,
+    /// `Σ T(count)` over the pairs (below 2¹²², as for [`CounterTable`]).
+    sum: u128,
+}
+
+impl PairTable {
+    /// An empty table with both arrays allocated (zeroed).
+    #[must_use]
+    pub fn new() -> Self {
+        PairTable {
+            // lint: allow(L009) — built once per pipeline; reset_flow reaches it only for a session of another mode, which the pipeline never hands it
+            counts: vec![0; PAIRS].into_boxed_slice(),
+            // lint: allow(L009) — built once per pipeline; reset_flow reaches it only for a session of another mode, which the pipeline never hands it
+            seen: vec![0; PAIRS].into_boxed_slice(),
+            len: 0,
+            sum: 0,
+        }
+    }
+
+    /// Adds 1 to the count of `pair`.
+    ///
+    /// Every call writes `pair` to the seen list's next free cell; only
+    /// a first occurrence advances past it. Once all 65,536 pairs are
+    /// listed there is no free cell and the write is skipped.
+    #[inline]
+    pub fn increment(&mut self, pair: u16) {
+        if let Some(count) = self.counts.get_mut(usize::from(pair)) {
+            if let Some(next) = self.seen.get_mut(self.len) {
+                *next = pair;
+            }
+            let before = *count;
+            *count = before.saturating_add(1);
+            self.len = self.len.saturating_add(usize::from(before == 0));
+            // As in `CounterTable::increment`: a first occurrence adds
+            // Δ(1) = 0 and a saturated count stays put.
+            if (1..u32::MAX).contains(&before) {
+                self.sum = self.sum.wrapping_add(u128::from(delta(*count)));
+            }
+        }
+    }
+
+    /// The count of `pair` (0 if never incremented).
+    #[must_use]
+    pub fn get(&self, pair: u16) -> u64 {
+        self.counts.get(usize::from(pair)).map_or(0, |&count| u64::from(count))
+    }
+
+    /// Number of distinct pairs.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no pair has been counted yet.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Empties the table, zeroing only the counters its seen list names.
+    pub fn clear(&mut self) {
+        for &pair in self.seen.iter().take(self.len) {
+            if let Some(count) = self.counts.get_mut(usize::from(pair)) {
+                *count = 0;
+            }
+        }
+        self.len = 0;
+        self.sum = 0;
+    }
+
+    /// `Σ T(count)` over every pair ([`c_log2_c`]), kept as the table
+    /// counts.
+    #[must_use]
+    pub fn sum_c_log2_c(&self) -> u128 {
+        self.sum
+    }
+
+    /// Iterates over `(pair, count)` in first-seen order.
+    pub fn iter(&self) -> impl Iterator<Item = (u16, u64)> + '_ {
+        self.seen.iter().take(self.len).map(|&pair| (pair, self.get(pair)))
+    }
+}
+
+impl Default for PairTable {
+    fn default() -> Self {
+        Self::new()
+    }
+}
 
 /// A [`Hasher`] running the Fx round function over the written words.
 ///
@@ -672,6 +817,54 @@ mod tests {
         assert_eq!(t.get(42), u64::from(u32::MAX), "saturates instead of wrapping to empty");
         assert_eq!(t.len(), 1);
         assert_eq!(t.sum_c_log2_c(), sum, "a saturated count adds nothing");
+    }
+
+    #[test]
+    fn sparse_reservation_keeps_an_eighth_load() {
+        let mut t = CounterTable::<u64>::new();
+        t.reserve_sparse(2047);
+        assert_eq!(t.capacity(), 16_384);
+        (0..2047u64).for_each(|k| t.increment(k));
+        assert_eq!(t.capacity(), 16_384, "no rehash up to the reservation");
+        t.reserve(100);
+        assert_eq!(t.capacity(), 16_384, "a ½-load reserve never shrinks it");
+    }
+
+    #[test]
+    fn pair_counts_saturate_at_u32_max_like_the_open_table() {
+        let mut dense = PairTable::new();
+        let mut open = CounterTable::<u64>::new();
+        dense.increment(42);
+        open.increment(42);
+        dense.counts[42] = u32::MAX - 1;
+        let slot = open.slot_of(42);
+        open.counts[slot] = u32::MAX - 1;
+        dense.increment(42);
+        open.increment(42);
+        assert_eq!(dense.get(42), u64::from(u32::MAX));
+        assert_eq!(dense.sum_c_log2_c(), open.sum_c_log2_c(), "the same Δ step");
+        let sum = dense.sum_c_log2_c();
+        dense.increment(42);
+        assert_eq!(dense.get(42), u64::from(u32::MAX), "saturates instead of wrapping to empty");
+        assert_eq!((dense.len(), dense.sum_c_log2_c()), (1, sum), "a saturated count adds nothing");
+        dense.clear();
+        assert_eq!((dense.get(42), dense.len(), dense.sum_c_log2_c()), (0, 0, 0));
+        dense.increment(42);
+        assert_eq!(dense.iter().collect::<Vec<_>>(), vec![(42, 1)]);
+    }
+
+    #[test]
+    fn a_full_seen_list_still_clears_every_pair() {
+        let mut t = PairTable::new();
+        for pair in (0..=u16::MAX).chain([7, 7, u16::MAX]) {
+            t.increment(pair);
+        }
+        assert_eq!(t.len(), PAIRS);
+        assert_eq!(t.get(7), 3);
+        assert_eq!(t.sum_c_log2_c(), c_log2_c(3) + c_log2_c(2));
+        t.clear();
+        assert!(t.counts.iter().all(|&c| c == 0));
+        assert!(t.is_empty());
     }
 
     #[test]

@@ -7,29 +7,34 @@
 //! ([`crate::vector`]) and the divergence measures ([`crate::divergence`]).
 //!
 //! Counting is the per-byte hot path of the whole system (§4 of the
-//! paper demands it be near-memcpy cheap) and every pending flow owns
-//! one histogram per feature width, so storage is sized by what a flow
-//! can put into it, in two tiers:
+//! paper demands it be near-memcpy cheap). Storage comes in tiers,
+//! chosen per width when the histogram is built:
 //!
 //! * `k = 1` — a dense `[u64; 256]` array (2 KiB): one indexed add per
 //!   byte, plus a 256-byte list of the bytes seen so far, in first-seen
 //!   order, so a finish or a reset visits only the counters the window
 //!   touched (≤ 32 at `b = 32`).
-//! * `k ≥ 2` — the open-addressing Fx-hashed [`CounterTable`], keyed by
-//!   `u64` for `k ≤ 8` and by `u128` above, reserved for the windows
-//!   the caller announces ([`GramHistogram::reserve_bytes`]): 12 bytes
-//!   per slot at ≤ ½ load, so 48 KiB per width for a 2 KiB
-//!   classification window and under 1 KiB for a 32-byte one.
+//! * `k ≥ 2`, thrifty ([`GramHistogram::new`]) — the open-addressing
+//!   Fx-hashed [`CounterTable`], keyed by `u64` for `k ≤ 8` and by
+//!   `u128` above, reserved for the windows the caller announces
+//!   ([`GramHistogram::reserve_bytes`]): 12 bytes per slot at ≤ ½ load,
+//!   so 48 KiB per width for a 2 KiB window and under 1 KiB for a
+//!   32-byte one.
+//! * sized for speed ([`GramHistogram::for_window`]) — for a histogram
+//!   that is kept warm and reused, window after window, as the flow
+//!   pipeline's one table set is: `k = 2` takes the dense
+//!   [`PairTable`] (one indexed add per byte), and wider `k` take open
+//!   tables reserved at ≤ ⅛ load.
 //!
-//! Both sit behind the same API, and both form `Σ c·log₂c` as an exact
-//! integer, the sum of [`c_log2_c`] over the counts: the open tables
+//! All of them sit behind the same API, and all form `Σ c·log₂c` as an
+//! exact integer, the sum of [`c_log2_c`] over the counts: the tables
 //! keep theirs as they count, so a finish reads one integer, and the
-//! dense tier adds the counters of its seen list on the spot. Integer
+//! `k = 1` tier adds the counters of its seen list on the spot. Integer
 //! addition has no order to depend on, so every float the crate
 //! derives from a histogram is bit-identical across tiers, capacities
 //! and feeding histories.
 
-use crate::fastmap::{c_log2_c, CounterTable, GramKey, FRAC_BITS};
+use crate::fastmap::{c_log2_c, CounterTable, GramKey, PairTable, FRAC_BITS};
 
 /// A frequency histogram of the `k`-byte grams of a byte sequence.
 ///
@@ -71,6 +76,8 @@ enum Store {
         /// Number of non-zero entries.
         distinct: u32,
     },
+    /// `k = 2`, sized for speed: dense pair-indexed counters.
+    Pairs(PairTable),
     /// `2 ≤ k ≤ 8`: open table over `u64` keys.
     Narrow(CounterTable<u64>),
     /// `9 ≤ k ≤ 16`: open table over `u128` keys.
@@ -87,9 +94,21 @@ impl Store {
         }
     }
 
+    /// Turns a fresh `k`-gram store into the tier sized for speed, for
+    /// `windows` grams: `k = 2` dense, wider `k` reserved at ≤ ⅛ load.
+    fn size_for_speed(&mut self, k: usize, windows: usize) {
+        match self {
+            Store::Narrow(_) if k == 2 => *self = Store::Pairs(PairTable::new()),
+            Store::Narrow(table) => table.reserve_sparse(windows),
+            Store::Wide(table) => table.reserve_sparse(windows),
+            Store::Dense1 { .. } | Store::Pairs(_) => {}
+        }
+    }
+
     fn get(&self, key: u128) -> u64 {
         match self {
             Store::Dense1 { counts, .. } => counts.get(key as usize).copied().unwrap_or(0),
+            Store::Pairs(table) => table.get(key as u16),
             Store::Narrow(table) => table.get(u64::truncate(key)),
             Store::Wide(table) => table.get(key),
         }
@@ -98,23 +117,24 @@ impl Store {
     fn distinct(&self) -> usize {
         match self {
             Store::Dense1 { distinct, .. } => *distinct as usize,
+            Store::Pairs(table) => table.len(),
             Store::Narrow(table) => table.len(),
             Store::Wide(table) => table.len(),
         }
     }
 
     /// Makes room for `windows` more grams without a mid-stream rehash.
-    /// No-op on the dense tier (already full-alphabet).
+    /// No-op on the dense tiers (already full-alphabet).
     fn reserve(&mut self, windows: usize) {
         match self {
-            Store::Dense1 { .. } => {}
+            Store::Dense1 { .. } | Store::Pairs(_) => {}
             Store::Narrow(table) => table.reserve(windows),
             Store::Wide(table) => table.reserve(windows),
         }
     }
 
     /// Resets every counter while keeping allocations (pool recycling).
-    /// The dense tier zeroes only the counters its seen list names.
+    /// The dense tiers zero only the counters their seen lists name.
     fn clear(&mut self) {
         match self {
             Store::Dense1 { counts, seen, distinct } => {
@@ -125,6 +145,7 @@ impl Store {
                 }
                 *distinct = 0;
             }
+            Store::Pairs(table) => table.clear(),
             Store::Narrow(table) => table.clear(),
             Store::Wide(table) => table.clear(),
         }
@@ -179,6 +200,21 @@ impl GramHistogram {
         GramHistogram { k, store: Store::for_width(k), windows: 0 }
     }
 
+    /// Creates an empty histogram for `k`-byte grams sized for speed
+    /// over windows of up to `bytes` bytes (see the module docs): the
+    /// storage of a histogram that is kept warm and reused, not of one
+    /// per flow. Counts the same multisets, to the same bits, as
+    /// [`new`](Self::new).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0` or `k > 16`.
+    pub fn for_window(k: usize, bytes: usize) -> Self {
+        let mut h = Self::new(k);
+        h.store.size_for_speed(k, h.windows_in(bytes));
+        h
+    }
+
     /// Builds the histogram of all `k`-grams of `data`.
     ///
     /// If `data.len() < k` the histogram is empty.
@@ -194,9 +230,15 @@ impl GramHistogram {
     /// the alphabet size `256^k` — no input has more distinct grams
     /// than either.
     pub fn reserve_bytes(&mut self, bytes: usize) {
+        self.store.reserve(self.windows_in(bytes));
+    }
+
+    /// The most distinct grams `bytes` contiguous bytes can hold: their
+    /// windows, clamped to the alphabet size `256^k`.
+    fn windows_in(&self, bytes: usize) -> usize {
         let windows = bytes.saturating_sub(self.k - 1);
         let alphabet = 1usize.checked_shl(8 * self.k as u32).unwrap_or(usize::MAX);
-        self.store.reserve(windows.min(alphabet));
+        windows.min(alphabet)
     }
 
     /// Counts all `k`-grams of `data` into this histogram.
@@ -255,6 +297,18 @@ impl GramHistogram {
                         *distinct += u32::from(*c == 0);
                         *c += 1;
                     }
+                }
+            }
+            Store::Pairs(table) => {
+                // k == 2: the pair is the index; a `u16` key drops the
+                // older byte by itself.
+                let mut pair = prev_key as u16;
+                for &b in warm {
+                    pair = (pair << 8) | u16::from(b);
+                }
+                for &b in body {
+                    pair = (pair << 8) | u16::from(b);
+                    table.increment(pair);
                 }
             }
             Store::Narrow(table) => count_windows(table, self.k, prev_key, warm, body),
@@ -318,15 +372,21 @@ impl GramHistogram {
 
     /// Iterates over `(packed_gram, count)` pairs in arbitrary order.
     pub fn iter(&self) -> impl Iterator<Item = (u128, u64)> + '_ {
-        // Exactly one of the three is `Some`; the others chain in empty.
-        let (dense, narrow, wide) = match &self.store {
-            Store::Dense1 { counts, .. } => (Some(counts.iter()), None, None),
-            Store::Narrow(table) => (None, Some(table.iter()), None),
-            Store::Wide(table) => (None, None, Some(table.iter())),
+        // Exactly one of the four is `Some`; the others chain in empty.
+        let (dense, pairs, narrow, wide) = match &self.store {
+            Store::Dense1 { counts, .. } => (Some(counts.iter()), None, None, None),
+            Store::Pairs(table) => (None, Some(table.iter()), None, None),
+            Store::Narrow(table) => (None, None, Some(table.iter()), None),
+            Store::Wide(table) => (None, None, None, Some(table.iter())),
         };
         let dense = dense.into_iter().flatten().zip(0u128..).filter(|(&count, _)| count != 0);
+        let pairs = pairs.into_iter().flatten().map(|(pair, count)| (u128::from(pair), count));
         let narrow = narrow.into_iter().flatten().map(|(key, count)| (key.widen(), count));
-        dense.map(|(&count, byte)| (byte, count)).chain(narrow).chain(wide.into_iter().flatten())
+        dense
+            .map(|(&count, byte)| (byte, count))
+            .chain(pairs)
+            .chain(narrow)
+            .chain(wide.into_iter().flatten())
     }
 
     /// Iterates over the raw counts in arbitrary order.
@@ -344,8 +404,8 @@ impl GramHistogram {
     }
 
     /// `Σ T(mᵢ)` over all gram counts mᵢ ([`c_log2_c`]): `S_k` in
-    /// fixed point. The open tables keep it as they count; the dense
-    /// tier adds the counters its seen list names.
+    /// fixed point. The tables keep it as they count; the `k = 1` tier
+    /// adds the counters its seen list names.
     pub(crate) fn fixed_sum_m_log_m(&self) -> u128 {
         match &self.store {
             Store::Dense1 { counts, seen, distinct } => seen
@@ -354,6 +414,7 @@ impl GramHistogram {
                 .filter_map(|&byte| counts.get(usize::from(byte)))
                 .map(|&count| c_log2_c(count))
                 .sum(),
+            Store::Pairs(table) => table.sum_c_log2_c(),
             Store::Narrow(table) => table.sum_c_log2_c(),
             Store::Wide(table) => table.sum_c_log2_c(),
         }
@@ -551,6 +612,16 @@ mod tests {
             assert_eq!(h.distinct(), 0, "k={k}");
             h.extend_from_bytes(&data);
             assert_eq!(h, GramHistogram::from_bytes(&data, k), "k={k}");
+        }
+    }
+
+    #[test]
+    fn windowed_tiers_are_sized_for_speed() {
+        assert!(matches!(GramHistogram::for_window(1, 2048).store, Store::Dense1 { .. }));
+        assert!(matches!(GramHistogram::for_window(2, 32).store, Store::Pairs(_)));
+        match GramHistogram::for_window(3, 2048).store {
+            Store::Narrow(table) => assert_eq!(table.capacity(), 16_384, "≤ ⅛ load"),
+            _ => unreachable!("k = 3 takes an open table"),
         }
     }
 

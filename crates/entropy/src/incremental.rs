@@ -1,12 +1,22 @@
 //! Incremental (per-packet) construction of entropy vectors.
 //!
-//! A pending flow does not buffer its first `b` payload bytes: each
-//! packet is folded into one [`GramHistogram`] per feature width as it
-//! arrives, so what a flow holds is its counter tables — a dense 2 KiB
-//! array for `k = 1` and, for every wider `k`, an open table reserved
-//! for the `b` bytes announced up front
-//! ([`with_byte_hint`](IncrementalVector::with_byte_hint)): ≈ 147 KiB
-//! for the four `φ′_SVM` widths at `b = 2048`, ≈ 5 KiB at `b = 32`.
+//! An [`IncrementalVector`] folds a byte stream, chunk by chunk, into
+//! one [`GramHistogram`] per feature width, and can finish the entropy
+//! vector of everything fed so far at any point. It comes sized two
+//! ways:
+//!
+//! * [`with_byte_hint`](IncrementalVector::with_byte_hint) — thrifty,
+//!   for a builder per stream: a dense 2 KiB array for `k = 1` and, for
+//!   every wider `k`, an open table reserved at ≤ ½ load for the bytes
+//!   announced up front: ≈ 147 KiB for the four `φ′_SVM` widths at
+//!   `b = 2048`, ≈ 5 KiB at `b = 32`.
+//! * [`for_window`](IncrementalVector::for_window) — sized for speed,
+//!   for one builder kept warm and reused window after window, which is
+//!   how the flow pipeline counts (Fig. 1: a pending flow buffers its
+//!   first `b` payload bytes, and one table set per pipeline counts
+//!   them when the flow is probed or concludes): the dense `k = 2`
+//!   [`PairTable`](crate::fastmap::PairTable) and open tables at ≤ ⅛
+//!   load: ≈ 770 KiB of address space at `b = 2048`, paid once.
 //!
 //! One rolling packed window is shared by every width. It holds the
 //! last 16 bytes fed (`key = (key << 8) | b`; older bytes fall off the
@@ -27,11 +37,11 @@
 //! `Σ c·log₂c` as an exact fixed-point integer
 //! ([`c_log2_c`](crate::fastmap::c_log2_c)) — integer addition gives
 //! the same sum in any order, so no slot-order, capacity or
-//! storage-tier difference survives into a float. The open tables keep
-//! that sum as they count, and the dense `k = 1` tier lists the bytes
-//! it has seen, so finishing after every packet (the anytime probe)
-//! reads one integer per open table and the `k = 1` counters the
-//! window touched, never a whole table.
+//! storage-tier difference survives into a float. The `k ≥ 2` tables
+//! keep that sum as they count, and the dense `k = 1` tier lists the
+//! bytes it has seen, so finishing after every packet (the anytime
+//! probe) reads one integer per wider table and the `k = 1` counters
+//! the window touched, never a whole table.
 
 use crate::histogram::GramHistogram;
 use crate::vector::{entropy_of_histogram, EntropyVector, FeatureWidths};
@@ -74,13 +84,29 @@ impl IncrementalVector {
         }
     }
 
-    /// Like [`new`](Self::new), but pre-sized for a flow that will feed
-    /// about `bytes` payload bytes (the pipeline's classification
-    /// window `b`), so filling the window never rehashes mid-flow.
+    /// Like [`new`](Self::new), but pre-sized for a stream that will
+    /// feed about `bytes` payload bytes (a classification window `b`),
+    /// so filling the window never rehashes mid-stream.
     pub fn with_byte_hint(widths: &FeatureWidths, bytes: usize) -> Self {
         let mut v = Self::new(widths);
         v.reserve_bytes(bytes);
         v
+    }
+
+    /// Like [`new`](Self::new), but sized for speed over windows of up
+    /// to `bytes` bytes ([`GramHistogram::for_window`]): the one builder
+    /// a caller keeps warm and [`reset`](Self::reset)s between windows,
+    /// rather than a builder per stream. Finishes to the same bits as
+    /// any other sizing.
+    pub fn for_window(widths: &FeatureWidths, bytes: usize) -> Self {
+        IncrementalVector {
+            // lint: allow(L009) — built once per pipeline; reset_flow reaches it only for a session of another mode, which the pipeline never hands it
+            widths: widths.clone(),
+            // lint: allow(L009) — built once per pipeline; reset_flow reaches it only for a session of another mode, which the pipeline never hands it
+            hists: widths.iter().map(|k| GramHistogram::for_window(k, bytes)).collect(),
+            key: 0,
+            total: 0,
+        }
     }
 
     /// Pre-sizes every per-width histogram for `bytes` total payload.
@@ -252,6 +278,23 @@ mod tests {
             inc.update(chunk);
         }
         assert_eq!(inc.finish().values(), EntropyVector::compute(&data, &widths).values());
+    }
+
+    #[test]
+    fn window_sized_builder_finishes_like_the_thrifty_one() {
+        let widths = FeatureWidths::svm_selected();
+        let mut warm = IncrementalVector::for_window(&widths, 2048);
+        for seed in 1..4 {
+            let data = pseudo_random(2048, seed);
+            let mut thrifty = IncrementalVector::with_byte_hint(&widths, 2048);
+            for chunk in data.chunks(97) {
+                warm.update(chunk);
+                thrifty.update(chunk);
+                assert_eq!(warm.finish().values(), thrifty.finish().values(), "seed {seed}");
+            }
+            assert_eq!(warm.counters_used(), thrifty.counters_used());
+            warm.reset();
+        }
     }
 
     #[test]

@@ -98,9 +98,7 @@ pub struct EntropyVector {
 impl EntropyVector {
     /// Computes the entropy vector of `data` for the given feature widths.
     pub fn compute(data: &[u8], widths: &FeatureWidths) -> Self {
-        // lint: allow(L009) — one-shot API for the buffer-then-compute mode, once per flow decision
         let values = widths.iter().map(|k| entropy(data, k)).collect();
-        // lint: allow(L009) — one-shot API for the buffer-then-compute mode, once per flow decision
         EntropyVector { widths: widths.as_slice().to_vec(), values }
     }
 

@@ -3,7 +3,7 @@
 // The reference models count with `std`'s HashMap; the kernel may not.
 #![allow(clippy::disallowed_types)]
 
-use iustitia_entropy::fastmap::{c_log2_c, CounterTable, GramKey, FRAC_BITS};
+use iustitia_entropy::fastmap::{c_log2_c, CounterTable, GramKey, PairTable, FRAC_BITS};
 use iustitia_entropy::{
     entropy, entropy_vector, jensen_shannon_divergence, kl_divergence, prefix_jsd,
     ByteDistribution, EntropyVector, EstimatorConfig, FeatureWidths, GramHistogram,
@@ -89,6 +89,12 @@ fn table_ops() -> impl Strategy<Value = Vec<TableOp>> {
 /// Asserts that a table's maintained sum equals `Σ T(count)` over a
 /// scan of its `(key, count)` pairs.
 fn assert_sum_matches_scan<K: GramKey>(table: &CounterTable<K>) {
+    let scanned: u128 = table.iter().map(|(_, count)| c_log2_c(count)).sum();
+    assert_eq!(table.sum_c_log2_c(), scanned);
+}
+
+/// [`assert_sum_matches_scan`] for the dense pair table.
+fn assert_pair_sum_matches_scan(table: &PairTable) {
     let scanned: u128 = table.iter().map(|(_, count)| c_log2_c(count)).sum();
     assert_eq!(table.sum_c_log2_c(), scanned);
 }
@@ -280,27 +286,43 @@ proptest! {
     }
 
     /// Every storage tier (dense `k=1`, open-addressing over `u64` keys
-    /// for `k≤8` and over `u128` keys above) must agree exactly with a
-    /// `std` HashMap reference on `(distinct, windows, sum_m_log_m)` —
-    /// and on every individual gram count — whether the counts are all
-    /// ones, all small, or past the 4,096 the `Δ` table covers.
+    /// for `k≤8` and over `u128` keys above, and the tiers sized for
+    /// speed: the dense `k=2` pair table and open tables at ≤ ⅛ load)
+    /// must agree exactly with a `std` HashMap reference on
+    /// `(distinct, windows, sum_m_log_m)` — and on every individual
+    /// gram count — whether the counts are all ones, all small, or past
+    /// the 4,096 the `Δ` table covers; a sized-for-speed histogram also
+    /// after a clear and a recount, as the pipeline's warm set is used.
+    /// Every case checks the dense `k=2` tier besides its drawn `k`.
     #[test]
     fn histogram_tiers_match_hashmap_model(
         data in payloads(0..1024),
         k in 1usize..=16,
     ) {
-        let hist = GramHistogram::from_bytes(&data, k);
-        let (distinct, windows, sum) = hashmap_model(&data, k);
-        prop_assert_eq!(hist.distinct(), distinct);
-        prop_assert_eq!(hist.window_count(), windows);
-        prop_assert_eq!(hist.sum_m_log_m(), sum, "integer sums must be bit-identical");
-        // `==` cannot tell −0.0 from 0.0: the empty and the all-ones
-        // histograms sum to a zero whose sign must match too.
-        prop_assert_eq!(hist.sum_m_log_m().to_bits(), sum.to_bits());
-        if data.len() >= k {
-            for window in data.windows(k).take(32) {
-                let expected = data.windows(k).filter(|w| *w == window).count() as u64;
-                prop_assert_eq!(hist.count_of(window), expected);
+        for k in [k, 2] {
+            let (distinct, windows, sum) = hashmap_model(&data, k);
+            let thrifty = GramHistogram::from_bytes(&data, k);
+            let mut windowed = GramHistogram::for_window(k, data.len());
+            windowed.extend_from_bytes(&data);
+            let mut recounted = GramHistogram::for_window(k, data.len());
+            recounted.extend_from_bytes(&data);
+            recounted.extend_from_bytes(&data);
+            recounted.clear();
+            recounted.extend_from_bytes(&data);
+            for hist in [&thrifty, &windowed, &recounted] {
+                prop_assert_eq!(hist.distinct(), distinct);
+                prop_assert_eq!(hist.window_count(), windows);
+                prop_assert_eq!(hist.sum_m_log_m(), sum, "integer sums must be bit-identical");
+                // `==` cannot tell −0.0 from 0.0: the empty and the
+                // all-ones histograms sum to a zero whose sign must
+                // match too.
+                prop_assert_eq!(hist.sum_m_log_m().to_bits(), sum.to_bits());
+                if data.len() >= k {
+                    for window in data.windows(k).take(32) {
+                        let expected = data.windows(k).filter(|w| *w == window).count() as u64;
+                        prop_assert_eq!(hist.count_of(window), expected);
+                    }
+                }
             }
         }
     }
@@ -410,7 +432,10 @@ proptest! {
     /// alphabet, so counts run into the thousands, past the `Δ` table;
     /// a reservation the keys outgrow, so the table rehashes; and
     /// clears in between, after which the sum starts again from zero.
-    /// Both key widths.
+    /// Both key widths, and the dense pair table, whose sum must also
+    /// equal the open table's over the same keys. (Saturation at
+    /// `u32::MAX` is pinned for both kinds of table by
+    /// `fastmap::tests::pair_counts_saturate_at_u32_max_like_the_open_table`.)
     #[test]
     fn maintained_sum_equals_a_slot_scan(
         alphabet in 1u64..48,
@@ -419,27 +444,36 @@ proptest! {
     ) {
         let mut narrow = CounterTable::<u64>::with_capacity(reserved);
         let mut wide = CounterTable::<u128>::with_capacity(reserved);
+        let mut pairs = PairTable::new();
         for (i, op) in ops.iter().enumerate() {
             match *op {
                 TableOp::Increment(key) => {
                     let key = key % alphabet;
                     narrow.increment(key);
                     wide.increment(u128::from(key) << 64 | u128::from(key));
+                    pairs.increment(key as u16);
                 }
                 TableOp::Clear => {
                     assert_sum_matches_scan(&narrow);
                     assert_sum_matches_scan(&wide);
+                    assert_pair_sum_matches_scan(&pairs);
                     narrow.clear();
                     wide.clear();
+                    pairs.clear();
                 }
             }
             if i % 257 == 0 {
                 assert_sum_matches_scan(&narrow);
                 assert_sum_matches_scan(&wide);
+                assert_pair_sum_matches_scan(&pairs);
+                prop_assert_eq!(pairs.sum_c_log2_c(), narrow.sum_c_log2_c());
             }
         }
         assert_sum_matches_scan(&narrow);
         assert_sum_matches_scan(&wide);
+        assert_pair_sum_matches_scan(&pairs);
+        prop_assert_eq!(pairs.sum_c_log2_c(), narrow.sum_c_log2_c());
+        prop_assert_eq!(pairs.len(), narrow.len());
     }
 
     /// An anytime probe finishes the same state again and again as

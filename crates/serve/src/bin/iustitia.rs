@@ -404,13 +404,13 @@ fn cmd_bench_client(args: &Args) -> Result<(), String> {
         stats.flow_memo_hit_rate().unwrap_or(0.0),
     );
     println!(
-        "pending flows:    {} ({} B resident feature state across {} shards)",
+        "pending flows:    {} ({} B buffered, batteries included, across {} shards)",
         stats.pending_flows(),
         stats.resident_feature_bytes(),
         stats.shards.len(),
     );
     println!(
-        "state pool:       {} recycled flow states ({} parked)",
+        "state pool:       {} recycled flow slots ({} parked)",
         stats.state_pool_hits(),
         stats.state_pool_size(),
     );

@@ -302,9 +302,9 @@ impl<C, H> Metrics<C, H> {
 /// Unlike the monotone counters these are *levels*: `pending_flows`
 /// mirrors [`Iustitia::pending_flows`] and `resident_feature_bytes`
 /// mirrors [`Iustitia::resident_feature_bytes`] for the shard's
-/// pipeline, so an operator can watch the streaming pipeline's
-/// per-flow memory instead of inferring it from `b × pending`. Field
-/// order is wire order.
+/// pipeline, so an operator can watch what pending flows hold — their
+/// buffered bytes plus their batteries — instead of inferring it from
+/// `b × pending`. Field order is wire order.
 ///
 /// [`Iustitia::pending_flows`]: iustitia::Iustitia::pending_flows
 /// [`Iustitia::resident_feature_bytes`]: iustitia::Iustitia::resident_feature_bytes
@@ -312,14 +312,14 @@ impl<C, H> Metrics<C, H> {
 pub struct ShardMetrics<C> {
     /// Flows currently buffered in this shard, awaiting a verdict.
     pub pending_flows: C,
-    /// Estimated heap bytes resident across this shard's pending
-    /// flows (feature counters + header staging).
+    /// Bytes this shard's pending flows hold: buffered payload (at
+    /// most the buffer capacity each) plus, with the battery on, each
+    /// flow's battery. The pipeline's one table set is not in it.
     pub resident_feature_bytes: C,
-    /// Flows whose feature state was recycled from the shard
-    /// pipeline's free list instead of freshly allocated.
+    /// Flows whose slot (buffer and battery) was recycled from the
+    /// shard pipeline's free list instead of freshly allocated.
     pub state_pool_hits: C,
-    /// Feature states currently parked on the shard pipeline's free
-    /// list.
+    /// Flow slots currently parked on the shard pipeline's free list.
     pub state_pool_size: C,
     /// Verdicts this shard's pipeline emitted from an anytime probe
     /// before the fixed-`b` buffer filled (mirrors
@@ -427,19 +427,20 @@ impl StatsSnapshot {
         self.shards.iter().map(|s| s.pending_flows).sum()
     }
 
-    /// Total resident feature-state bytes across all shards.
+    /// Total bytes pending flows hold across all shards (buffered
+    /// payload plus batteries).
     #[must_use]
     pub fn resident_feature_bytes(&self) -> u64 {
         self.shards.iter().map(|s| s.resident_feature_bytes).sum()
     }
 
-    /// Total pool-recycled flow states across all shards.
+    /// Total pool-recycled flow slots across all shards.
     #[must_use]
     pub fn state_pool_hits(&self) -> u64 {
         self.shards.iter().map(|s| s.state_pool_hits).sum()
     }
 
-    /// Total parked feature states across all shards.
+    /// Total parked flow slots across all shards.
     #[must_use]
     pub fn state_pool_size(&self) -> u64 {
         self.shards.iter().map(|s| s.state_pool_size).sum()

@@ -6,7 +6,7 @@
 //! The original frontend spent two threads per connection (blocking
 //! reader + blocking writer). That shape cannot reach tens of
 //! thousands of concurrent clients: per-connection stacks dwarf the
-//! pooled per-flow feature state, and standing up a thousand sockets
+//! pooled per-flow buffers, and standing up a thousand sockets
 //! costs seconds of thread spawning (see `results/BENCH_epoll.json`'s
 //! thread-per-connection baseline). The reactor replaces all of those
 //! threads with one: sockets are nonblocking, writes buffer in
