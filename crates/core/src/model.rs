@@ -3,8 +3,8 @@
 
 use iustitia_corpus::FileClass;
 use iustitia_ml::cart::{CartParams, DecisionTree};
-use iustitia_ml::compiled::{CompiledDag, CompiledTree, CompiledVote};
-use iustitia_ml::multiclass::{DagSvm, OneVsOneVote};
+use iustitia_ml::compiled::{CompiledDag, CompiledTree};
+use iustitia_ml::multiclass::DagSvm;
 use iustitia_ml::svm::SvmParams;
 pub use iustitia_ml::{CentroidStage, ConfidenceModel};
 use iustitia_ml::{Classifier, Dataset, DimensionMismatch};
@@ -16,8 +16,6 @@ pub enum ModelKind {
     Cart(CartParams),
     /// SVM with DAGSVM multi-class evaluation (the paper's default).
     Svm(SvmParams),
-    /// SVM with one-vs-one max-wins voting (ablation baseline).
-    SvmVote(SvmParams),
 }
 
 impl ModelKind {
@@ -64,8 +62,6 @@ pub enum NatureModel {
     Cart(DecisionTree),
     /// Trained pairwise SVMs evaluated as a decision DAG.
     Svm(DagSvm),
-    /// Trained pairwise SVMs evaluated by max-wins voting.
-    SvmVote(OneVsOneVote),
 }
 
 /// Why [`NatureModel::train`] could not produce a model.
@@ -119,7 +115,6 @@ impl NatureModel {
         Ok(match kind {
             ModelKind::Cart(params) => NatureModel::Cart(DecisionTree::fit(data, params)),
             ModelKind::Svm(params) => NatureModel::Svm(DagSvm::fit(data, params)),
-            ModelKind::SvmVote(params) => NatureModel::SvmVote(OneVsOneVote::fit(data, params)),
         })
     }
 
@@ -133,7 +128,6 @@ impl NatureModel {
         let idx = match self {
             NatureModel::Cart(m) => m.predict(features),
             NatureModel::Svm(m) => m.predict(features),
-            NatureModel::SvmVote(m) => m.predict(features),
         };
         FileClass::from_index(idx)
     }
@@ -162,7 +156,6 @@ impl NatureModel {
         match self {
             NatureModel::Cart(m) => m.n_features(),
             NatureModel::Svm(m) => m.n_features(),
-            NatureModel::SvmVote(m) => m.n_features(),
         }
     }
 
@@ -174,7 +167,6 @@ impl NatureModel {
         match self {
             NatureModel::Cart(m) => CompiledNatureModel::Cart(CompiledTree::compile(m)),
             NatureModel::Svm(m) => CompiledNatureModel::Svm(CompiledDag::compile(m)),
-            NatureModel::SvmVote(m) => CompiledNatureModel::SvmVote(CompiledVote::compile(m)),
         }
     }
 }
@@ -189,8 +181,6 @@ pub enum CompiledNatureModel {
     Cart(CompiledTree),
     /// A compiled DAGSVM.
     Svm(CompiledDag),
-    /// A compiled one-vs-one voter.
-    SvmVote(CompiledVote),
 }
 
 impl CompiledNatureModel {
@@ -204,14 +194,13 @@ impl CompiledNatureModel {
         let idx = match self {
             CompiledNatureModel::Cart(m) => m.try_predict(features)?,
             CompiledNatureModel::Svm(m) => m.try_predict(features)?,
-            CompiledNatureModel::SvmVote(m) => m.try_predict(features)?,
         };
         Ok(FileClass::from_index(idx))
     }
 
     /// Predicts the flow nature together with the model's own
-    /// confidence margin in `[0, 1]`: CART leaf purity, DAGSVM
-    /// path margin, or one-vs-one vote spread (see the compiled types
+    /// confidence margin in `[0, 1]`: CART leaf purity or DAGSVM
+    /// path margin (see the compiled types
     /// in [`iustitia_ml::compiled`]). The label is bit-identical to
     /// [`try_predict`](Self::try_predict); the margin feeds the anytime
     /// early-exit confidence score.
@@ -227,7 +216,6 @@ impl CompiledNatureModel {
         let (idx, margin) = match self {
             CompiledNatureModel::Cart(m) => m.try_predict_with_margin(features)?,
             CompiledNatureModel::Svm(m) => m.try_predict_with_margin(features)?,
-            CompiledNatureModel::SvmVote(m) => m.try_predict_with_margin(features)?,
         };
         Ok((FileClass::from_index(idx), margin))
     }
@@ -250,7 +238,6 @@ impl CompiledNatureModel {
         match self {
             CompiledNatureModel::Cart(m) => m.n_features(),
             CompiledNatureModel::Svm(m) => m.n_features(),
-            CompiledNatureModel::SvmVote(m) => m.n_features(),
         }
     }
 }
@@ -679,7 +666,6 @@ impl Classifier for NatureModel {
         match self {
             NatureModel::Cart(m) => m.n_classes(),
             NatureModel::Svm(m) => m.n_classes(),
-            NatureModel::SvmVote(m) => m.n_classes(),
         }
     }
 }
@@ -760,10 +746,11 @@ mod tests {
         let params =
             SvmParams { c: 100.0, kernel: Kernel::Rbf { gamma: 20.0 }, ..Default::default() };
         let dag = NatureModel::train(&ds, &ModelKind::Svm(params)).expect("train");
-        let vote = NatureModel::train(&ds, &ModelKind::SvmVote(params)).expect("train");
+        let NatureModel::Svm(pairwise) = &dag else { panic!("an SVM kind trains an SVM") };
+        let vote = iustitia_ml::OneVsOneVote::from_dag(pairwise);
         let mut agree = 0;
         for (x, _) in ds.iter() {
-            if dag.predict(x) == vote.predict(x) {
+            if dag.predict(x).index() == vote.predict(x) {
                 agree += 1;
             }
         }
@@ -785,9 +772,7 @@ mod tests {
         let ds = band_dataset(60);
         let svm_params =
             SvmParams { c: 100.0, kernel: Kernel::Rbf { gamma: 20.0 }, ..Default::default() };
-        for kind in
-            [ModelKind::paper_cart(), ModelKind::Svm(svm_params), ModelKind::SvmVote(svm_params)]
-        {
+        for kind in [ModelKind::paper_cart(), ModelKind::Svm(svm_params)] {
             let boxed = NatureModel::train(&ds, &kind).expect("train");
             let mut compiled = boxed.compile();
             for (x, _) in ds.iter() {
@@ -856,9 +841,7 @@ mod tests {
         let ds = band_dataset(60);
         let svm_params =
             SvmParams { c: 100.0, kernel: Kernel::Rbf { gamma: 20.0 }, ..Default::default() };
-        for kind in
-            [ModelKind::paper_cart(), ModelKind::Svm(svm_params), ModelKind::SvmVote(svm_params)]
-        {
+        for kind in [ModelKind::paper_cart(), ModelKind::Svm(svm_params)] {
             let boxed = NatureModel::train(&ds, &kind).expect("train");
             let mut compiled = boxed.compile();
             assert_eq!(compiled.n_features(), 2);

@@ -12,7 +12,7 @@
 //! * [`CompiledTree`] — nodes flattened into one preorder array (child
 //!   hot path adjacent to its parent, no `Box`, no per-node `enum`
 //!   dispatch beyond a sentinel check).
-//! * [`CompiledDag`] / [`CompiledVote`] — every *distinct* support
+//! * [`CompiledDag`] — every *distinct* support
 //!   vector stored once in a contiguous row-major matrix; each binary
 //!   classifier holds (SV index, coefficient) terms plus a bias. During
 //!   one `predict`, `K(sv, x)` is computed **at most once per distinct
@@ -34,7 +34,7 @@
 use std::collections::HashMap;
 
 use crate::cart::{DecisionTree, NodeKind};
-use crate::multiclass::{DagSvm, OneVsOneVote};
+use crate::multiclass::DagSvm;
 use crate::svm::Kernel;
 use crate::{Classifier, DimensionMismatch};
 
@@ -517,99 +517,6 @@ impl CompiledDag {
     }
 }
 
-/// A compiled [`OneVsOneVote`]: max-wins voting over the packed layout.
-/// The vote tally is a scratch buffer owned by the model, so `predict`
-/// allocates nothing.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompiledVote {
-    packed: PackedPairwise,
-    votes: Vec<usize>,
-}
-
-impl CompiledVote {
-    /// Packs a trained one-vs-one voter into the compiled layout.
-    pub fn compile(vote: &OneVsOneVote) -> Self {
-        let models: Vec<&crate::svm::BinarySvm> = vote.pairwise_models().iter().collect();
-        let packed = PackedPairwise::pack(vote.n_classes(), &models);
-        let votes = vec![0usize; vote.n_classes()];
-        CompiledVote { packed, votes }
-    }
-
-    /// Predicts the class index, or reports a feature-width mismatch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DimensionMismatch`] when `features.len()` differs from
-    /// the trained width.
-    pub fn try_predict(&mut self, features: &[f64]) -> Result<usize, DimensionMismatch> {
-        self.packed.check(features)?;
-        self.packed.begin_predict();
-        let c = self.packed.n_classes;
-        self.votes.fill(0);
-        for i in 0..c {
-            for j in (i + 1)..c {
-                if self.packed.prefers_first(i, j, features) {
-                    // lint: allow(L008) — i < c and votes.len() == c
-                    self.votes[i] += 1;
-                } else {
-                    // lint: allow(L008) — j < c and votes.len() == c
-                    self.votes[j] += 1;
-                }
-            }
-        }
-        // max_by_key keeps the *last* maximum — the exact tie-break of
-        // `OneVsOneVote::predict`.
-        Ok(self.votes.iter().enumerate().max_by_key(|&(_, &v)| v).map(|(i, _)| i).unwrap_or(0))
-    }
-
-    /// Predicts the class index together with a confidence margin in
-    /// `[0, 1]`: the vote spread `(best − runner-up) / (n_classes − 1)`
-    /// of the one-vs-one tally. A unanimous winner scores 1, a tie
-    /// scores 0. The label is bit-identical to
-    /// [`try_predict`](CompiledVote::try_predict), which computes it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DimensionMismatch`] when `features.len()` differs from
-    /// the trained width.
-    pub fn try_predict_with_margin(
-        &mut self,
-        features: &[f64],
-    ) -> Result<(usize, f64), DimensionMismatch> {
-        let label = self.try_predict(features)?;
-        let best = self.votes.get(label).copied().unwrap_or(0);
-        let runner_up =
-            self.votes.iter().enumerate().filter(|&(i, _)| i != label).map(|(_, &v)| v).max();
-        let denom = self.packed.n_classes.saturating_sub(1).max(1);
-        let spread = best.saturating_sub(runner_up.unwrap_or(0));
-        Ok((label, spread as f64 / denom as f64))
-    }
-
-    /// Predicts the class index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features` has the wrong dimensionality; use
-    /// [`try_predict`](CompiledVote::try_predict) for a typed error.
-    pub fn predict(&mut self, features: &[f64]) -> usize {
-        match self.try_predict(features) {
-            Ok(label) => label,
-            // lint: allow(L008) — documented panicking wrapper; hot-path callers use try_predict (chain is .predict() fan-out)
-            Err(e) => panic!("feature dimensionality mismatch: {e}"),
-        }
-    }
-
-    /// Number of classes.
-    pub fn n_classes(&self) -> usize {
-        self.packed.n_classes
-    }
-
-    /// Feature-vector width the model expects.
-    pub fn n_features(&self) -> usize {
-        self.packed.n_features
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -681,18 +588,6 @@ mod tests {
     }
 
     #[test]
-    fn compiled_vote_matches_boxed_everywhere() {
-        let ds = three_blobs(50);
-        let params =
-            SvmParams { c: 10.0, kernel: Kernel::Rbf { gamma: 5.0 }, ..Default::default() };
-        let vote = OneVsOneVote::fit(&ds, &params);
-        let mut fast = CompiledVote::compile(&vote);
-        for probe in probe_grid() {
-            assert_eq!(fast.predict(&probe), vote.predict(&probe), "probe {probe:?}");
-        }
-    }
-
-    #[test]
     fn dedup_shares_support_vectors_across_pairs() {
         // Every pairwise SVM trains on rows of the same dataset, so the
         // packed matrix must be strictly smaller than the term count
@@ -725,8 +620,6 @@ mod tests {
             dag.try_predict(&[0.5, 0.5, 0.5]),
             Err(DimensionMismatch { expected: 2, got: 3 })
         );
-        let mut vote = CompiledVote::compile(&OneVsOneVote::fit(&ds, &params));
-        assert_eq!(vote.try_predict(&[]), Err(DimensionMismatch { expected: 2, got: 0 }));
     }
 
     #[test]
@@ -736,7 +629,6 @@ mod tests {
         let params =
             SvmParams { c: 10.0, kernel: Kernel::Rbf { gamma: 5.0 }, ..Default::default() };
         let mut dag = CompiledDag::compile(&DagSvm::fit(&ds, &params));
-        let mut vote = CompiledVote::compile(&OneVsOneVote::fit(&ds, &params));
         for probe in probe_grid() {
             let (tl, tm) = tree.try_predict_with_margin(&probe).unwrap();
             assert_eq!(tl, tree.try_predict(&probe).unwrap(), "tree label {probe:?}");
@@ -744,9 +636,6 @@ mod tests {
             let (dl, dm) = dag.try_predict_with_margin(&probe).unwrap();
             assert_eq!(dl, dag.try_predict(&probe).unwrap(), "dag label {probe:?}");
             assert!((0.0..=1.0).contains(&dm), "dag margin {dm}");
-            let (vl, vm) = vote.try_predict_with_margin(&probe).unwrap();
-            assert_eq!(vl, vote.try_predict(&probe).unwrap(), "vote label {probe:?}");
-            assert!((0.0..=1.0).contains(&vm), "vote margin {vm}");
         }
     }
 

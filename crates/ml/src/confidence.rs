@@ -11,7 +11,7 @@
 //!    would misjudge early vectors). The score contrasts the distance
 //!    to the predicted class's centroid against the nearest rival's.
 //! 2. **Model margin** — the compiled model's own confidence (CART
-//!    leaf purity, DAGSVM path margin, or one-vs-one vote spread),
+//!    leaf purity or DAGSVM path margin),
 //!    supplied by the caller from `try_predict_with_margin`.
 //!
 //! The combined score is the *minimum* of the two, so a verdict fires

@@ -53,12 +53,12 @@ pub mod parallel;
 pub mod svm;
 
 pub use cart::{CartParams, DecisionTree};
-pub use compiled::{CompiledDag, CompiledTree, CompiledVote};
+pub use compiled::{CompiledDag, CompiledTree};
 pub use confidence::{CentroidStage, ConfidenceModel};
 pub use crossval::{cross_validate, cross_validate_with, CrossValReport};
 pub use dataset::Dataset;
 pub use metrics::ConfusionMatrix;
-pub use multiclass::{DagSvm, MultiClassStrategy, OneVsOneVote};
+pub use multiclass::{DagSvm, OneVsOneVote};
 pub use parallel::Parallelism;
 pub use svm::{BinarySvm, Kernel, SvmParams};
 

@@ -13,15 +13,6 @@ use crate::parallel::{run_indexed, Parallelism};
 use crate::svm::{BinarySvm, SvmParams};
 use crate::{Classifier, DimensionMismatch};
 
-/// Which multi-class combination strategy to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum MultiClassStrategy {
-    /// Decision-DAG evaluation (the paper's choice, `c − 1` evaluations).
-    Dag,
-    /// Max-wins voting over all `c(c−1)/2` classifiers.
-    Vote,
-}
-
 /// The shared pairwise model set: one [`BinarySvm`] per unordered class
 /// pair `(i, j)` with `i < j`, positive label = class `i`.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -217,18 +208,12 @@ impl OneVsOneVote {
         self.pairwise.check(features)?;
         Ok(self.predict(features))
     }
-
-    /// Pairwise binary models in lexicographic pair order
-    /// (compiled-model packing).
-    pub(crate) fn pairwise_models(&self) -> &[BinarySvm] {
-        &self.pairwise.models
-    }
 }
 
 impl Classifier for OneVsOneVote {
     fn predict(&self, features: &[f64]) -> usize {
         let c = self.pairwise.n_classes;
-        // lint: allow(L009) — reference voting path; the pipeline uses CompiledVote with a pooled buffer
+        // lint: allow(L009) — the ablation baseline, evaluated offline only; no serving path votes
         let mut votes = vec![0usize; c];
         for i in 0..c {
             for j in (i + 1)..c {

@@ -317,9 +317,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 
     let server = Server::start(listen, model, config).map_err(|e| e.to_string())?;
     println!("iustitia-serve listening on {} ({shards} shards, b={b})", server.local_addr());
-    if let Some(udp) = server.udp_addr() {
-        println!("udp datagram ingest on {udp}");
-    }
 
     // Periodic one-line stats until the process is killed.
     loop {
@@ -327,7 +324,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         let s = server.stats();
         let classify_p50 = s.stage(Stage::Classify).p50().unwrap_or(0);
         eprintln!(
-            "packets={} hits={} flows={} busy={} dropped={} conns={} open={} udp={} \
+            "packets={} hits={} flows={} busy={} dropped={} conns={} open={} \
              classify_p50={}ns accept_to_verdict_p50={}ns pending={} resident={}B \
              reassembly={}B pool_hits={} pool_size={} batch_p50={} queue_locks={} \
              early_exit={} verdict_bytes_p50={}B flow_memo_hit_rate={:.4}",
@@ -338,7 +335,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             s.dropped_oldest,
             s.connections,
             s.open_connections,
-            s.udp_datagrams,
             classify_p50,
             s.accept_to_verdict.p50().unwrap_or(0),
             s.pending_flows(),

@@ -68,11 +68,11 @@ fn claimed_len(bytes: &[u8]) -> Result<Option<usize>, ProtoError> {
 }
 
 /// A frame split off the front of a run of bytes, where it lies.
-pub(crate) struct FrontFrame<'a> {
-    pub(crate) type_byte: u8,
-    pub(crate) body: &'a [u8],
+struct FrontFrame<'a> {
+    type_byte: u8,
+    body: &'a [u8],
     /// The bytes after the frame.
-    pub(crate) rest: &'a [u8],
+    rest: &'a [u8],
 }
 
 /// Splits the frame at the front of `bytes` off it; `Ok(None)` until
@@ -82,7 +82,7 @@ pub(crate) struct FrontFrame<'a> {
 ///
 /// [`ProtoError::FrameTooLarge`] and [`ProtoError::Malformed`], as soon
 /// as the 4-byte length prefix is there to be judged.
-pub(crate) fn split_frame(bytes: &[u8]) -> Result<Option<FrontFrame<'_>>, ProtoError> {
+fn split_frame(bytes: &[u8]) -> Result<Option<FrontFrame<'_>>, ProtoError> {
     let Some(len) = claimed_len(bytes)? else { return Ok(None) };
     let whole = bytes.get(4..).and_then(|after| after.split_at_checked(len));
     Ok(whole.and_then(|(frame, rest)| {
@@ -94,7 +94,7 @@ pub(crate) fn split_frame(bytes: &[u8]) -> Result<Option<FrontFrame<'_>>, ProtoE
 /// — implies, mirroring [`read_frame`](crate::proto::read_frame): `None`
 /// at a frame boundary, [`ProtoError::Truncated`] mid-prefix or
 /// mid-frame.
-pub(crate) fn truncation(pending: &[u8]) -> Option<ProtoError> {
+fn truncation(pending: &[u8]) -> Option<ProtoError> {
     match pending.split_first_chunk::<4>() {
         None if pending.is_empty() => None,
         None => Some(ProtoError::Truncated { expected: 4, got: pending.len() }),

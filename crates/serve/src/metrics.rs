@@ -137,7 +137,7 @@ impl HistogramSnapshot {
 }
 
 /// Counter and gauge words of [`Metrics`] (every `C` field).
-const COUNTERS: usize = 14;
+const COUNTERS: usize = 13;
 
 /// Histograms of [`Metrics`]: the four stages, then the other four.
 const HISTOGRAMS: usize = 8;
@@ -171,10 +171,7 @@ pub struct Metrics<C, H> {
     pub drains: C,
     /// Connections accepted since start.
     pub connections: C,
-    /// UDP datagrams ingested by the reactor's datagram adapter.
-    pub udp_datagrams: C,
-    /// Gauge: connections currently registered with the reactor
-    /// (TCP sockets plus live UDP pseudo-peers).
+    /// Gauge: connections currently registered with the reactor.
     pub open_connections: C,
     /// Gauge: bytes parked in per-connection reassembly buffers
     /// (partial frames awaiting more reads), summed over connections.
@@ -195,9 +192,8 @@ pub struct Metrics<C, H> {
     pub queue_lock_acquisitions: C,
     /// Per-stage latency histograms, indexed by [`Stage`].
     pub stages: [H; 4],
-    /// Accept-to-verdict latency: time from a connection's accept (or
-    /// a UDP peer's first datagram) to each flow verdict written back
-    /// on it, in nanoseconds.
+    /// Accept-to-verdict latency: time from a connection's accept to
+    /// each flow verdict written back on it, in nanoseconds.
     pub accept_to_verdict: H,
     /// Packets per batch dispatched into a shard pipeline (the
     /// power-of-two buckets hold batch sizes, not nanoseconds). A
@@ -239,7 +235,6 @@ impl<C, H> Metrics<C, H> {
             &self.classify_requests,
             &self.drains,
             &self.connections,
-            &self.udp_datagrams,
             &self.open_connections,
             &self.reassembly_buffer_bytes,
             &self.flow_memo_hits,
@@ -267,7 +262,7 @@ impl<C, H> Metrics<C, H> {
         histograms: [H; HISTOGRAMS],
         shards: Vec<ShardMetrics<C>>,
     ) -> Self {
-        let [packets, hits, flows_classified, busy_rejects, dropped_oldest, classify_requests, drains, connections, udp_datagrams, open_connections, reassembly_buffer_bytes, flow_memo_hits, flow_memo_misses, queue_lock_acquisitions] =
+        let [packets, hits, flows_classified, busy_rejects, dropped_oldest, classify_requests, drains, connections, open_connections, reassembly_buffer_bytes, flow_memo_hits, flow_memo_misses, queue_lock_acquisitions] =
             counters;
         let [hash, cdb_lookup, buffer_fill, classify, accept_to_verdict, batch_size, flows_per_batch, bytes_at_verdict] =
             histograms;
@@ -280,7 +275,6 @@ impl<C, H> Metrics<C, H> {
             classify_requests,
             drains,
             connections,
-            udp_datagrams,
             open_connections,
             reassembly_buffer_bytes,
             flow_memo_hits,
@@ -407,12 +401,13 @@ impl ServeMetrics {
 /// Version word leading the stats wire encoding. Bumped whenever
 /// fields are added, removed, or reordered, so a client and server
 /// from different sides of a format change fail the decode loudly
-/// instead of silently misreading shifted words. Version 2 added the
-/// `udp_datagrams`/`open_connections`/`reassembly_buffer_bytes`
+/// instead of silently misreading shifted words. Version 2 added a
+/// datagram counter, the `open_connections`/`reassembly_buffer_bytes`
 /// gauges and the accept-to-verdict histogram. Version 3 added the
 /// bytes-at-verdict histogram and the per-shard early-exit gauge.
 /// Version 4 added the `flow_memo_hits`/`flow_memo_misses` counters.
-const STATS_WIRE_VERSION: u64 = 4;
+/// Version 5 removed the datagram counter with the datagram transport.
+const STATS_WIRE_VERSION: u64 = 5;
 
 impl StatsSnapshot {
     /// Histogram for one stage.
@@ -462,7 +457,7 @@ impl StatsSnapshot {
 
     /// Wire encoding, all big-endian `u64`: the
     /// [`STATS_WIRE_VERSION`] word, every field of [`Metrics`] in
-    /// declaration order — the fourteen counters/gauges, then each
+    /// declaration order — the thirteen counters/gauges, then each
     /// histogram's buckets, stages first — and the shard count
     /// followed by each shard's five gauges.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
@@ -571,7 +566,6 @@ mod tests {
         let m = ServeMetrics::with_shards(3);
         ServeMetrics::add(&m.packets, 12345);
         ServeMetrics::add(&m.dropped_oldest, 7);
-        ServeMetrics::add(&m.udp_datagrams, 31);
         m.flow_memo_hits.store(12000, Ordering::Relaxed);
         m.flow_memo_misses.store(345, Ordering::Relaxed);
         m.open_connections.store(1000, Ordering::Relaxed);
@@ -607,7 +601,6 @@ mod tests {
         reader.finish().unwrap();
         assert_eq!(back, snapshot);
         assert_eq!(back.queue_lock_acquisitions, 77);
-        assert_eq!(back.udp_datagrams, 31);
         assert_eq!(back.open_connections, 1000);
         assert_eq!(back.reassembly_buffer_bytes, 4096);
         assert_eq!((back.flow_memo_hits, back.flow_memo_misses), (12000, 345));
@@ -689,145 +682,145 @@ mod tests {
     /// every word (counters `0x10nn`, histogram `h` bucket `b` at
     /// `0x2000 + h·0x100 + b`, shard `s` gauge `g` at `0x30sg`), frozen
     /// as bytes: 4 words a line.
-    const STATS_V4: &str = "\
-        0000000000000004000000000000100100000000000010020000000000001003\
+    const STATS_V5: &str = "\
+        0000000000000005000000000000100100000000000010020000000000001003\
         0000000000001004000000000000100500000000000010060000000000001007\
         00000000000010080000000000001009000000000000100a000000000000100b\
-        000000000000100c000000000000100d000000000000100e0000000000002000\
-        0000000000002001000000000000200200000000000020030000000000002004\
-        0000000000002005000000000000200600000000000020070000000000002008\
-        0000000000002009000000000000200a000000000000200b000000000000200c\
-        000000000000200d000000000000200e000000000000200f0000000000002010\
-        0000000000002011000000000000201200000000000020130000000000002014\
-        0000000000002015000000000000201600000000000020170000000000002018\
-        0000000000002019000000000000201a000000000000201b000000000000201c\
-        000000000000201d000000000000201e000000000000201f0000000000002020\
-        0000000000002021000000000000202200000000000020230000000000002024\
-        0000000000002025000000000000202600000000000020270000000000002028\
-        0000000000002029000000000000202a000000000000202b000000000000202c\
-        000000000000202d000000000000202e000000000000202f0000000000002030\
-        0000000000002031000000000000203200000000000020330000000000002034\
-        0000000000002035000000000000203600000000000020370000000000002038\
-        0000000000002039000000000000203a000000000000203b000000000000203c\
-        000000000000203d000000000000203e000000000000203f0000000000002100\
-        0000000000002101000000000000210200000000000021030000000000002104\
-        0000000000002105000000000000210600000000000021070000000000002108\
-        0000000000002109000000000000210a000000000000210b000000000000210c\
-        000000000000210d000000000000210e000000000000210f0000000000002110\
-        0000000000002111000000000000211200000000000021130000000000002114\
-        0000000000002115000000000000211600000000000021170000000000002118\
-        0000000000002119000000000000211a000000000000211b000000000000211c\
-        000000000000211d000000000000211e000000000000211f0000000000002120\
-        0000000000002121000000000000212200000000000021230000000000002124\
-        0000000000002125000000000000212600000000000021270000000000002128\
-        0000000000002129000000000000212a000000000000212b000000000000212c\
-        000000000000212d000000000000212e000000000000212f0000000000002130\
-        0000000000002131000000000000213200000000000021330000000000002134\
-        0000000000002135000000000000213600000000000021370000000000002138\
-        0000000000002139000000000000213a000000000000213b000000000000213c\
-        000000000000213d000000000000213e000000000000213f0000000000002200\
-        0000000000002201000000000000220200000000000022030000000000002204\
-        0000000000002205000000000000220600000000000022070000000000002208\
-        0000000000002209000000000000220a000000000000220b000000000000220c\
-        000000000000220d000000000000220e000000000000220f0000000000002210\
-        0000000000002211000000000000221200000000000022130000000000002214\
-        0000000000002215000000000000221600000000000022170000000000002218\
-        0000000000002219000000000000221a000000000000221b000000000000221c\
-        000000000000221d000000000000221e000000000000221f0000000000002220\
-        0000000000002221000000000000222200000000000022230000000000002224\
-        0000000000002225000000000000222600000000000022270000000000002228\
-        0000000000002229000000000000222a000000000000222b000000000000222c\
-        000000000000222d000000000000222e000000000000222f0000000000002230\
-        0000000000002231000000000000223200000000000022330000000000002234\
-        0000000000002235000000000000223600000000000022370000000000002238\
-        0000000000002239000000000000223a000000000000223b000000000000223c\
-        000000000000223d000000000000223e000000000000223f0000000000002300\
-        0000000000002301000000000000230200000000000023030000000000002304\
-        0000000000002305000000000000230600000000000023070000000000002308\
-        0000000000002309000000000000230a000000000000230b000000000000230c\
-        000000000000230d000000000000230e000000000000230f0000000000002310\
-        0000000000002311000000000000231200000000000023130000000000002314\
-        0000000000002315000000000000231600000000000023170000000000002318\
-        0000000000002319000000000000231a000000000000231b000000000000231c\
-        000000000000231d000000000000231e000000000000231f0000000000002320\
-        0000000000002321000000000000232200000000000023230000000000002324\
-        0000000000002325000000000000232600000000000023270000000000002328\
-        0000000000002329000000000000232a000000000000232b000000000000232c\
-        000000000000232d000000000000232e000000000000232f0000000000002330\
-        0000000000002331000000000000233200000000000023330000000000002334\
-        0000000000002335000000000000233600000000000023370000000000002338\
-        0000000000002339000000000000233a000000000000233b000000000000233c\
-        000000000000233d000000000000233e000000000000233f0000000000002400\
-        0000000000002401000000000000240200000000000024030000000000002404\
-        0000000000002405000000000000240600000000000024070000000000002408\
-        0000000000002409000000000000240a000000000000240b000000000000240c\
-        000000000000240d000000000000240e000000000000240f0000000000002410\
-        0000000000002411000000000000241200000000000024130000000000002414\
-        0000000000002415000000000000241600000000000024170000000000002418\
-        0000000000002419000000000000241a000000000000241b000000000000241c\
-        000000000000241d000000000000241e000000000000241f0000000000002420\
-        0000000000002421000000000000242200000000000024230000000000002424\
-        0000000000002425000000000000242600000000000024270000000000002428\
-        0000000000002429000000000000242a000000000000242b000000000000242c\
-        000000000000242d000000000000242e000000000000242f0000000000002430\
-        0000000000002431000000000000243200000000000024330000000000002434\
-        0000000000002435000000000000243600000000000024370000000000002438\
-        0000000000002439000000000000243a000000000000243b000000000000243c\
-        000000000000243d000000000000243e000000000000243f0000000000002500\
-        0000000000002501000000000000250200000000000025030000000000002504\
-        0000000000002505000000000000250600000000000025070000000000002508\
-        0000000000002509000000000000250a000000000000250b000000000000250c\
-        000000000000250d000000000000250e000000000000250f0000000000002510\
-        0000000000002511000000000000251200000000000025130000000000002514\
-        0000000000002515000000000000251600000000000025170000000000002518\
-        0000000000002519000000000000251a000000000000251b000000000000251c\
-        000000000000251d000000000000251e000000000000251f0000000000002520\
-        0000000000002521000000000000252200000000000025230000000000002524\
-        0000000000002525000000000000252600000000000025270000000000002528\
-        0000000000002529000000000000252a000000000000252b000000000000252c\
-        000000000000252d000000000000252e000000000000252f0000000000002530\
-        0000000000002531000000000000253200000000000025330000000000002534\
-        0000000000002535000000000000253600000000000025370000000000002538\
-        0000000000002539000000000000253a000000000000253b000000000000253c\
-        000000000000253d000000000000253e000000000000253f0000000000002600\
-        0000000000002601000000000000260200000000000026030000000000002604\
-        0000000000002605000000000000260600000000000026070000000000002608\
-        0000000000002609000000000000260a000000000000260b000000000000260c\
-        000000000000260d000000000000260e000000000000260f0000000000002610\
-        0000000000002611000000000000261200000000000026130000000000002614\
-        0000000000002615000000000000261600000000000026170000000000002618\
-        0000000000002619000000000000261a000000000000261b000000000000261c\
-        000000000000261d000000000000261e000000000000261f0000000000002620\
-        0000000000002621000000000000262200000000000026230000000000002624\
-        0000000000002625000000000000262600000000000026270000000000002628\
-        0000000000002629000000000000262a000000000000262b000000000000262c\
-        000000000000262d000000000000262e000000000000262f0000000000002630\
-        0000000000002631000000000000263200000000000026330000000000002634\
-        0000000000002635000000000000263600000000000026370000000000002638\
-        0000000000002639000000000000263a000000000000263b000000000000263c\
-        000000000000263d000000000000263e000000000000263f0000000000002700\
-        0000000000002701000000000000270200000000000027030000000000002704\
-        0000000000002705000000000000270600000000000027070000000000002708\
-        0000000000002709000000000000270a000000000000270b000000000000270c\
-        000000000000270d000000000000270e000000000000270f0000000000002710\
-        0000000000002711000000000000271200000000000027130000000000002714\
-        0000000000002715000000000000271600000000000027170000000000002718\
-        0000000000002719000000000000271a000000000000271b000000000000271c\
-        000000000000271d000000000000271e000000000000271f0000000000002720\
-        0000000000002721000000000000272200000000000027230000000000002724\
-        0000000000002725000000000000272600000000000027270000000000002728\
-        0000000000002729000000000000272a000000000000272b000000000000272c\
-        000000000000272d000000000000272e000000000000272f0000000000002730\
-        0000000000002731000000000000273200000000000027330000000000002734\
-        0000000000002735000000000000273600000000000027370000000000002738\
-        0000000000002739000000000000273a000000000000273b000000000000273c\
-        000000000000273d000000000000273e000000000000273f0000000000000002\
-        0000000000003001000000000000300200000000000030030000000000003004\
-        0000000000003005000000000000301100000000000030120000000000003013\
-        00000000000030140000000000003015";
+        000000000000100c000000000000100d00000000000020000000000000002001\
+        0000000000002002000000000000200300000000000020040000000000002005\
+        0000000000002006000000000000200700000000000020080000000000002009\
+        000000000000200a000000000000200b000000000000200c000000000000200d\
+        000000000000200e000000000000200f00000000000020100000000000002011\
+        0000000000002012000000000000201300000000000020140000000000002015\
+        0000000000002016000000000000201700000000000020180000000000002019\
+        000000000000201a000000000000201b000000000000201c000000000000201d\
+        000000000000201e000000000000201f00000000000020200000000000002021\
+        0000000000002022000000000000202300000000000020240000000000002025\
+        0000000000002026000000000000202700000000000020280000000000002029\
+        000000000000202a000000000000202b000000000000202c000000000000202d\
+        000000000000202e000000000000202f00000000000020300000000000002031\
+        0000000000002032000000000000203300000000000020340000000000002035\
+        0000000000002036000000000000203700000000000020380000000000002039\
+        000000000000203a000000000000203b000000000000203c000000000000203d\
+        000000000000203e000000000000203f00000000000021000000000000002101\
+        0000000000002102000000000000210300000000000021040000000000002105\
+        0000000000002106000000000000210700000000000021080000000000002109\
+        000000000000210a000000000000210b000000000000210c000000000000210d\
+        000000000000210e000000000000210f00000000000021100000000000002111\
+        0000000000002112000000000000211300000000000021140000000000002115\
+        0000000000002116000000000000211700000000000021180000000000002119\
+        000000000000211a000000000000211b000000000000211c000000000000211d\
+        000000000000211e000000000000211f00000000000021200000000000002121\
+        0000000000002122000000000000212300000000000021240000000000002125\
+        0000000000002126000000000000212700000000000021280000000000002129\
+        000000000000212a000000000000212b000000000000212c000000000000212d\
+        000000000000212e000000000000212f00000000000021300000000000002131\
+        0000000000002132000000000000213300000000000021340000000000002135\
+        0000000000002136000000000000213700000000000021380000000000002139\
+        000000000000213a000000000000213b000000000000213c000000000000213d\
+        000000000000213e000000000000213f00000000000022000000000000002201\
+        0000000000002202000000000000220300000000000022040000000000002205\
+        0000000000002206000000000000220700000000000022080000000000002209\
+        000000000000220a000000000000220b000000000000220c000000000000220d\
+        000000000000220e000000000000220f00000000000022100000000000002211\
+        0000000000002212000000000000221300000000000022140000000000002215\
+        0000000000002216000000000000221700000000000022180000000000002219\
+        000000000000221a000000000000221b000000000000221c000000000000221d\
+        000000000000221e000000000000221f00000000000022200000000000002221\
+        0000000000002222000000000000222300000000000022240000000000002225\
+        0000000000002226000000000000222700000000000022280000000000002229\
+        000000000000222a000000000000222b000000000000222c000000000000222d\
+        000000000000222e000000000000222f00000000000022300000000000002231\
+        0000000000002232000000000000223300000000000022340000000000002235\
+        0000000000002236000000000000223700000000000022380000000000002239\
+        000000000000223a000000000000223b000000000000223c000000000000223d\
+        000000000000223e000000000000223f00000000000023000000000000002301\
+        0000000000002302000000000000230300000000000023040000000000002305\
+        0000000000002306000000000000230700000000000023080000000000002309\
+        000000000000230a000000000000230b000000000000230c000000000000230d\
+        000000000000230e000000000000230f00000000000023100000000000002311\
+        0000000000002312000000000000231300000000000023140000000000002315\
+        0000000000002316000000000000231700000000000023180000000000002319\
+        000000000000231a000000000000231b000000000000231c000000000000231d\
+        000000000000231e000000000000231f00000000000023200000000000002321\
+        0000000000002322000000000000232300000000000023240000000000002325\
+        0000000000002326000000000000232700000000000023280000000000002329\
+        000000000000232a000000000000232b000000000000232c000000000000232d\
+        000000000000232e000000000000232f00000000000023300000000000002331\
+        0000000000002332000000000000233300000000000023340000000000002335\
+        0000000000002336000000000000233700000000000023380000000000002339\
+        000000000000233a000000000000233b000000000000233c000000000000233d\
+        000000000000233e000000000000233f00000000000024000000000000002401\
+        0000000000002402000000000000240300000000000024040000000000002405\
+        0000000000002406000000000000240700000000000024080000000000002409\
+        000000000000240a000000000000240b000000000000240c000000000000240d\
+        000000000000240e000000000000240f00000000000024100000000000002411\
+        0000000000002412000000000000241300000000000024140000000000002415\
+        0000000000002416000000000000241700000000000024180000000000002419\
+        000000000000241a000000000000241b000000000000241c000000000000241d\
+        000000000000241e000000000000241f00000000000024200000000000002421\
+        0000000000002422000000000000242300000000000024240000000000002425\
+        0000000000002426000000000000242700000000000024280000000000002429\
+        000000000000242a000000000000242b000000000000242c000000000000242d\
+        000000000000242e000000000000242f00000000000024300000000000002431\
+        0000000000002432000000000000243300000000000024340000000000002435\
+        0000000000002436000000000000243700000000000024380000000000002439\
+        000000000000243a000000000000243b000000000000243c000000000000243d\
+        000000000000243e000000000000243f00000000000025000000000000002501\
+        0000000000002502000000000000250300000000000025040000000000002505\
+        0000000000002506000000000000250700000000000025080000000000002509\
+        000000000000250a000000000000250b000000000000250c000000000000250d\
+        000000000000250e000000000000250f00000000000025100000000000002511\
+        0000000000002512000000000000251300000000000025140000000000002515\
+        0000000000002516000000000000251700000000000025180000000000002519\
+        000000000000251a000000000000251b000000000000251c000000000000251d\
+        000000000000251e000000000000251f00000000000025200000000000002521\
+        0000000000002522000000000000252300000000000025240000000000002525\
+        0000000000002526000000000000252700000000000025280000000000002529\
+        000000000000252a000000000000252b000000000000252c000000000000252d\
+        000000000000252e000000000000252f00000000000025300000000000002531\
+        0000000000002532000000000000253300000000000025340000000000002535\
+        0000000000002536000000000000253700000000000025380000000000002539\
+        000000000000253a000000000000253b000000000000253c000000000000253d\
+        000000000000253e000000000000253f00000000000026000000000000002601\
+        0000000000002602000000000000260300000000000026040000000000002605\
+        0000000000002606000000000000260700000000000026080000000000002609\
+        000000000000260a000000000000260b000000000000260c000000000000260d\
+        000000000000260e000000000000260f00000000000026100000000000002611\
+        0000000000002612000000000000261300000000000026140000000000002615\
+        0000000000002616000000000000261700000000000026180000000000002619\
+        000000000000261a000000000000261b000000000000261c000000000000261d\
+        000000000000261e000000000000261f00000000000026200000000000002621\
+        0000000000002622000000000000262300000000000026240000000000002625\
+        0000000000002626000000000000262700000000000026280000000000002629\
+        000000000000262a000000000000262b000000000000262c000000000000262d\
+        000000000000262e000000000000262f00000000000026300000000000002631\
+        0000000000002632000000000000263300000000000026340000000000002635\
+        0000000000002636000000000000263700000000000026380000000000002639\
+        000000000000263a000000000000263b000000000000263c000000000000263d\
+        000000000000263e000000000000263f00000000000027000000000000002701\
+        0000000000002702000000000000270300000000000027040000000000002705\
+        0000000000002706000000000000270700000000000027080000000000002709\
+        000000000000270a000000000000270b000000000000270c000000000000270d\
+        000000000000270e000000000000270f00000000000027100000000000002711\
+        0000000000002712000000000000271300000000000027140000000000002715\
+        0000000000002716000000000000271700000000000027180000000000002719\
+        000000000000271a000000000000271b000000000000271c000000000000271d\
+        000000000000271e000000000000271f00000000000027200000000000002721\
+        0000000000002722000000000000272300000000000027240000000000002725\
+        0000000000002726000000000000272700000000000027280000000000002729\
+        000000000000272a000000000000272b000000000000272c000000000000272d\
+        000000000000272e000000000000272f00000000000027300000000000002731\
+        0000000000002732000000000000273300000000000027340000000000002735\
+        0000000000002736000000000000273700000000000027380000000000002739\
+        000000000000273a000000000000273b000000000000273c000000000000273d\
+        000000000000273e000000000000273f00000000000000020000000000003001\
+        0000000000003002000000000000300300000000000030040000000000003005\
+        0000000000003011000000000000301200000000000030130000000000003014\
+        0000000000003015";
 
     #[test]
-    fn stats_wire_v4_is_frozen() {
+    fn stats_wire_v5_is_frozen() {
         let probe = StatsSnapshot {
             packets: 0x1001,
             hits: 0x1002,
@@ -837,12 +830,11 @@ mod tests {
             classify_requests: 0x1006,
             drains: 0x1007,
             connections: 0x1008,
-            udp_datagrams: 0x1009,
-            open_connections: 0x100A,
-            reassembly_buffer_bytes: 0x100B,
-            flow_memo_hits: 0x100C,
-            flow_memo_misses: 0x100D,
-            queue_lock_acquisitions: 0x100E,
+            open_connections: 0x1009,
+            reassembly_buffer_bytes: 0x100A,
+            flow_memo_hits: 0x100B,
+            flow_memo_misses: 0x100C,
+            queue_lock_acquisitions: 0x100D,
             stages: [histogram(0), histogram(1), histogram(2), histogram(3)],
             accept_to_verdict: histogram(4),
             batch_size: histogram(5),
@@ -850,13 +842,13 @@ mod tests {
             bytes_at_verdict: histogram(7),
             shards: vec![shard(0), shard(1)],
         };
-        let golden: Vec<u8> = (0..STATS_V4.len())
+        let golden: Vec<u8> = (0..STATS_V5.len())
             .step_by(2)
-            .map(|i| u8::from_str_radix(&STATS_V4[i..i + 2], 16).unwrap())
+            .map(|i| u8::from_str_radix(&STATS_V5[i..i + 2], 16).unwrap())
             .collect();
         let mut body = Vec::new();
         probe.encode_into(&mut body);
-        assert_eq!(body.len(), 8 * (1 + 14 + 8 * BUCKETS + 1 + 2 * 5));
+        assert_eq!(body.len(), 8 * (1 + 13 + 8 * BUCKETS + 1 + 2 * 5));
         assert!(body == golden, "the stats wire changed; bump STATS_WIRE_VERSION");
         let mut reader = crate::proto::FieldReader::new(&golden);
         assert_eq!(StatsSnapshot::decode(&mut reader).unwrap(), probe);

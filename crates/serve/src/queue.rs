@@ -147,7 +147,7 @@ impl PacketSlab {
     pub fn push(&mut self, mut record: PacketRecord, payload: &[u8]) {
         record.len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
         record.offset = self.bytes.len();
-        // lint: allow(L009) — the one copy a payload gets; a slab keeps its capacity from batch to batch
+        // lint: allow(L009) — each of a payload's two copies (staging slab, then queue slab); a slab keeps its capacity from batch to batch
         self.bytes.extend_from_slice(payload.get(..record.len as usize).unwrap_or(payload));
         self.records.push(record);
     }

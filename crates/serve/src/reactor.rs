@@ -23,26 +23,27 @@
 //! never owns a buffer. A packet's flow ID is looked up in the
 //! reactor's [`FlowIdMemo`] (SHA-1 runs only for a tuple it does not
 //! hold), then the packet is *staged*: a fixed-size record plus its
-//! payload bytes appended to its shard's [`PacketSlab`] — the one copy
-//! the payload gets. Every [`ServerConfig::batch_limit`] frames,
+//! payload bytes appended to its shard's staging [`PacketSlab`] — the
+//! payload's first copy. Every [`ServerConfig::batch_limit`] frames,
 //! and before anything that must stay ordered after them, the staged
 //! slabs are dispatched: one [`push_packets`](crate::queue::BoundedQueue::push_packets)
-//! per shard that has any, which applies admission per packet and
-//! leaves the refused ones behind for their `Busy` replies. The staging
-//! slabs keep their capacity, so the path allocates nothing per packet.
+//! per shard that has any, which applies admission per packet, copies
+//! each admitted payload a second time into the queue's slab under the
+//! lock, and leaves the refused ones behind for their `Busy` replies.
+//! Both slabs keep their capacity, so the path allocates nothing per
+//! packet.
 //!
 //! [`ServerConfig::batch_limit`]: crate::server::ServerConfig::batch_limit
 //!
 //! # Event sources
 //!
-//! Four token classes multiplex on one epoll instance:
+//! Three token classes multiplex on one epoll instance:
 //!
 //! | token | source | readiness handling |
 //! |---|---|---|
 //! | 0 | TCP listener | accept until `EWOULDBLOCK`, register conns |
 //! | 1 | wakeup eventfd | drain; outbox + shutdown flags are checked every loop |
-//! | 2 | UDP socket | one frame per datagram, pseudo-connections per peer |
-//! | 3+ | connections | slab index + 3; read/flush/close state machine |
+//! | 2+ | connections | slab index + 2; read/flush/close state machine |
 //!
 //! The eventfd is how everything outside the reactor talks to it:
 //! shard workers push verdicts into the [`Outbox`] and wake it;
@@ -68,13 +69,13 @@
 //!
 //! A verdict is addressed to the connection that sent its flow's latest
 //! data packet. Shards keep no per-connection state, so a connection
-//! that goes away (closed, reset, or an evicted UDP peer) tells them
-//! nothing: connection IDs are never reused, and a reply whose ID is no
-//! longer registered is dropped here.
+//! that goes away (closed or reset) tells them nothing: connection IDs
+//! are never reused, and a reply whose ID is no longer registered is
+//! dropped here.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
+use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -82,18 +83,18 @@ use std::time::{Duration, Instant};
 
 use iustitia::cdb::{shard_index, FlowIdMemo};
 use iustitia::features::FeatureExtractor;
+use iustitia::model::CompiledNatureModel;
 
-use crate::conn::{split_frame, truncation, FrameAssembler, FrontFrame, WriteBuffer};
+use crate::conn::{FrameAssembler, WriteBuffer};
 use crate::metrics::{ServeMetrics, Stage};
-use crate::proto::{PacketRef, ProtoError, RequestRef, Response, MAX_FRAME};
+use crate::proto::{PacketRef, ProtoError, RequestRef, Response};
 use crate::queue::{PacketRecord, PacketSlab};
 use crate::server::{Job, Shared};
 use crate::sys::{Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
 const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKE: u64 = 1;
-const TOKEN_UDP: u64 = 2;
-const TOKEN_BASE: u64 = 3;
+const TOKEN_BASE: u64 = 2;
 
 /// Cap on bytes read from one connection per readiness event, so a
 /// firehose client cannot starve the other sockets (level-triggered
@@ -108,17 +109,13 @@ const FLUSH_GRACE: Duration = Duration::from_secs(5);
 /// failure (fd exhaustion and kin) before the reactor retries.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
 
-/// A UDP peer silent for this long is eligible for eviction when the
-/// peer table is under cap pressure.
-const UDP_PEER_IDLE: Duration = Duration::from_secs(60);
-
 /// Consecutive `epoll_wait` failures tolerated before the reactor
 /// declares itself wedged and exits.
 const MAX_WAIT_ERRORS: u32 = 8;
 
 /// A message from the shard workers (or a fan-in gate) to the reactor.
 pub(crate) enum OutMsg {
-    /// Deliver `response` to the connection (TCP or UDP pseudo-conn).
+    /// Deliver `response` to the connection.
     Reply {
         /// Target connection id.
         conn_id: u64,
@@ -276,41 +273,22 @@ struct Conn {
     accepted_at: Instant,
 }
 
-/// One UDP peer acting as a pseudo-connection (keyed by source
-/// address, holding a conn id for verdict routing).
-struct UdpPeer {
-    addr: SocketAddr,
-    first_seen: Instant,
-    /// Refreshed on every datagram; drives idle/LRU eviction when the
-    /// peer table hits its cap.
-    last_seen: Instant,
-}
-
-/// Whose request is being handled (determines where direct replies
-/// like `Stats` go).
-enum Origin {
-    Tcp(usize),
-    Udp(u64),
-}
-
-/// The reactor: owns the listener, the UDP socket, and every
-/// connection; runs on its own thread until shutdown.
+/// The reactor: owns the listener and every connection; runs on its
+/// own thread until shutdown.
 pub(crate) struct Reactor {
     epoll: Epoll,
     listener: Option<TcpListener>,
-    udp: Option<UdpSocket>,
     shared: Arc<Shared>,
     outbox: Arc<Outbox>,
     conns: Vec<Option<Conn>>,
     free_slots: Vec<usize>,
     by_id: HashMap<u64, usize>,
-    udp_peers: HashMap<SocketAddr, u64>,
-    udp_by_id: HashMap<u64, UdpPeer>,
-    udp_out: VecDeque<(SocketAddr, Vec<u8>)>,
-    udp_interest: u32,
-    /// Serves one-shot `ClassifyBuffer` requests on the reactor thread
-    /// (stateless per call; shared across connections).
+    /// Serve one-shot `ClassifyBuffer` requests on the reactor thread
+    /// (stateless per call; shared across connections). The extractor
+    /// takes the shards' battery setting, and the model is compiled
+    /// once, so a request classifies as a flow of the same bytes would.
     extractor: FeatureExtractor,
+    model: CompiledNatureModel,
     /// Flow IDs already hashed on this thread; its hit and miss counts
     /// are the reactor-local source of the `flow_memo_*` metrics.
     flow_memo: FlowIdMemo,
@@ -330,37 +308,28 @@ pub(crate) struct Reactor {
 
 impl Reactor {
     /// Builds the reactor and registers its root event sources. The
-    /// listener (and UDP socket, if any) must already be nonblocking.
-    pub(crate) fn new(
-        listener: TcpListener,
-        udp: Option<UdpSocket>,
-        shared: Arc<Shared>,
-    ) -> io::Result<Reactor> {
+    /// listener must already be nonblocking.
+    pub(crate) fn new(listener: TcpListener, shared: Arc<Shared>) -> io::Result<Reactor> {
         let epoll = Epoll::new()?;
         epoll.add(listener.as_raw_fd(), TOKEN_LISTENER, EPOLLIN)?;
         let outbox = Arc::clone(&shared.outbox);
         epoll.add(outbox.wake_raw_fd(), TOKEN_WAKE, EPOLLIN)?;
-        if let Some(socket) = &udp {
-            epoll.add(socket.as_raw_fd(), TOKEN_UDP, EPOLLIN)?;
-        }
         let pipeline = &shared.config.pipeline;
         let extractor =
-            FeatureExtractor::new(pipeline.widths.clone(), pipeline.mode.clone(), pipeline.seed);
+            FeatureExtractor::new(pipeline.widths.clone(), pipeline.mode.clone(), pipeline.seed)
+                .with_battery(pipeline.battery);
+        let model = shared.model.compile();
         let shards = shared.config.shards;
         Ok(Reactor {
             epoll,
             listener: Some(listener),
-            udp,
             shared,
             outbox,
             conns: Vec::new(),
             free_slots: Vec::new(),
             by_id: HashMap::new(),
-            udp_peers: HashMap::new(),
-            udp_by_id: HashMap::new(),
-            udp_out: VecDeque::new(),
-            udp_interest: EPOLLIN,
             extractor,
+            model,
             flow_memo: FlowIdMemo::new(),
             staged: (0..shards).map(|_| PacketSlab::default()).collect(),
             pending_frames: 0,
@@ -427,12 +396,10 @@ impl Reactor {
             // holds an event for its old occupant.
             let mut accept_pending = false;
             for ev in events.iter().take(n) {
-                let ready = ev.events;
                 match ev.token {
                     TOKEN_LISTENER => accept_pending = true,
                     TOKEN_WAKE => self.outbox.drain_wake(),
-                    TOKEN_UDP => self.udp_ready(ready),
-                    token => self.conn_ready(token, ready),
+                    token => self.conn_ready(token, ev.events),
                 }
             }
             self.dispatch_pending();
@@ -635,7 +602,7 @@ impl Reactor {
             };
             match request {
                 Ok(request) => {
-                    self.handle_request(&Origin::Tcp(idx), request);
+                    self.handle_request(idx, request);
                     self.pending_frames += 1;
                     if self.pending_frames >= batch_limit {
                         self.dispatch_pending();
@@ -708,29 +675,11 @@ impl Reactor {
 
     // ---- request handling -----------------------------------------
 
-    fn origin_conn_id(&self, origin: &Origin) -> Option<u64> {
-        match origin {
-            Origin::Tcp(idx) => self.conns.get(*idx).and_then(Option::as_ref).map(|c| c.conn_id),
-            Origin::Udp(conn_id) => Some(*conn_id),
-        }
-    }
-
-    fn reply_direct(&mut self, origin: &Origin, response: &Response) {
-        match origin {
-            Origin::Tcp(idx) => self.queue_response(*idx, response),
-            Origin::Udp(conn_id) => {
-                if let Some(peer) = self.udp_by_id.get(conn_id) {
-                    let addr = peer.addr;
-                    self.udp_send(addr, response);
-                }
-            }
-        }
-    }
-
     /// Resolves a packet's flow ID and stages it for its shard: the
-    /// record, and the one copy its payload gets. [`Stage::Hash`] times
-    /// the SHA-1 of a memo miss; a packet whose ID the memo holds reads
-    /// no clock and touches no shared counter for it.
+    /// record, and the first of its payload's two copies (dispatch makes
+    /// the second, into the shard's queue). [`Stage::Hash`] times the
+    /// SHA-1 of a memo miss; a packet whose ID the memo holds reads no
+    /// clock and touches no shared counter for it.
     fn stage_packet(&mut self, conn_id: u64, packet: &PacketRef<'_>) {
         let flow = match self.flow_memo.get(&packet.tuple) {
             Some(flow) => flow,
@@ -750,8 +699,10 @@ impl Reactor {
         }
     }
 
-    fn handle_request(&mut self, origin: &Origin, request: RequestRef<'_>) {
-        let Some(conn_id) = self.origin_conn_id(origin) else { return };
+    fn handle_request(&mut self, idx: usize, request: RequestRef<'_>) {
+        let Some(conn_id) = self.conns.get(idx).and_then(Option::as_ref).map(|c| c.conn_id) else {
+            return;
+        };
         match request {
             RequestRef::SubmitPacket(packet) => self.stage_packet(conn_id, &packet),
             RequestRef::ClassifyBuffer(data) => {
@@ -759,10 +710,18 @@ impl Reactor {
                 let buffer_size = self.shared.config.pipeline.buffer_size;
                 let prefix = data.get(..buffer_size).unwrap_or(data);
                 let features = self.extractor.extract(prefix);
-                let label = self.shared.model.predict(&features);
+                // A model trained on another feature set than this
+                // server extracts cannot classify; say so, and serve on.
+                let response = match self.model.try_predict(&features) {
+                    Ok(label) => Response::ClassifyResult(label),
+                    Err(e) => Response::Error(format!(
+                        "cannot classify: the model takes {} features, this server extracts {}",
+                        e.expected, e.got
+                    )),
+                };
                 self.shared.metrics.record(Stage::Classify, t0.elapsed().as_nanos() as u64);
                 ServeMetrics::add(&self.shared.metrics.classify_requests, 1);
-                self.reply_direct(origin, &Response::ClassifyResult(label));
+                self.queue_response(idx, &response);
             }
             RequestRef::Stats => {
                 // Account for earlier submits in this batch first (and
@@ -771,7 +730,7 @@ impl Reactor {
                 self.dispatch_pending();
                 self.process_outbox();
                 let snapshot = self.shared.snapshot();
-                self.reply_direct(origin, &Response::Stats(Box::new(snapshot)));
+                self.queue_response(idx, &Response::Stats(Box::new(snapshot)));
             }
             RequestRef::Drain => {
                 // Barrier: everything submitted before the drain must
@@ -898,29 +857,24 @@ impl Reactor {
     // ---- outbox ---------------------------------------------------
 
     /// Drains the worker→reactor mailbox: encodes replies into
-    /// connection write buffers (or UDP datagrams) and applies
-    /// deferred closes.
+    /// connection write buffers and applies deferred closes.
     fn process_outbox(&mut self) {
         let mut msgs = std::mem::take(&mut self.out_scratch);
         self.outbox.drain_into(&mut msgs);
         for msg in msgs.drain(..) {
             match msg {
                 OutMsg::Reply { conn_id, response } => {
-                    if matches!(response, Response::FlowVerdict(_)) {
-                        self.record_accept_to_verdict(conn_id);
-                    }
                     if matches!(response, Response::DrainComplete(_)) {
                         ServeMetrics::add(&self.shared.metrics.drains, 1);
                     }
-                    if let Some(&idx) = self.by_id.get(&conn_id) {
-                        self.queue_response(idx, &response);
-                    } else if let Some(peer) = self.udp_by_id.get(&conn_id) {
-                        let addr = peer.addr;
-                        self.udp_send(addr, &response);
-                    }
-                    // Neither: the connection closed before its reply
+                    // No entry: the connection closed before its reply
                     // could be delivered; drop it, as the old writer
                     // thread did when its socket died.
+                    let Some(&idx) = self.by_id.get(&conn_id) else { continue };
+                    if matches!(response, Response::FlowVerdict(_)) {
+                        self.record_accept_to_verdict(idx);
+                    }
+                    self.queue_response(idx, &response);
                 }
                 OutMsg::CloseWhenFlushed { conn_id } => {
                     if let Some(&idx) = self.by_id.get(&conn_id) {
@@ -937,193 +891,22 @@ impl Reactor {
         self.out_scratch = msgs;
     }
 
-    fn record_accept_to_verdict(&self, conn_id: u64) {
-        let since = if let Some(&idx) = self.by_id.get(&conn_id) {
-            self.conns.get(idx).and_then(Option::as_ref).map(|c| c.accepted_at)
-        } else {
-            self.udp_by_id.get(&conn_id).map(|p| p.first_seen)
-        };
-        if let Some(accepted_at) = since {
-            self.shared.metrics.accept_to_verdict.record(accepted_at.elapsed().as_nanos() as u64);
-        }
-    }
-
-    // ---- UDP adapter ----------------------------------------------
-
-    fn udp_ready(&mut self, ready: u32) {
-        if ready & EPOLLOUT != 0 {
-            self.udp_flush();
-        }
-        if ready & EPOLLIN != 0 {
-            loop {
-                let Some(socket) = &self.udp else { return };
-                match socket.recv_from(&mut self.scratch) {
-                    Ok((n, addr)) => {
-                        ServeMetrics::add(&self.shared.metrics.udp_datagrams, 1);
-                        self.udp_datagram(addr, n);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => break,
-                }
-            }
-        }
-        self.udp_update_interest();
-    }
-
-    /// One datagram = exactly one frame (same length-prefixed format
-    /// as the stream transport, validated by the same assembler),
-    /// parsed where `recv_from` put it.
-    fn udp_datagram(&mut self, addr: SocketAddr, len: usize) {
-        let scratch = std::mem::take(&mut self.scratch);
-        self.udp_frame(addr, scratch.get(..len).unwrap_or(&[]));
-        self.scratch = scratch;
-    }
-
-    fn udp_frame(&mut self, addr: SocketAddr, datagram: &[u8]) {
-        let request = match split_frame(datagram) {
-            Ok(Some(FrontFrame { type_byte, body, rest: [] })) => {
-                RequestRef::decode(type_byte, body)
-            }
-            // A short frame, or bytes after the one frame: whatever is
-            // left over reads as a truncated frame.
-            Ok(partial) => {
-                let left_over = partial.map_or(datagram, |frame| frame.rest);
-                let why = truncation(left_over).map_or_else(
-                    || "datagram must contain exactly one frame".to_string(),
-                    |e| e.to_string(),
-                );
-                self.udp_send(addr, &Response::Error(why));
-                return;
-            }
-            Err(e) => Err(e),
-        };
-        let request = match request {
-            Ok(request) => request,
-            Err(e) => {
-                self.udp_send(addr, &Response::Error(e.to_string()));
-                return;
-            }
-        };
-        let conn_id = match self.udp_peers.get(&addr) {
-            Some(&id) => {
-                if let Some(peer) = self.udp_by_id.get_mut(&id) {
-                    peer.last_seen = Instant::now();
-                }
-                id
-            }
-            None => {
-                if self.udp_by_id.len() >= self.shared.config.max_udp_peers {
-                    self.evict_udp_peers();
-                }
-                if self.udp_by_id.len() >= self.shared.config.max_udp_peers {
-                    // Only possible with a zero cap (UDP effectively
-                    // disabled by configuration).
-                    self.udp_send(addr, &Response::Error("too many UDP peers".into()));
-                    return;
-                }
-                let id = self.shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
-                let now = Instant::now();
-                self.udp_peers.insert(addr, id);
-                self.udp_by_id.insert(id, UdpPeer { addr, first_seen: now, last_seen: now });
-                id
-            }
-        };
-        self.handle_request(&Origin::Udp(conn_id), request);
-    }
-
-    /// Makes room in the peer table: drops every peer idle for
-    /// [`UDP_PEER_IDLE`], or failing that the single least-recently-seen
-    /// peer, so a new peer can always register — a stream of spoofed
-    /// source addresses recycles table slots instead of permanently
-    /// exhausting them.
-    fn evict_udp_peers(&mut self) {
-        let now = Instant::now();
-        let mut evict: Vec<u64> = self
-            .udp_by_id
-            .iter()
-            .filter(|(_, peer)| now.duration_since(peer.last_seen) >= UDP_PEER_IDLE)
-            .map(|(&id, _)| id)
-            .collect();
-        if evict.is_empty() {
-            evict.extend(
-                self.udp_by_id.iter().min_by_key(|(_, peer)| peer.last_seen).map(|(&id, _)| id),
-            );
-        }
-        for id in evict {
-            self.forget_udp_peer(id);
-        }
-    }
-
-    /// Removes one UDP pseudo-connection. Verdicts still owed to it are
-    /// dropped on arrival, exactly as a closed TCP connection's are; a
-    /// returning peer gets a fresh ID, and its next data packet makes
-    /// it the flow's owner again.
-    fn forget_udp_peer(&mut self, conn_id: u64) {
-        let Some(peer) = self.udp_by_id.remove(&conn_id) else { return };
-        self.udp_peers.remove(&peer.addr);
-    }
-
-    /// Encodes a response as a single datagram; on `EWOULDBLOCK` the
-    /// datagram queues and write interest is armed on the UDP socket.
-    fn udp_send(&mut self, addr: SocketAddr, response: &Response) {
-        let encoded = match response.encode() {
-            Ok(frame) => Ok(frame),
-            Err(e) => Response::Error(format!("unencodable response: {e}")).encode(),
-        };
-        let Ok((type_byte, body)) = encoded else { return };
-        if body.len() > MAX_FRAME {
-            return;
-        }
-        let mut datagram = Vec::with_capacity(body.len() + 5);
-        let Ok(()) = crate::proto::write_frame(&mut datagram, type_byte, &body) else { return };
-        let Some(socket) = &self.udp else { return };
-        if !self.udp_out.is_empty() {
-            self.udp_out.push_back((addr, datagram));
-            return;
-        }
-        match socket.send_to(&datagram, addr) {
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                self.udp_out.push_back((addr, datagram));
-            }
-            // Sent, or an unreachable peer (nothing to do for a
-            // datagram transport).
-            _ => {}
-        }
-    }
-
-    fn udp_flush(&mut self) {
-        while let Some((addr, datagram)) = self.udp_out.front() {
-            let Some(socket) = &self.udp else { return };
-            match socket.send_to(datagram, *addr) {
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                _ => {
-                    self.udp_out.pop_front();
-                }
-            }
-        }
-    }
-
-    fn udp_update_interest(&mut self) {
-        let Some(socket) = &self.udp else { return };
-        let desired = if self.udp_out.is_empty() { EPOLLIN } else { EPOLLIN | EPOLLOUT };
-        if desired != self.udp_interest
-            && self.epoll.modify(socket.as_raw_fd(), TOKEN_UDP, desired).is_ok()
-        {
-            self.udp_interest = desired;
+    fn record_accept_to_verdict(&self, idx: usize) {
+        if let Some(conn) = self.conns.get(idx).and_then(Option::as_ref) {
+            let nanos = conn.accepted_at.elapsed().as_nanos() as u64;
+            self.shared.metrics.accept_to_verdict.record(nanos);
         }
     }
 
     // ---- gauges & shutdown ----------------------------------------
 
     fn publish_gauges(&self) {
-        let open = (self.by_id.len() + self.udp_by_id.len()) as u64;
+        let open = self.by_id.len() as u64;
         self.shared.metrics.open_connections.store(open, Ordering::Relaxed);
         self.shared.metrics.reassembly_buffer_bytes.store(self.reassembly_bytes, Ordering::Relaxed);
     }
 
     fn flush_all(&mut self) {
-        self.udp_flush();
         for idx in 0..self.conns.len() {
             if self.conns[idx].as_ref().is_some_and(|c| !c.out.is_empty()) {
                 self.flush_conn(idx);
@@ -1133,15 +916,12 @@ impl Reactor {
     }
 
     fn all_flushed(&self) -> bool {
-        self.udp_out.is_empty() && self.conns.iter().flatten().all(|conn| conn.out.is_empty())
+        self.conns.iter().flatten().all(|conn| conn.out.is_empty())
     }
 }
 
 impl std::fmt::Debug for Reactor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Reactor")
-            .field("open_conns", &self.by_id.len())
-            .field("udp_peers", &self.udp_by_id.len())
-            .finish_non_exhaustive()
+        f.debug_struct("Reactor").field("open_conns", &self.by_id.len()).finish_non_exhaustive()
     }
 }

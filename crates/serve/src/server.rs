@@ -6,7 +6,7 @@
 //!  clients ── TCP ──┐   ┌───────────┐   per-shard bounded queues
 //!  clients ── TCP ──┼─► │  reactor  │ ──┬──► [queue 0] ─► worker 0 (Iustitia + CDB)
 //!      ...          │   │  (epoll,  │   ├──► [queue 1] ─► worker 1 (Iustitia + CDB)
-//!  peers ─── UDP ───┘   │ 1 thread) │   ├──► [queue 2] ─► worker 2 (Iustitia + CDB)
+//!  clients ── TCP ──┘   │ 1 thread) │   ├──► [queue 2] ─► worker 2 (Iustitia + CDB)
 //!  clients ◄────────────│  outbox   │   └──► [queue 3] ─► worker 3 (Iustitia + CDB)
 //!                       └───────────┘          (verdicts fan back via the outbox)
 //! ```
@@ -20,13 +20,13 @@
 //! shared and the packet path takes no locks beyond its own shard
 //! queue.
 //!
-//! A packet crosses from the socket to its pipeline with **one copy of
-//! its payload and no allocation**: the reactor appends the payload to
-//! the shard's staging [`PacketSlab`] beside a fixed-size record
-//! (timestamp, tuple, flags, flow ID, connection), a dispatch moves the
-//! staged packets into the shard's queue under one lock acquisition,
-//! and the worker takes everything queued by swapping its emptied
-//! buffers in. A worker has one dispatcher, `process_segment`: it sorts
+//! A packet crosses from the socket to its pipeline with **two copies
+//! of its payload and no allocation**: the reactor appends the payload
+//! to the shard's staging [`PacketSlab`] beside a fixed-size record
+//! (timestamp, tuple, flags, flow ID, connection), a dispatch copies
+//! the admitted packets into the shard's queue slab under one lock
+//! acquisition, and the worker takes everything queued by swapping its
+//! emptied buffers in. A worker has one dispatcher, `process_segment`: it sorts
 //! an index of what it drained by flow, runs each flow's stretch
 //! through [`Iustitia::process_batch`] on the payloads where they lie,
 //! and delivers the pipeline's classification log. Each logged flow
@@ -50,7 +50,7 @@
 
 #![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
 
-use std::net::{SocketAddr, TcpListener, ToSocketAddrs, UdpSocket};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -77,15 +77,6 @@ pub struct ServerConfig {
     /// Maximum frames the reactor decodes per connection batch before
     /// dispatching to the shards.
     pub batch_limit: usize,
-    /// Also bind a UDP socket on the same port and serve one-frame
-    /// datagrams through the reactor.
-    pub udp: bool,
-    /// Cap on distinct UDP peers (each a pseudo-connection verdicts are
-    /// addressed to) tracked at once. Under cap pressure the reactor
-    /// evicts idle peers (least-recently-seen first) rather than
-    /// rejecting new ones, so a burst of spoofed source addresses
-    /// cannot permanently wedge the datagram adapter.
-    pub max_udp_peers: usize,
     /// Pipeline configuration replicated into every shard (each shard
     /// gets a decorrelated RNG seed).
     pub pipeline: PipelineConfig,
@@ -99,8 +90,7 @@ pub struct ServerConfig {
 impl ServerConfig {
     /// Defaults: one shard per hardware thread the process may use
     /// ([`std::thread::available_parallelism`]; 1 if that is unknown),
-    /// 1024-packet queues, `RejectBusy`, 64-frame batches, UDP enabled
-    /// with a 65 536-peer table.
+    /// 1024-packet queues, `RejectBusy`, 64-frame batches.
     #[must_use]
     pub fn new(pipeline: PipelineConfig) -> Self {
         ServerConfig {
@@ -108,8 +98,6 @@ impl ServerConfig {
             queue_capacity: 1024,
             admission: AdmissionPolicy::default(),
             batch_limit: 64,
-            udp: true,
-            max_udp_peers: 65_536,
             pipeline,
             anytime: None,
         }
@@ -165,15 +153,13 @@ impl Shared {
 /// [`shutdown`](Server::shutdown)) drains and joins all threads.
 pub struct Server {
     addr: SocketAddr,
-    udp_addr: Option<SocketAddr>,
     shared: Arc<Shared>,
     reactor_handle: Option<JoinHandle<()>>,
     worker_handles: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds `addr` (TCP, plus UDP on the same port when
-    /// `config.udp`) and starts serving.
+    /// Binds a TCP listener on `addr` and starts serving.
     ///
     /// # Errors
     ///
@@ -193,14 +179,6 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        // UDP shares the port number (distinct protocol namespace); a
-        // bind failure degrades to TCP-only rather than failing start.
-        let udp_socket = if config.udp {
-            UdpSocket::bind(addr).ok().filter(|s| s.set_nonblocking(true).is_ok())
-        } else {
-            None
-        };
-        let udp_addr = udp_socket.as_ref().and_then(|s| s.local_addr().ok());
 
         let queues = (0..config.shards)
             .map(|_| BoundedQueue::new(config.queue_capacity, config.admission))
@@ -235,7 +213,7 @@ impl Server {
         }
         let reactor_result = match spawn_error {
             Some(e) => Err(e),
-            None => Reactor::new(listener, udp_socket, Arc::clone(&shared)).and_then(|reactor| {
+            None => Reactor::new(listener, Arc::clone(&shared)).and_then(|reactor| {
                 std::thread::Builder::new()
                     .name("iustitia-reactor".into())
                     .spawn(move || reactor.run())
@@ -257,19 +235,13 @@ impl Server {
             }
         };
 
-        Ok(Server { addr, udp_addr, shared, reactor_handle: Some(reactor_handle), worker_handles })
+        Ok(Server { addr, shared, reactor_handle: Some(reactor_handle), worker_handles })
     }
 
     /// The bound TCP address (useful with port 0).
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The bound UDP address, when the datagram adapter is enabled.
-    #[must_use]
-    pub fn udp_addr(&self) -> Option<SocketAddr> {
-        self.udp_addr
     }
 
     /// A metrics snapshot, equivalent to the `Stats` request.

@@ -143,7 +143,6 @@ fn warm_hit_packets_cross_the_serve_path_without_allocating() {
     .expect("balanced corpus");
     let mut config = ServerConfig::new(PipelineConfig::headline(33));
     config.shards = 1;
-    config.udp = false;
     config.queue_capacity = 1 << 17; // ample: a Busy reply would allocate, and change the subject
     let server = Server::start("127.0.0.1:0", model, config).unwrap();
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();

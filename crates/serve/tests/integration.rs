@@ -6,13 +6,13 @@ use std::net::Ipv4Addr;
 use std::time::Duration;
 
 use iustitia::features::{FeatureExtractor, FeatureMode, TrainingMethod};
-use iustitia::model::{train_from_corpus, ModelKind, NatureModel};
+use iustitia::model::{train_from_corpus, train_from_corpus_battery, ModelKind, NatureModel};
 use iustitia::pipeline::{HeaderPolicy, PipelineConfig};
-use iustitia_entropy::FeatureWidths;
+use iustitia_entropy::{FeatureWidths, BATTERY_FEATURES};
 use iustitia_netsim::trace::{ContentMode, TraceConfig, TraceGenerator};
 use iustitia_netsim::{FiveTuple, Packet, Protocol, TcpFlags};
 use iustitia_serve::{
-    AdmissionPolicy, Client, ClientEvent, FlowVerdict, Server, ServerConfig, Stage,
+    AdmissionPolicy, Client, ClientError, ClientEvent, FlowVerdict, Server, ServerConfig, Stage,
 };
 
 fn trained_model() -> NatureModel {
@@ -524,6 +524,82 @@ fn classify_buffer_matches_local_model() {
     server.shutdown();
 }
 
+/// A model trained with the randomness battery, served with the
+/// battery on as `iustitia serve` does for such a model: `ClassifyBuffer`
+/// extracts the battery features too, labels as the local model does,
+/// and the server still answers `Stats` afterwards. Served with the
+/// battery off, the same model cannot classify: the request gets an
+/// `Error` naming both widths, and the connection keeps serving.
+#[test]
+fn classify_buffer_serves_a_battery_model() {
+    let corpus =
+        iustitia_corpus::CorpusBuilder::new(33).files_per_class(40).size_range(1024, 4096).build();
+    let widths = FeatureWidths::svm_selected();
+    let samples: [&[u8]; 2] = [
+        b"The quick brown fox jumps over the lazy dog, twice over.",
+        &[
+            0xE7, 0x12, 0x9C, 0x44, 0xD0, 0x5B, 0xF3, 0x2E, 0x81, 0x6A, 0xC5, 0x0F, 0xB8, 0x93,
+            0x27, 0xDC, 0x4E, 0xA1, 0x78, 0x35, 0xEB, 0x52, 0x0D, 0xC6, 0x99, 0x3F, 0x84, 0x61,
+            0xF2, 0x1B, 0xAE, 0x47, 0x70, 0x8D,
+        ],
+    ];
+    let mut extractor =
+        FeatureExtractor::new(widths.clone(), FeatureMode::Exact, 0).with_battery(true);
+    for kind in [ModelKind::paper_cart(), ModelKind::paper_svm()] {
+        let model = train_from_corpus_battery(
+            &corpus,
+            &widths,
+            TrainingMethod::Prefix { b: 32 },
+            FeatureMode::Exact,
+            &kind,
+            33,
+        )
+        .expect("balanced corpus");
+        assert_eq!(model.n_features(), widths.len() + BATTERY_FEATURES);
+
+        let mut config = server_config();
+        config.pipeline.battery = true;
+        let server = Server::start("127.0.0.1:0", model.clone(), config).unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        for data in samples {
+            let remote = client.classify_buffer(data).unwrap();
+            let local = model.predict(&extractor.extract(&data[..data.len().min(32)]));
+            assert_eq!(remote, local, "{kind:?}");
+        }
+        let stats = client.stats().expect("the server serves on after classifying");
+        assert_eq!(stats.classify_requests, samples.len() as u64);
+        client.close().unwrap();
+        server.shutdown();
+
+        let server = Server::start("127.0.0.1:0", model, server_config()).unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let widths_named = format!(
+            "the model takes {} features, this server extracts {}",
+            widths.len() + BATTERY_FEATURES,
+            widths.len()
+        );
+        match client.classify_buffer(samples[0]) {
+            Err(ClientError::Server(msg)) => assert!(msg.contains(&widths_named), "{msg}"),
+            other => panic!("{kind:?}: expected an Error frame, got {other:?}"),
+        }
+        let stats = client.stats().expect("a width mismatch does not end the connection");
+        assert_eq!(stats.classify_requests, 1);
+        client.close().unwrap();
+        server.shutdown();
+    }
+}
+
+/// The server binds one TCP listener and no datagram socket: the UDP
+/// port of the same number stays free for anyone to bind.
+#[test]
+fn the_server_binds_no_udp_socket() {
+    let server = Server::start("127.0.0.1:0", trained_model(), server_config()).unwrap();
+    let socket = std::net::UdpSocket::bind(server.local_addr());
+    assert!(socket.is_ok(), "the server holds the UDP port too: {socket:?}");
+    drop(socket);
+    server.shutdown();
+}
+
 /// Junk on the wire gets a descriptive Error frame back.
 #[test]
 fn malformed_frame_yields_error_response() {
@@ -637,118 +713,6 @@ fn many_connections_smoke() {
 
     drop(probes);
     control.close().unwrap();
-    server.shutdown();
-}
-
-/// The UDP adapter end to end: one-frame datagrams carry the same
-/// requests as the stream transport, and verdicts come back as
-/// datagrams to the submitting peer.
-#[test]
-fn udp_datagram_ingest_yields_verdict() {
-    use iustitia_serve::proto::{Request, Response};
-    use std::io::Cursor;
-
-    let server = Server::start("127.0.0.1:0", trained_model(), server_config()).unwrap();
-    let server_udp = server.udp_addr().expect("UDP adapter enabled by default");
-
-    let socket = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
-    socket.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-
-    let tuple = FiveTuple::udp(Ipv4Addr::new(10, 7, 7, 7), 7777, Ipv4Addr::new(10, 8, 8, 8), 8888);
-    for k in 0..2u8 {
-        let packet = Packet {
-            timestamp: 0.05 * f64::from(k),
-            tuple,
-            flags: TcpFlags::empty(),
-            payload: vec![0x5A ^ k; 16], // 2 × 16 = 32 ≥ b
-        };
-        let (t, body) = Request::SubmitPacket(packet).encode().unwrap();
-        let mut datagram = Vec::new();
-        iustitia_serve::proto::write_frame(&mut datagram, t, &body).unwrap();
-        socket.send_to(&datagram, server_udp).unwrap();
-    }
-
-    let mut buf = vec![0u8; 64 * 1024];
-    let (n, from) = socket.recv_from(&mut buf).expect("a verdict datagram");
-    assert_eq!(from, server_udp);
-    let mut cursor = Cursor::new(&buf[..n]);
-    let (type_byte, body) =
-        iustitia_serve::proto::read_frame(&mut cursor).unwrap().expect("one frame per datagram");
-    match Response::decode(type_byte, &body).unwrap() {
-        Response::FlowVerdict(v) => {
-            assert_eq!(v.tuple, tuple);
-            assert_eq!(v.packets, 2, "32 bytes arrive with the second datagram");
-        }
-        other => panic!("expected a verdict, got {other:?}"),
-    }
-
-    // The datagram path shows up in stats, queried over TCP.
-    let mut client = Client::connect(server.local_addr()).unwrap();
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.udp_datagrams, 2);
-    assert_eq!(stats.packets, 2);
-    client.close().unwrap();
-    server.shutdown();
-}
-
-/// A stream of distinct UDP source addresses beyond the peer-table cap
-/// must recycle table slots (LRU eviction), not permanently reject new
-/// peers: every peer still gets its verdict.
-#[test]
-fn udp_peer_table_evicts_instead_of_wedging() {
-    use iustitia_serve::proto::{Request, Response};
-    use std::io::Cursor;
-
-    let mut config = server_config();
-    config.max_udp_peers = 2;
-    let server = Server::start("127.0.0.1:0", trained_model(), config).unwrap();
-    let server_udp = server.udp_addr().expect("UDP adapter enabled by default");
-
-    let peers = 5u8;
-    for p in 0..peers {
-        let socket = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
-        socket.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        let tuple = FiveTuple::udp(
-            Ipv4Addr::new(10, 9, 9, p),
-            6000 + u16::from(p),
-            Ipv4Addr::new(10, 8, 8, 8),
-            8888,
-        );
-        for k in 0..2u8 {
-            let packet = Packet {
-                timestamp: 0.05 * f64::from(k),
-                tuple,
-                flags: TcpFlags::empty(),
-                payload: vec![(0x30 + p) ^ k; 16], // 2 × 16 = 32 ≥ b
-            };
-            let (t, body) = Request::SubmitPacket(packet).encode().unwrap();
-            let mut datagram = Vec::new();
-            iustitia_serve::proto::write_frame(&mut datagram, t, &body).unwrap();
-            socket.send_to(&datagram, server_udp).unwrap();
-        }
-        let mut buf = vec![0u8; 64 * 1024];
-        let (n, _) = socket
-            .recv_from(&mut buf)
-            .unwrap_or_else(|e| panic!("peer {p} of {peers} got no reply (cap 2): {e}"));
-        let mut cursor = Cursor::new(&buf[..n]);
-        let (type_byte, body) =
-            iustitia_serve::proto::read_frame(&mut cursor).unwrap().expect("one frame per reply");
-        match Response::decode(type_byte, &body).unwrap() {
-            Response::FlowVerdict(v) => assert_eq!(v.tuple, tuple),
-            other => panic!("peer {p} expected a verdict, got {other:?}"),
-        }
-    }
-
-    let mut client = Client::connect(server.local_addr()).unwrap();
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.udp_datagrams, u64::from(peers) * 2);
-    assert_eq!(stats.packets, u64::from(peers) * 2, "no datagram was rejected");
-    assert!(
-        stats.open_connections <= 3,
-        "gauge counts at most the TCP probe plus 2 live peers, got {}",
-        stats.open_connections
-    );
-    client.close().unwrap();
     server.shutdown();
 }
 

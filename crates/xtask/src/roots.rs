@@ -51,8 +51,8 @@ pub const ROOTS: RootsConfig = RootsConfig {
         // borrowing from them.
         "FrameWalk::next_frame",
         "RequestRef::decode",
-        // Flow hash plus the payload's one copy into the shard's slab, and
-        // the reactor's dispatch into the shard fan-in.
+        // Flow hash plus the payload's first copy, into the shard's staging
+        // slab, and the reactor's dispatch, which copies it into the queue.
         "Reactor::stage_packet",
         "Reactor::dispatch_pending",
         // Per-packet admission (staged slab -> queue) and the worker's swap.
@@ -70,7 +70,6 @@ pub const ROOTS: RootsConfig = RootsConfig {
         "CompiledNatureModel::try_predict",
         "CompiledTree::try_predict",
         "CompiledDag::try_predict",
-        "CompiledVote::try_predict",
     ],
     // L009: the static twin of the pool_alloc.rs counting-allocator
     // test — the same entry points it drives must not reach an
@@ -88,7 +87,6 @@ pub const ROOTS: RootsConfig = RootsConfig {
         "CompiledNatureModel::try_predict",
         "CompiledTree::try_predict",
         "CompiledDag::try_predict",
-        "CompiledVote::try_predict",
         // The serve path of a packet, socket to pipeline — the static
         // twin of crates/serve/tests/alloc_ingest.rs.
         "FrameWalk::next_frame",
